@@ -14,9 +14,10 @@ import sys
 
 from .drift import CBAR_CRITICAL
 from .mc import McConfig, estimate
+from .oscillator import LossOfSupport
 from .pde import NumericalFailure
 from .pipeline import ConfigError, load_config, run_experiment, _DEFAULTS
-from .specfun import F2, G_explicit, H, g_slope0
+from .specfun import F2, G_explicit, H, SeriesDiverged, g_slope0
 
 
 def _build_parser():
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, LossOfSupport, SeriesDiverged) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .drift import DriftExpansion, selfsimilar_forcing
-from .pde import Field, NumericalFailure, SpatialGrid
+from .pde import Field, NumericalFailure, SpatialGrid, banded, theta_step
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -292,47 +292,19 @@ class WTrajectory:
         return self.field(len(self) - 1)
 
 
-def _operator_bands_W(y, dy, a, b):
-    """Bands (-2..+2) of A = M_h - a (D1 - y/4) - b, Dirichlet rows excluded."""
-    n = y.size
-    c2 = 1.0 / (12 * dy * dy)
-    lap_m2 = np.full(n, -c2)
-    lap_m1 = np.full(n, 16 * c2)
-    lap_0 = np.full(n, -30 * c2)
-    lap_p1 = np.full(n, 16 * c2)
-    lap_p2 = np.full(n, -c2)
-    # 3-point rows adjacent to the boundary
-    for i in (1, n - 2):
-        lap_m2[i] = lap_p2[i] = 0.0
-        lap_m1[i] = lap_p1[i] = 1.0 / (dy * dy)
-        lap_0[i] = -2.0 / (dy * dy)
-    d1_m2 = np.full(n, 1.0 / (12 * dy))
-    d1_m1 = np.full(n, -8.0 / (12 * dy))
-    d1_p1 = np.full(n, 8.0 / (12 * dy))
-    d1_p2 = np.full(n, -1.0 / (12 * dy))
-    for i in (1, n - 2):
-        d1_m2[i] = d1_p2[i] = 0.0
-        d1_m1[i] = -1.0 / (2 * dy)
-        d1_p1[i] = 1.0 / (2 * dy)
-    A_m2 = -lap_m2 - a * d1_m2
-    A_m1 = -lap_m1 - a * d1_m1
-    A_0 = -lap_0 + _potential(y) + a * y / 4.0 - b
-    A_p1 = -lap_p1 - a * d1_p1
-    A_p2 = -lap_p2 - a * d1_p2
-    return A_m2, A_m1, A_0, A_p1, A_p2
-
-
 def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
              dtau: float = 0.002, sample_every: int = 10,
              startup_steps: int = 0) -> WTrajectory:
     """Crank-Nicolson march of the forced oscillator equation on the y grid.
 
-    Forcing coefficients are evaluated at the half step; d=None switches the
-    forcing off entirely (the kernel mode is then stationary).  Samples every
+    The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
+    L1 = D1 - y/4.  The parts are assembled once per run in banded form and
+    every step goes through the shared pde.theta_step; startup_steps
+    implicit-Euler half steps precede the Crank-Nicolson loop.  Forcing
+    coefficients are evaluated at the half step; d=None switches the forcing
+    off entirely (the kernel mode is then stationary).  Samples every
     sample_every steps, always including the initial and final states.
     """
-    from scipy.linalg import solve_banded
-
     if tau_end < W0.tau - 1e-14:
         raise ValueError("tau_end must be >= W0.tau")
     y = W0.y
@@ -344,47 +316,30 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     states = [vals.copy()]
     nsteps = max(int(math.ceil((tau_end - tau) / dtau - 1e-12)), 0)
 
-    def one_step(vals, tau, h, theta):
-        th = tau + 0.5 * h
-        if d is None:
-            a = b = 0.0
-        else:
-            a, b = selfsimilar_forcing(th, d)
-        A_m2, A_m1, A_0, A_p1, A_p2 = _operator_bands_W(y, dy, a, b)
-        rhs = vals.copy()
-        if theta < 1.0:
-            mu = (1.0 - theta) * h
-            rhs[2:-2] = vals[2:-2] - mu * (A_m2[2:-2] * vals[:-4] + A_m1[2:-2] * vals[1:-3]
-                                           + A_0[2:-2] * vals[2:-2] + A_p1[2:-2] * vals[3:-1]
-                                           + A_p2[2:-2] * vals[4:])
-            rhs[1] = vals[1] - mu * (A_m1[1] * vals[0] + A_0[1] * vals[1] + A_p1[1] * vals[2])
-            rhs[-2] = vals[-2] - mu * (A_m1[-2] * vals[-3] + A_0[-2] * vals[-2] + A_p1[-2] * vals[-1])
-        rhs[0] = rhs[-1] = 0.0
-        lam = theta * h
-        ab = np.zeros((5, n))
-        ab[4, :-2] = lam * A_m2[2:]
-        ab[3, :-1] = lam * A_m1[1:]
-        ab[2, :] = 1.0 + lam * A_0
-        ab[1, 1:] = lam * A_p1[:-1]
-        ab[0, 2:] = lam * A_p2[:-2]
-        ab[2, 0] = 1.0
-        ab[1, 1] = 0.0
-        ab[0, 2] = 0.0
-        ab[2, -1] = 1.0
-        ab[3, -2] = 0.0
-        ab[4, -3] = 0.0
-        out = solve_banded((2, 2), ab, rhs)
-        if not np.all(np.isfinite(out)):
-            raise NumericalFailure(f"evolve_W produced non-finite values at tau={tau + h:.4f}")
-        out[0] = out[-1] = 0.0
-        return out
+    # offsets -2..2: 5-point stencils inside, 3-point on the rows next to the ends
+    edge = np.isin(np.arange(n), (1, n - 2))
+
+    def stencil(inner, near):
+        return {k: np.where(edge, b, a) for k, a, b in zip(range(-2, 3), inner, near)}
+
+    lap = stencil(np.array([-1, 16, -30, 16, -1]) * (1.0 / (12 * dy * dy)),
+                  np.array([0, 1, -2, 1, 0]) / (dy * dy))
+    d1 = stencil(np.array([1, -8, 0, 8, -1]) / (12 * dy), np.array([0, -1, 0, 1, 0]) / (2 * dy))
+    lap[0] = lap[0] - _potential(y)
+    d1[0] = d1[0] - y / 4.0
+    lu = (2, 2)
+    L0, L1, I = banded(lu, n, lap), banded(lu, n, d1), banded(lu, n, {0: 1.0})
+
+    def step(vals, tau, h, theta):
+        a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau + 0.5 * h, d)
+        return theta_step(L0 + a * L1 + b * I, lu, vals, tau, h, theta)
 
     for _ in range(startup_steps):
-        vals = one_step(vals, tau, dtau / 2.0, theta=1.0)
+        vals = step(vals, tau, dtau / 2.0, theta=1.0)
         tau += dtau / 2.0
     for k in range(nsteps):
         h = min(dtau, tau_end - tau)
-        vals = one_step(vals, tau, h, theta=0.5)
+        vals = step(vals, tau, h, theta=0.5)
         tau += h
         if (k + 1) % sample_every == 0 or k == nsteps - 1:
             taus.append(tau)

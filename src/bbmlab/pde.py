@@ -8,10 +8,15 @@ truncation error below round-off.
 Scheme: trapezoidal (Crank-Nicolson) in time with the operator evaluated at the
 half step; diffusion by the 3-point Laplacian; the advection term +Xdot v_x by
 a second-order one-sided stencil biased against the leftward transport
-direction.  The resulting system has one lower and two upper bands and is
-solved directly.  Rough initial data (indicators) is handled by a short
-Rannacher startup: a few implicit-Euler half steps with first-order upwinding,
-which damps the undamped Crank-Nicolson modes and preserves positivity.
+direction.  The resulting system has one lower and two upper bands.  Rough
+initial data (indicators) is handled by a short Rannacher startup: a few
+implicit-Euler half steps with first-order upwinding, which damps the undamped
+Crank-Nicolson modes and preserves positivity.
+
+Both frames advance through theta_step, one banded theta-stepper: the operator
+is written as fixed parts assembled once per run (here A0 + speed * A1, in the
+self-similar frame L0 + a L1 + b I), so each step only combines the parts,
+applies one banded mat-vec and makes one banded solve.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ class SolverConfig:
     """
 
     dt: float = 0.01
-    scheme: str = "crank_nicolson_upwind"
     sample_every: int = 1
     startup_steps: int = 4
     diffusion_scale: float = 1.0
@@ -89,8 +93,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme != "crank_nicolson_upwind":
-            raise ValueError(f"unknown scheme: {self.scheme}")
 
     def effective_dt(self, grid: SpatialGrid) -> float:
         return min(self.dt, grid.dx)
@@ -147,67 +149,85 @@ def initial_condition(kind: str, grid: SpatialGrid, a: float = 1.0, b: float = 2
     return Field(grid, v, 0.0)
 
 
-def _operator_bands(grid: SpatialGrid, speed: float, cfg: SolverConfig, first_order: bool):
-    """Bands (offsets -1, 0, +1, +2) of L = diffusion + speed * upwind d/dx + growth."""
-    nx = grid.nx
-    dx = grid.dx
-    d2 = cfg.diffusion_scale / dx**2
-    s = cfg.advection_scale * speed
-    lo = np.full(nx + 1, d2)
-    di = np.full(nx + 1, -2.0 * d2 + cfg.growth_scale)
-    up1 = np.full(nx + 1, d2)
-    up2 = np.zeros(nx + 1)
-    if first_order:
-        di += -s / dx
-        up1 += s / dx
-    else:
-        a1 = s / (2.0 * dx)
-        di += -3.0 * a1
-        up1 += 4.0 * a1
-        up2 += -a1
-        # last interior node: centered advection (no i+2 neighbor)
-        lo[nx - 1] = d2 - a1
-        di[nx - 1] = -2.0 * d2 + cfg.growth_scale
-        up1[nx - 1] = d2 + a1
-        up2[nx - 1] = 0.0
-    return lo, di, up1, up2
+def banded(lu, n: int, diagonals: dict) -> np.ndarray:
+    """An n x n operator in solve_banded layout, with zero first and last rows.
+
+    diagonals maps an offset k to the entries A[i, i+k] (a scalar or one value
+    per row i).  The end rows are left zero, so a theta step with this
+    operator keeps homogeneous Dirichlet values by construction.
+    """
+    _, u = lu
+    ab = np.zeros((sum(lu) + 1, n))
+    for k, c in diagonals.items():
+        c = np.array(np.broadcast_to(c, n), dtype=float)
+        c[0] = c[-1] = 0.0
+        if k >= 0:
+            ab[u - k, k:] = c[:n - k]
+        else:
+            ab[u - k, :n + k] = c[-k:]
+    return ab
 
 
-def _advance(values, grid, speed, dt, cfg, theta, first_order):
-    lo, di, up1, up2 = _operator_bands(grid, speed, cfg, first_order)
-    n = grid.nx + 1
+def _matvec(L, lu, v):
+    """L v, summed from the lowest band to the highest."""
+    l, u = lu
+    n = v.size
+    out = np.zeros_like(v)
+    for k in range(-l, u + 1):
+        lo, hi = max(0, -k), min(n, n - k)
+        out[lo:hi] += L[u - k, lo + k:hi + k] * v[lo + k:hi + k]
+    return out
+
+
+def theta_step(L, lu, values, t, h, theta):
+    """One theta step of v' = L v from t to t + h; returns the new values.
+
+    L is a banded operator from banded() and values vanish at both ends.
+    theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.  The zero end
+    rows of L make the end rows of the system the identity; pivoting in the
+    solve can still leave round-off there, so the ends are set to exactly 0.
+    """
     rhs = values.copy()
     if theta < 1.0:
-        contrib = np.zeros_like(values)
-        contrib[1:-1] = lo[1:-1] * values[:-2] + di[1:-1] * values[1:-1] + up1[1:-1] * values[2:]
-        contrib[1:-2] += up2[1:-2] * values[3:]
-        rhs += (1.0 - theta) * dt * contrib
-    rhs[0] = rhs[-1] = 0.0
-    lam = theta * dt
-    ab = np.zeros((4, n))
-    ab[3, :-1] = -lam * lo[1:]
-    ab[2, :] = 1.0 - lam * di
-    ab[1, 1:] = -lam * up1[:-1]
-    ab[0, 2:] = -lam * up2[:-2]
-    # Dirichlet rows
-    ab[2, 0] = 1.0
-    ab[1, 1] = 0.0
-    ab[0, 2] = 0.0
-    ab[2, -1] = 1.0
-    ab[3, -2] = 0.0
-    out = solve_banded((1, 2), ab, rhs)
+        rhs += (1.0 - theta) * h * _matvec(L, lu, values)
+    ab = -theta * h * L
+    ab[lu[1]] += 1.0
+    out = solve_banded(lu, ab, rhs, overwrite_b=True, check_finite=False)
     if not np.all(np.isfinite(out)):
-        raise NumericalFailure("solver produced non-finite values")
+        raise NumericalFailure(f"non-finite values in the theta step from {t:.6g} to {t + h:.6g}")
     out[0] = out[-1] = 0.0
     return out
+
+
+#: Band layout of the physical operator: one lower and two upper bands.
+_BANDS = (1, 2)
+
+
+def _operator_parts(grid: SpatialGrid, cfg: SolverConfig):
+    """(A0, first-order A1, second-order A1) with L = A0 + speed * A1.
+
+    A0 is diffusion plus growth.  A1 is the advection +d/dx per unit speed,
+    one-sided against the leftward transport direction; the second-order
+    stencil falls back to a centred one on the last interior node, which has
+    no i+2 neighbour.
+    """
+    n = grid.nx + 1
+    d2 = cfg.diffusion_scale / grid.dx**2
+    a = cfg.advection_scale / grid.dx
+    A0 = banded(_BANDS, n, {-1: d2, 0: -2.0 * d2 + cfg.growth_scale, 1: d2})
+    first = banded(_BANDS, n, {0: -a, 1: a})
+    lo, di, up1, up2 = np.zeros(n), np.full(n, -1.5 * a), np.full(n, 2.0 * a), np.full(n, -0.5 * a)
+    lo[-2], di[-2], up1[-2], up2[-2] = -0.5 * a, 0.0, 0.5 * a, 0.0
+    second = banded(_BANDS, n, {-1: lo, 0: di, 1: up1, 2: up2})
+    return A0, first, second
 
 
 def step(f: Field, cfg: SolverConfig, d: DriftExpansion) -> Field:
     """One trapezoidal step with the drift speed evaluated at the half step."""
     dt = cfg.effective_dt(f.grid)
-    speed = front_speed(f.time + 0.5 * dt, d)
-    vals = _advance(f.values, f.grid, speed, dt, cfg, theta=0.5, first_order=False)
-    return Field(f.grid, vals, f.time + dt)
+    A0, _, A1 = _operator_parts(f.grid, cfg)
+    L = A0 + front_speed(f.time + 0.5 * dt, d) * A1
+    return Field(f.grid, theta_step(L, _BANDS, f.values, f.time, dt, 0.5), f.time + dt)
 
 
 def mass(f: Field) -> float:
@@ -244,14 +264,14 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
         masses.append(mass(fc))
         slopes.append(boundary_slope(fc))
 
+    A0, first, second = _operator_parts(grid, cfg)
     # Rannacher startup: implicit-Euler half steps
     n_start = cfg.startup_steps
     for _ in range(n_start):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        speed = front_speed(t + 0.5 * h, d)
-        vals = _advance(vals, grid, speed, h, cfg, theta=1.0, first_order=True)
+        vals = theta_step(A0 + front_speed(t + 0.5 * h, d) * first, _BANDS, vals, t, h, 1.0)
         t += h
     if n_start and t > times[-1]:
         record(t, vals)
@@ -259,8 +279,7 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
     k = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        speed = front_speed(t + 0.5 * h, d)
-        vals = _advance(vals, grid, speed, h, cfg, theta=0.5, first_order=False)
+        vals = theta_step(A0 + front_speed(t + 0.5 * h, d) * second, _BANDS, vals, t, h, 0.5)
         t += h
         k += 1
         if k % cfg.sample_every == 0 or t >= t_end - 1e-12:

@@ -26,7 +26,7 @@ from .oscillator import (SpectralBasis, WTrajectory, default_y_grid, evolve_W,
                          to_selfsimilar, write_trajectory_csv)
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve,
                   initial_condition, write_series_csv)
-from .rates import estimate_alpha0, fit_rate, prefactor_check
+from .rates import _is_critical, estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
 
@@ -74,17 +74,20 @@ def parse_config(text: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key: {key!r}")
-        if key == "fit.window":
-            parts = val.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"fit.window wants 'lo,hi', got {val!r}")
-            cfg[key] = (float(parts[0]), float(parts[1]))
-        elif key in _STR_KEYS:
-            cfg[key] = val
-        elif key in _INT_KEYS:
-            cfg[key] = int(val)
-        else:
-            cfg[key] = float(val)
+        if key == "fit.window" and val.count(",") != 1:
+            raise ConfigError(f"fit.window wants 'lo,hi', got {val!r}")
+        try:
+            if key == "fit.window":
+                lo, hi = val.split(",")
+                cfg[key] = (float(lo), float(hi))
+            elif key in _STR_KEYS:
+                cfg[key] = val
+            elif key in _INT_KEYS:
+                cfg[key] = int(val)
+            else:
+                cfg[key] = float(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     return cfg
 
 
@@ -93,6 +96,8 @@ def load_config(path) -> dict:
 
 
 def _validate_config(cfg: dict):
+    if not math.isfinite(cfg["cbar"]):
+        raise ConfigError("cbar must be finite")
     for key in ("dx", "dt", "dy", "dtau", "t_end", "tau_end", "mc.dt"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -108,8 +113,11 @@ def _validate_config(cfg: dict):
         raise ConfigError("need 0 < v0.a < v0.b < x_max")
     if cfg["mc.replicas"] < 1:
         raise ConfigError("mc.replicas must be >= 1")
-    if not (cfg["fit.window"][0] < cfg["fit.window"][1]):
-        raise ConfigError("fit.window must be increasing")
+    if cfg["n_modes"] < 1:
+        raise ConfigError("n_modes must be >= 1")
+    lo, hi = cfg["fit.window"]
+    if not (0.0 <= lo < hi <= cfg["tau_end"]):
+        raise ConfigError("fit.window must satisfy 0 <= lo < hi <= tau_end")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +159,7 @@ def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
     window = _tau_window_to_t(tau_window)
     a_spec = estimate_alpha0(traj, "spectral_projection")
     a_slope = estimate_alpha0(series, "slope_extrapolation", cbar=cbar, window=window)
-    critical = abs(cbar - CBAR_CRITICAL) <= 1e-9
+    critical = _is_critical(cbar)
     alpha0 = a_spec.value
     alpha_for_power = a_spec.value if critical else a_slope.value
     power_source = "spectral_projection" if critical else "slope_extrapolation"

@@ -293,9 +293,6 @@ def solve_g_spectral(alpha: float, cbar: float, basis: SpectralBasis,
     """
     if n_modes < 40:
         raise ValueError("need n_modes >= 40")
-    guard = abs((np.arange(1, n_modes) - 0.5))
-    if np.any(guard < 1e-6):
-        raise ArithmeticError("ill-conditioned mode encountered")  # unreachable for integer modes
 
     dyq = 0.01
     y_big = 4.0 * math.sqrt(n_modes + 0.75) + 12.0

@@ -5,9 +5,9 @@ import pytest
 
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
 from bbmlab.pde import (Field, NumericalFailure, ObservableSeries, SolverConfig,
-                        SpatialGrid, boundary_slope, evolve,
+                        SpatialGrid, banded, boundary_slope, evolve,
                         flux_identity_residual, initial_condition, mass, step,
-                        write_series_csv)
+                        theta_step, write_series_csv)
 
 CB = CBAR_CRITICAL
 
@@ -197,7 +197,33 @@ def test_series_csv_roundtrip(tmp_path):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(scheme="dg")
     cfg = SolverConfig(dt=0.5)
     assert cfg.effective_dt(SpatialGrid(60.0, 6000)) == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("k", [1, 7, 60])
+def test_theta_step_scales_sine_mode_exactly(k):
+    # the 3-point Dirichlet Laplacian has eigenvectors sin(k pi x) with
+    # eigenvalue -lam, lam = (4/dx^2) sin^2(k pi dx/2); one theta step scales
+    # them by (1 - (1 - theta) h lam) / (1 + theta h lam)
+    n = 200
+    dx = 1.0 / n
+    x = np.linspace(0.0, 1.0, n + 1)
+    lu = (1, 1)
+    L = banded(lu, n + 1, {-1: 1 / dx**2, 0: -2 / dx**2, 1: 1 / dx**2})
+    v = np.sin(k * np.pi * x)
+    v[0] = v[-1] = 0.0
+    lam = 4.0 / dx**2 * math.sin(k * np.pi * dx / 2) ** 2
+    h = 1e-3
+    for theta, factor in ((1.0, 1.0 / (1.0 + h * lam)),
+                          (0.5, (1.0 - h * lam / 2) / (1.0 + h * lam / 2))):
+        out = theta_step(L, lu, v, 0.0, h, theta)
+        assert out[0] == 0.0 and out[-1] == 0.0
+        np.testing.assert_allclose(out, factor * v, rtol=0, atol=1e-12)
+
+
+def test_theta_step_non_finite_raises():
+    lu = (1, 1)
+    L = banded(lu, 5, {-1: 1.0, 0: np.inf, 1: 1.0})
+    with pytest.raises(NumericalFailure):
+        theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5)

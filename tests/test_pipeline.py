@@ -105,12 +105,19 @@ def test_cli_mc_small(capsys):
     assert out["config"]["drift"] == 2.0
 
 
-def test_cli_bad_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text, named", [
+    ("unknown_key = 3", "unknown_key"),
+    ("mc.replicas = 1e5", "mc.replicas"),
+    ("dx = abc", "dx"),
+    ("cbar = nan", "cbar"),
+    ("fit.window = 11,12", "fit.window"),
+], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end"])
+def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown_key = 3\n")
+    bad.write_text(text + "\n")
     rc = cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "solve"])
     assert rc == 2
-    assert "unknown_key" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
