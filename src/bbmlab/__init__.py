@@ -11,6 +11,6 @@ from .oscillator import (Decomposition, LossOfSupport, SelfSimilarField, Spectra
                          quadratic_form_Q, slope_correspondence, to_selfsimilar)
 from .specfun import (F2, F2_scaled, GProfile, H, H_scaled, SeriesAccuracy, G_explicit,
                       g1_coefficient, g_profile, g_slope0, solve_g_spectral)
-from .mc import McConfig, PopulationState, estimate, replica_stream, simulate_replica, survival_probability
+from .mc import McConfig, PopulationCapExceeded, PopulationState, estimate, replica_stream, simulate_replica, survival_probability
 from .rates import Alpha0Estimate, RateFit, estimate_alpha0, fit_rate, fit_remainder_decay, prefactor_check
 from .pipeline import ConfigError, parse_config, rate_report, run_experiment, selfsimilar_run

@@ -55,6 +55,13 @@ def _build_parser():
     return p
 
 
+def _require_finite(**flags):
+    """ConfigError naming the first given flag whose value is NaN or infinite."""
+    for name, value in flags.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -65,6 +72,9 @@ def main(argv=None) -> int:
         if args.command == "specfun":
             if (args.z is None) == (args.y is None):
                 raise ConfigError("specfun: give exactly one of --z or --y")
+            _require_finite(z=args.z, y=args.y, alpha=args.alpha, cbar=args.cbar)
+            if args.z is not None and args.z < 0:
+                raise ConfigError(f"specfun: --z must be >= 0, got {args.z!r}")
             z = args.z if args.z is not None else args.y ** 2 / 4.0
             G = G_explicit(z, args.alpha, args.cbar)
             out = {"z": z, "F2": F2(z), "H": H(z), "G": G,
@@ -74,8 +84,15 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "mc":
-            cfg = McConfig(drift=args.drift, dt=args.dt, n_replicas=args.replicas,
-                           seed=args.mc_seed)
+            _require_finite(drift=args.drift, x0=args.x0, t_end=args.t_end, dt=args.dt,
+                            a=args.a, b=args.b)
+            if args.x0 <= 0 or args.t_end < 0:
+                raise ConfigError("mc: need --x0 > 0 and --t-end >= 0")
+            try:
+                cfg = McConfig(drift=args.drift, dt=args.dt, n_replicas=args.replicas,
+                               seed=args.mc_seed)
+            except ValueError as exc:
+                raise ConfigError(f"mc: {exc}") from exc
             lo, hi = args.a, args.b
             payoff = lambda p: ((p >= lo) & (p <= hi)).astype(float)
             mean, stderr = estimate(args.x0, args.t_end, payoff, cfg)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pde import NumericalFailure
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -44,6 +46,10 @@ class McConfig:
             raise ValueError("n_replicas must be >= 1")
         if self.branch_rate < 0:
             raise ValueError("branch_rate must be >= 0")
+
+
+class PopulationCapExceeded(NumericalFailure):
+    """A replica chunk outgrew McConfig.population_cap alive particles."""
 
 
 @dataclass
@@ -100,7 +106,7 @@ def simulate_replica(x0: float, t_end: float, cfg: McConfig,
     for _ in range(nsteps):
         pos, _ = _step_population(pos, None, stream, cfg, sq2dt, p_branch)
         if pos.size > cfg.population_cap:
-            raise RuntimeError(f"population cap {cfg.population_cap} exceeded")
+            raise PopulationCapExceeded(f"population cap {cfg.population_cap} exceeded")
         if pos.size == 0:
             break
     return pos
@@ -128,7 +134,7 @@ def _run_chunks(x0, t_end, cfg, per_step=None, final=None):
         for k in range(nsteps):
             pos, rep = _step_population(pos, rep, rng, cfg, sq2dt, p_branch)
             if pos.size > cfg.population_cap:
-                raise RuntimeError(f"population cap {cfg.population_cap} exceeded")
+                raise PopulationCapExceeded(f"population cap {cfg.population_cap} exceeded")
             if per_step is not None:
                 per_step(lo, n, pos, rep, k + 1)
             if pos.size == 0 and per_step is None:

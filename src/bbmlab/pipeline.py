@@ -111,6 +111,8 @@ def _validate_config(cfg: dict):
         raise ConfigError(f"unknown v0.kind: {cfg['v0.kind']!r}")
     if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < cfg["x_max"]):
         raise ConfigError("need 0 < v0.a < v0.b < x_max")
+    if not cfg["mc.x0"] > 0:
+        raise ConfigError("mc.x0 must be positive")
     if cfg["mc.replicas"] < 1:
         raise ConfigError("mc.replicas must be >= 1")
     if cfg["n_modes"] < 1:

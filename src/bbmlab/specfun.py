@@ -5,15 +5,24 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
 
 1. g_profile: the closed combination in the variable z = y^2/4,
 
-       G(z) = alpha [ 2 cbar sqrt(z) + 3 z - (3/2) F2(z) - 6 sqrt(pi) H(z) ],
+       G(z) = alpha [ 2 cbar sqrt(z) + G0(z) ],
+       G0(z) = 3 z - (3/2) F2(z) - 6 sqrt(pi) H(z),
        g(y) = e^{-z/2} G(z),
 
-   where F2 and H are the power series below.  Both grow like z^{-3/2} e^z
-   with leading coefficients sqrt(pi) and -1/4, so the combination cancels
-   the exponential growth exactly: -(3/2) sqrt(pi) - 6 sqrt(pi) (-1/4) = 0.
-   In floating point that cancellation is catastrophic for large z, so the
-   tail (z > _Z_SWITCH) is evaluated in adaptive-precision arithmetic on a
-   coarse z-subgrid and splined (G is smooth and slowly varying there).
+   where F2 and H are the power series below.  G satisfies
+   z G'' - (z - 1/2) G' + G = -alpha (3 z - cbar sqrt(z) - 3/2); cbar enters
+   only through the exact particular solution 2 cbar sqrt(z), so G0 does not
+   depend on cbar.  F2 and H both grow like z^{-3/2} e^z, with leading
+   coefficients sqrt(pi) and -1/4, and that growth cancels exactly in G0.  In
+   floating point the cancellation is catastrophic for large z, so G0 is
+   summed from the series only for z <= _Z0.  Above it G0 is continued in
+   float64 by reduction of order about the homogeneous solution z - 1/2:
+
+       G0(z) = 3 z + (z - 1/2) [ w0 + int_{z0}^{z} v(s) ds ],
+       v(s) = 3 [s + 1 + (sqrt(pi)/2) erfcx(sqrt s)/sqrt s] / (s - 1/2)^2,
+
+   with w0 = (G0(z0) - 3 z0)/(z0 - 1/2) from the series (derivation in
+   docs/g_profile_tail.md).
 
 2. solve_g_spectral: project the equation on the Hermite eigenbasis.  The
    kernel coefficient is forced by projecting on e_0 (g1 = -2 <F, e_0>); all
@@ -27,17 +36,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
 from .oscillator import SpectralBasis
 
-#: above this z the series pair is evaluated in scaled / high-precision form
-_Z_SWITCH = 30.0
+#: G0 is summed from the series for z <= _Z0 and continued in closed form above
+_Z0 = 5.0
+#: Gauss-Legendre rule for the closed-form tail's integral, one panel per node gap
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+#: largest ratio between the ends of a tail panel (keeps s = 0, 1/2 far away)
+_PANEL_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -75,154 +87,104 @@ class ScaledValue(NamedTuple):
 # ---------------------------------------------------------------------------
 # the two series
 
-def _f2_terms(z, one, sqrt_pi, gamma52):
-    """Generator of the F2 terms starting at n=2, in the arithmetic of `one`.
-
-    sqrt_pi must carry the working precision: the exponential parts of F2 and
-    H cancel only as exactly as this constant matches the sqrt(pi) used in
-    the combination.
-    """
-    term = sqrt_pi * one * z * z / (2 * gamma52)
+def _f2_terms(z, scale):
+    """Generator of the F2 terms starting at n=2, each multiplied by scale."""
+    term = scale * SQRT_PI * z * z / (2 * math.gamma(2.5))
     n = 2
     while True:
         yield term
-        term = term * z * (n * (n - 1)) / ((n + 1) * n * (n + one / 2))
+        term = term * z * (n * (n - 1)) / ((n + 1) * n * (n + 0.5))
         n += 1
 
 
-def _h_terms(z, one):
-    """Generator of the bracket terms of H starting at n=0."""
-    term = -4 * one  # Gamma(-1/2)/Gamma(3/2)
+def _h_terms(z, scale):
+    """Generator of the bracket terms of H starting at n=0, each multiplied by scale."""
+    term = -4.0 * scale  # Gamma(-1/2)/Gamma(3/2)
     n = 0
     while True:
         yield term
-        term = term * z * (n - one / 2) / ((n + 1) * (n + one * 3 / 2))
+        term = term * z * (n - 0.5) / ((n + 1) * (n + 1.5))
         n += 1
 
 
-def _sum_series(gen, rel_tol, max_terms, what):
+def _sum_series(gen, acc, what):
     s = 0.0
     for i, term in enumerate(gen):
         s += term
-        if abs(term) <= rel_tol * abs(s) and i >= 1:
+        if abs(term) <= acc.rel_tol * abs(s) and i >= 1:
             return s
-        if i + 1 >= max_terms:
-            raise SeriesDiverged(f"{what}: truncation criterion not met within {max_terms} terms")
+        if i + 1 >= acc.max_terms:
+            raise SeriesDiverged(f"{what}: truncation criterion not met within {acc.max_terms} terms")
+
+
+def _check_z(z):
+    if not z >= 0:
+        raise ValueError("z must be >= 0")
 
 
 def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """sqrt(pi) sum_{n>=2} z^n / (n (n-1) Gamma(n+1/2)), z >= 0."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == 0.0:
-        return 0.0
-    if z > _Z_SWITCH:
-        sv = F2_scaled(z, acc)
-        return sv.value
-    return _sum_series(_f2_terms(z, 1.0, SQRT_PI, math.gamma(2.5)), acc.rel_tol, acc.max_terms, "F2")
+    _check_z(z)
+    return 0.0 if z == 0.0 else _sum_series(_f2_terms(z, 1.0), acc, "F2")
 
 
 def F2_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> ScaledValue:
     """F2(z) e^{-z} as a ScaledValue; safe for large z."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == 0.0:
-        return ScaledValue(0.0, 0.0)
-    # sum in log space relative to e^z: term_n e^{-z}
-    s = 0.0
-    n = 2
-    lt = 0.5 * math.log(math.pi) + n * math.log(z) - z - math.log(n * (n - 1)) - math.lgamma(n + 0.5)
-    term = math.exp(lt)
-    for i in range(acc.max_terms):
-        s += term
-        term = term * z * (n * (n - 1)) / ((n + 1) * n * (n + 0.5))
-        n += 1
-        if term <= acc.rel_tol * s and i >= 1:
-            return ScaledValue(s + term, z)
-    raise SeriesDiverged(f"F2_scaled: not converged within {acc.max_terms} terms")
+    _check_z(z)
+    return ScaledValue(_sum_series(_f2_terms(z, math.exp(-z)), acc, "F2_scaled"), z)
 
 
 def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """-(sqrt(z)/4) sum_{n>=0} z^n Gamma(n-1/2) / (n! Gamma(n+3/2)), z >= 0."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == 0.0:
-        return 0.0
-    if z > _Z_SWITCH:
-        return H_scaled(z, acc).value
-    s = _sum_series(_h_terms(z, 1.0), acc.rel_tol, acc.max_terms, "H")
-    return -0.25 * math.sqrt(z) * s
+    _check_z(z)
+    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z, 1.0), acc, "H")
 
 
 def H_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> ScaledValue:
     """H(z) e^{-z} as a ScaledValue; safe for large z."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == 0.0:
-        return ScaledValue(0.0, 0.0)
-    emz = math.exp(-z)
-    s = 0.0
-    term = -4.0 * emz
-    n = 0
-    for i in range(acc.max_terms):
-        s += term
-        term = term * z * (n - 0.5) / ((n + 1) * (n + 1.5))
-        n += 1
-        if abs(term) <= acc.rel_tol * abs(s) and i >= 1:
-            return ScaledValue(-0.25 * math.sqrt(z) * (s + term), z)
-    raise SeriesDiverged(f"H_scaled: not converged within {acc.max_terms} terms")
+    _check_z(z)
+    return ScaledValue(-0.25 * math.sqrt(z) * _sum_series(_h_terms(z, math.exp(-z)), acc, "H_scaled"), z)
 
 
 # ---------------------------------------------------------------------------
 # the combination G
 
-def _G_exact_tail(z: float, cbar: float, dps_extra: int = 30) -> float:
-    """G(z)/alpha for large z via adaptive-precision summation of both series.
-
-    The e^z parts of (3/2) F2 + 6 sqrt(pi) H cancel exactly (they are the
-    same multiple of the unique growing solution); float64 cannot see through
-    e^z worth of cancellation, mpmath with ~z/ln(10) extra digits can.
-    """
-    import mpmath as mp
-
-    dps = int(z * 0.4343) + dps_extra
-    with mp.workdps(dps):
-        zm = mp.mpf(z)
-        eps = mp.mpf(10) ** (-dps + 3)
-        one = mp.mpf(1)
-        s = mp.mpf(0)
-        for term in _f2_terms(zm, one, mp.sqrt(mp.pi), mp.gamma(one * 5 / 2)):
-            s += term
-            if abs(term) < eps * abs(s):
-                break
-        f2v = s
-        s = mp.mpf(0)
-        for term in _h_terms(zm, one):
-            s += term
-            if abs(term) < eps * abs(s):
-                break
-        hv = -mp.sqrt(zm) / 4 * s
-        g = 2 * cbar * mp.sqrt(zm) + 3 * zm - mp.mpf(3) / 2 * f2v - 6 * mp.sqrt(mp.pi) * hv
-        return float(g)
+def _series_part(z: float, acc: SeriesAccuracy) -> float:
+    """G0(z) - 3 z = -(3/2) F2(z) - 6 sqrt(pi) H(z) from the series (small z only)."""
+    return -1.5 * F2(z, acc) - 6.0 * SQRT_PI * H(z, acc)
 
 
-@lru_cache(maxsize=32)
-def _G_tail_spline(cbar: float, z_hi: float):
-    """Cubic spline of G(z)/alpha on (Z_SWITCH, z_hi]; G is smooth and slow there."""
-    znodes = np.linspace(_Z_SWITCH - 0.5, z_hi + 0.5, 160)
-    gn = np.array([_G_exact_tail(zv, cbar) for zv in znodes])
-    return CubicSpline(znodes, gn)
+def _tail_integrand(s):
+    """v(s) = w'(s) for the non-growing G0 = 3 s + (s - 1/2) w(s)."""
+    rs = np.sqrt(s)
+    return 3.0 * (s + 1.0 + 0.5 * SQRT_PI * erfcx(rs) / rs) / (s - 0.5) ** 2
+
+
+def _G0(z: np.ndarray, acc: SeriesAccuracy) -> np.ndarray:
+    """The cbar-free part G0 of G/alpha on an array of z >= 0."""
+    out = np.empty_like(z)
+    small = z <= _Z0
+    for i in np.flatnonzero(small):
+        out[i] = 3.0 * z[i] + _series_part(float(z[i]), acc)
+    zt = z[~small]
+    if zt.size:
+        # panels between consecutive tail nodes, refined by a geometric ladder from
+        # _Z0 so that no panel spans more than a factor _PANEL_RATIO
+        rungs = math.ceil(math.log(zt.max() / _Z0) / math.log(_PANEL_RATIO))
+        edges = np.union1d(zt, _Z0 * _PANEL_RATIO ** np.arange(rungs + 1))
+        half = np.diff(edges) / 2.0
+        s = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
+        integral = np.concatenate(([0.0], np.cumsum(half * (_tail_integrand(s) @ _GL_W))))
+        w0 = _series_part(_Z0, acc) / (_Z0 - 0.5)
+        out[~small] = 3.0 * zt + (zt - 0.5) * (w0 + integral[np.searchsorted(edges, zt)])
+    return out
 
 
 def G_explicit(z: float, alpha: float, cbar: float,
                acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """G(z) = alpha [2 cbar sqrt(z) - (3/2) F2(z) + 3 z - 6 sqrt(pi) H(z)]."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z <= _Z_SWITCH:
-        comb = -1.5 * F2(z, acc) - 6.0 * SQRT_PI * H(z, acc)
-        return alpha * (2.0 * cbar * math.sqrt(z) + 3.0 * z + comb)
-    return alpha * _G_exact_tail(z, cbar)
+    """G(z) = alpha [2 cbar sqrt(z) + G0(z)], G0 = 3 z - (3/2) F2(z) - 6 sqrt(pi) H(z)."""
+    _check_z(z)
+    return alpha * (2.0 * cbar * math.sqrt(z) + float(_G0(np.array([float(z)]), acc)[0]))
 
 
 def g_slope0(alpha: float, cbar: float) -> float:
@@ -246,15 +208,8 @@ def g_profile(alpha: float, cbar: float, y: np.ndarray,
     """g(y) = e^{-y^2/8} G(y^2/4) on the grid, slope at 0 taken analytically."""
     y = np.asarray(y, dtype=float)
     z = y * y / 4.0
-    out = np.empty_like(y)
-    small = z <= _Z_SWITCH
-    for i in np.nonzero(small)[0]:
-        out[i] = math.exp(-z[i] / 2.0) * G_explicit(z[i], alpha, cbar, acc)
-    if np.any(~small):
-        spline = _G_tail_spline(float(cbar), float(z.max()))
-        zt = z[~small]
-        out[~small] = alpha * np.exp(-zt / 2.0) * spline(zt)
-    return GProfile(alpha, cbar, y, out, g_slope0(alpha, cbar))
+    values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _G0(z, acc))
+    return GProfile(alpha, cbar, y, values, g_slope0(alpha, cbar))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from scipy.special import erf
 from scipy.stats import kstest
 
-from bbmlab.mc import (McConfig, PopulationState, estimate, replica_stream,
-                       sample_interbranch_times, simulate_replica,
+from bbmlab.mc import (McConfig, PopulationCapExceeded, PopulationState, estimate,
+                       replica_stream, sample_interbranch_times, simulate_replica,
                        survival_probability)
+from bbmlab.pde import NumericalFailure
 
 
 def indicator_12(p):
@@ -20,6 +21,18 @@ def test_simulate_replica_trivial():
     np.testing.assert_array_equal(out, [1.0])
     with pytest.raises(ValueError):
         simulate_replica(-1.0, 1.0, cfg, replica_stream(0, 0))
+
+
+def test_population_cap_is_a_numerical_failure():
+    # a driftless Yule population from x0 = 5 doubles about every 0.7 time units
+    cfg = McConfig(drift=0.0, dt=0.01, n_replicas=40, seed=1, population_cap=50)
+    with pytest.raises(PopulationCapExceeded, match="population cap 50") as info:
+        estimate(5.0, 2.0, indicator_12, cfg)
+    assert isinstance(info.value, NumericalFailure)
+    assert isinstance(info.value, RuntimeError)
+    with pytest.raises(PopulationCapExceeded):
+        simulate_replica(5.0, 20.0, McConfig(drift=0.0, dt=0.01, population_cap=3),
+                         replica_stream(1, 0))
 
 
 def test_simulate_replica_deterministic():

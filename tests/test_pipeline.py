@@ -1,6 +1,11 @@
+import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,13 +116,67 @@ def test_cli_mc_small(capsys):
     ("dx = abc", "dx"),
     ("cbar = nan", "cbar"),
     ("fit.window = 11,12", "fit.window"),
-], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end"])
+    ("mc.x0 = -1", "mc.x0"),
+    ("mc.x0 = 0", "mc.x0"),
+], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
+        "mc_x0_negative", "mc_x0_zero"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "\n")
     rc = cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "solve"])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["specfun", "--z", "1", "--cbar", "nan"], "--cbar"),
+    (["specfun", "--z", "1", "--alpha", "inf"], "--alpha"),
+    (["specfun", "--z", "nan"], "--z"),
+    (["specfun", "--y", "inf"], "--y"),
+    (["specfun", "--z", "-1"], "--z"),
+    (["mc", "--replicas", "0"], "n_replicas"),
+    (["mc", "--x0", "-1"], "--x0"),
+    (["mc", "--dt", "0"], "dt"),
+    (["mc", "--drift", "nan"], "--drift"),
+], ids=["specfun_cbar_nan", "specfun_alpha_inf", "specfun_z_nan", "specfun_y_inf",
+        "specfun_z_negative", "mc_replicas_0", "mc_x0_negative", "mc_dt_0", "mc_drift_nan"])
+def test_cli_bad_arguments_exit_2(capsys, argv, named):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
+def test_cli_mc_population_cap_exits_3(monkeypatch, capsys):
+    import bbmlab.cli as cli_mod
+    from bbmlab.mc import McConfig
+
+    monkeypatch.setattr(cli_mod, "McConfig", functools.partial(McConfig, population_cap=50))
+    rc = cli_main(["mc", "--drift", "0", "--x0", "5", "--t-end", "2", "--replicas", "40",
+                   "--dt", "0.01"])
+    assert rc == 3
+    assert "population cap 50" in capsys.readouterr().err
+
+
+def test_runtime_paths_do_not_import_mpmath(tmp_path):
+    # mpmath is a test-only oracle: the g profile, the closed-form tail and the
+    # specfun pipeline run without it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from bbmlab.pipeline import run_experiment\n"
+        "from bbmlab.specfun import G_explicit, g_profile\n"
+        "g_profile(1.0, 2.0, np.linspace(0.0, 25.0, 2501))\n"
+        "G_explicit(50.0, 1.0, 2.0)\n"
+        f"run_experiment({{'cbar': 2.0}}, {str(tmp_path / 'o')!r}, ['specfun'])\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):

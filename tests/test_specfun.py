@@ -8,8 +8,8 @@ from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
 from bbmlab.oscillator import SpectralBasis
 from bbmlab.specfun import (F2, F2_scaled, H, H_scaled,
                             G_explicit, SeriesAccuracy, SeriesDiverged,
-                            forcing_F, g1_coefficient, g_profile, g_slope0,
-                            kernel_projection_of_F, solve_g_spectral)
+                            _tail_integrand, forcing_F, g1_coefficient, g_profile,
+                            g_slope0, kernel_projection_of_F, solve_g_spectral)
 
 CB = CBAR_CRITICAL
 
@@ -118,6 +118,70 @@ def test_G_growth_cancellation_at_50():
     for alpha in (1.0, 3.0):
         val = abs(G_explicit(50.0, alpha, CB)) * math.exp(-25.0)
         assert val <= 1e-6 * abs(alpha)
+
+
+def _G_mpmath(mp, z, alpha, cbar):
+    """G from closed forms of both series in ~z/ln(10) + 30 digits.
+
+    F2(z) = (2/3) z^2 2F2(1, 1; 3, 5/2; z) and
+    H(z) = e^z sqrt(z)/2 - (z - 1/2) (sqrt(pi)/2) erfi(sqrt z); the extra
+    digits absorb the e^z worth of cancellation between them.
+    """
+    with mp.workdps(int(z * 0.4343) + 30):
+        zm = mp.mpf(z)
+        f2 = 2 * zm**2 / 3 * mp.hyp2f2(1, 1, 3, mp.mpf(5) / 2, zm)
+        h = mp.exp(zm) * mp.sqrt(zm) / 2 - (zm - mp.mpf(1) / 2) * mp.sqrt(mp.pi) / 2 * mp.erfi(mp.sqrt(zm))
+        g0 = 3 * zm - mp.mpf(3) / 2 * f2 - 6 * mp.sqrt(mp.pi) * h
+        return float(alpha * (2 * cbar * mp.sqrt(zm) + g0))
+
+
+def test_G_tail_matches_mpmath_oracle():
+    mp = pytest.importorskip("mpmath")
+    for z in (5.000001, 10.0, 20.0, 30.0, 40.0, 60.0, 100.0, 156.25):
+        for cbar in (0.0, CB, 10.0):
+            assert G_explicit(z, 1.3, cbar) == pytest.approx(_G_mpmath(mp, z, 1.3, cbar), rel=1e-12)
+
+
+def test_G_cbar_enters_additively():
+    for z in (0.3, 4.9, 5.0, 7.5, 30.0, 156.25, 400.0):
+        for alpha, cbar in ((1.0, CB), (2.5, 10.0), (0.7, -3.0)):
+            diff = G_explicit(z, alpha, cbar) - G_explicit(z, alpha, 0.0)
+            scale = abs(G_explicit(z, alpha, cbar)) + abs(G_explicit(z, alpha, 0.0))
+            assert diff == pytest.approx(2 * alpha * cbar * math.sqrt(z), abs=1e-14 * scale)
+
+
+def test_g_profile_on_a_wide_grid():
+    # y up to 40, i.e. z up to 400, with no grid-dependent tail construction
+    y = np.linspace(0.0, 40.0, 4001)
+    for cbar in (0.0, CB, 10.0):
+        g = g_profile(1.0, cbar, y).values
+        assert np.all(np.isfinite(g))
+        tail = y >= 12.0
+        assert np.max(np.abs(g[tail]) / np.exp(-y[tail] ** 2 / 16.0)) < 1.0
+        # the same point on a shorter grid gives the same value
+        short = g_profile(1.0, cbar, y[:2501]).values
+        np.testing.assert_allclose(g[:2501], short, rtol=1e-13, atol=1e-300)
+
+
+def test_G_tail_closed_form_solves_the_ode():
+    # G = alpha [2 cbar sqrt(z) + 3 z + (z - 1/2) W], W' = v, must satisfy
+    # z G'' - (z - 1/2) G' + G = -alpha (3 z - cbar sqrt(z) - 3/2)
+    sp = pytest.importorskip("sympy")
+    z, alpha, cbar = sp.symbols("z alpha cbar", positive=True)
+    W = sp.Function("W")(z)
+    half = sp.Rational(1, 2)
+    v = 3 * (z + 1 + sp.sqrt(sp.pi) / 2 * sp.exp(z) * sp.erfc(sp.sqrt(z)) / sp.sqrt(z)) / (z - half) ** 2
+    G = alpha * (2 * cbar * sp.sqrt(z) + 3 * z + (z - half) * W)
+    residual = (z * G.diff(z, 2) - (z - half) * G.diff(z) + G
+                + alpha * (3 * z - cbar * sp.sqrt(z) - 3 * half))
+    residual = residual.subs(sp.Derivative(W, (z, 2)), v.diff(z)).subs(sp.Derivative(W, z), v)
+    assert sp.simplify(residual) == 0
+    # v does not grow like e^z: it decays like 3/z
+    assert sp.limit(z * v, z, sp.oo) == 3
+    # and the float64 integrand is this v
+    v_num = sp.lambdify(z, v, "mpmath")
+    for s in (5.0, 12.0, 80.0, 400.0):
+        assert _tail_integrand(np.array([s]))[0] == pytest.approx(float(v_num(s)), rel=1e-13)
 
 
 def test_g_profile_basics(y_grid):
