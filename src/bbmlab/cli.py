@@ -17,7 +17,12 @@ from .mc import McConfig, estimate
 from .oscillator import LossOfSupport
 from .pde import NumericalFailure
 from .pipeline import ConfigError, load_config, run_experiment, _DEFAULTS
-from .specfun import F2, G_explicit, H, SeriesDiverged, g_slope0
+from .specfun import F2, F2_scaled, G_explicit, H, H_scaled, SeriesDiverged, g_slope0
+
+#: largest z at which `bbmlab specfun` prints F2, H and their scaled forms: their
+#: series converge within the default 500 terms up to z of about 351 (G and g
+#: use the closed-form tail at every z)
+_SERIES_Z_MAX = 300.0
 
 
 def _build_parser():
@@ -48,7 +53,6 @@ def _build_parser():
     sp.add_argument("--x0", type=float, default=1.5)
     sp.add_argument("--t-end", type=float, default=3.0)
     sp.add_argument("--replicas", type=int, default=100_000)
-    sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0, dest="mc_seed")
     sp.add_argument("--a", type=float, default=1.0, help="payoff support start")
     sp.add_argument("--b", type=float, default=2.0, help="payoff support end")
@@ -75,22 +79,25 @@ def main(argv=None) -> int:
             _require_finite(z=args.z, y=args.y, alpha=args.alpha, cbar=args.cbar)
             if args.z is not None and args.z < 0:
                 raise ConfigError(f"specfun: --z must be >= 0, got {args.z!r}")
-            z = args.z if args.z is not None else args.y ** 2 / 4.0
+            z = args.z if args.z is not None else args.y * args.y / 4.0
+            if not math.isfinite(z):
+                raise ConfigError(f"specfun: y^2/4 overflows float64 at --y {args.y!r}")
             G = G_explicit(z, args.alpha, args.cbar)
-            out = {"z": z, "F2": F2(z), "H": H(z), "G": G,
-                   "g": math.exp(-z / 2.0) * G,
+            out = {"z": z, "F2": None, "H": None, "F2_scaled": None, "H_scaled": None,
+                   "G": G, "g": math.exp(-z / 2.0) * G,
                    "g_slope0": g_slope0(args.alpha, args.cbar)}
-            print(json.dumps(out, indent=2))
+            if z <= _SERIES_Z_MAX:
+                out.update(F2=F2(z), H=H(z), F2_scaled=F2_scaled(z).mantissa,
+                           H_scaled=H_scaled(z).mantissa)
+            print(json.dumps(out, indent=2, allow_nan=False))
             return 0
 
         if args.command == "mc":
-            _require_finite(drift=args.drift, x0=args.x0, t_end=args.t_end, dt=args.dt,
-                            a=args.a, b=args.b)
+            _require_finite(drift=args.drift, x0=args.x0, t_end=args.t_end, a=args.a, b=args.b)
             if args.x0 <= 0 or args.t_end < 0:
                 raise ConfigError("mc: need --x0 > 0 and --t-end >= 0")
             try:
-                cfg = McConfig(drift=args.drift, dt=args.dt, n_replicas=args.replicas,
-                               seed=args.mc_seed)
+                cfg = McConfig(drift=args.drift, n_replicas=args.replicas, seed=args.mc_seed)
             except ValueError as exc:
                 raise ConfigError(f"mc: {exc}") from exc
             lo, hi = args.a, args.b
@@ -98,8 +105,7 @@ def main(argv=None) -> int:
             mean, stderr = estimate(args.x0, args.t_end, payoff, cfg)
             print(json.dumps({"mean": mean, "stderr": stderr, "replicas": args.replicas,
                               "config": {"drift": args.drift, "x0": args.x0,
-                                         "t_end": args.t_end, "dt": args.dt,
-                                         "seed": args.mc_seed,
+                                         "t_end": args.t_end, "seed": args.mc_seed,
                                          "payoff_support": [lo, hi]}}, indent=2))
             return 0
 

@@ -1,20 +1,23 @@
 """Branching Brownian motion with constant drift and absorption at the origin.
 
-Particle motion dY = c dt + sqrt(2) dW (Gaussian increments of variance 2 dt,
-matching a diffusion term v_xx with unit coefficient), binary branching at
-rate 1 (per-step probability 1 - e^{-dt}), and killing at 0.  Killing uses
-both sign crossing and a Brownian-bridge correction: conditionally on the
-endpoints a, b > 0 of a step, the bridge of a variance-2 Brownian motion hits
-the origin with probability exp(-a b / dt), which removes the O(sqrt(dt))
-absorption bias of the naive rule.
+Particles move by dY = c dt + sqrt(2) dW (variance 2 per unit time, matching
+a diffusion term v_xx with unit coefficient), split in two at rate
+`branch_rate`, and are killed at 0.  The sampler is exact and event driven:
+no time grid enters.  One round works on the whole pending population of a
+chunk of replicas at once.  Each particle draws its Exp(branch_rate) lifetime,
+cut at its next stop (a survival checkpoint or t_end), and moves exactly over
+that interval h: Y' = Y + c h + sqrt(2h) Z.  It is killed if Y' <= 0 or, with
+`bridge_correction`, with probability exp(-Y Y'/h), the exact chance that
+the variance-2 Brownian bridge between two positive endpoints touches 0.
+Otherwise it is recorded at t_end, marks its replica alive at a checkpoint
+and continues (lifetimes are memoryless, so no branch is owed), or splits in
+two.  About 20 rounds cover t_end = 3 at rate 1.
 
 The expected payoff sum over particles solves the moving-frame equation with
-constant front speed c, which is what `estimate` validates against the PDE
-solver.  Replicas are deterministic functions of (seed, config): `estimate`
-partitions them into fixed-size chunks, each evolved jointly as one flat
-particle population with a stream spawned per chunk (vectorization makes the
-acceptance-scale runs tractable; single replicas with their own (seed, r)
-stream are available via `simulate_replica`).
+constant front speed c (the many-to-one formula), which is what `estimate`
+validates against the PDE solver.  Results are deterministic functions of
+(seed, config): replicas are split into fixed-size chunks, each sampled with
+its own stream spawned from the seed.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .pde import NumericalFailure
 
 @dataclass(frozen=True)
 class McConfig:
+    """Sampler settings.  `dt` is validated but unused: the sampler is exact."""
+
     drift: float = 2.0
     branch_rate: float = 1.0
     dt: float = 1e-3
@@ -49,115 +54,76 @@ class McConfig:
 
 
 class PopulationCapExceeded(NumericalFailure):
-    """A replica chunk outgrew McConfig.population_cap alive particles."""
+    """A replica chunk held more than McConfig.population_cap particles."""
 
 
-@dataclass
-class PopulationState:
-    """Alive particles of one replica; absorbed particles are removed."""
+def _sample_chunk(x0, n, stops, cfg, rng):
+    """Sample n replicas from x0 up to the last of the increasing times `stops`.
 
-    positions: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if np.any(self.positions <= 0.0):
-            raise ValueError("alive particles must have positive positions")
-
-
-def replica_stream(seed: int, r: int) -> np.random.Generator:
-    """Independent generator for replica r derived from (seed, r)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-
-
-def _step_population(pos, rep, rng, cfg, sq2dt, p_branch):
-    """One Euler step of a flat population; returns updated arrays."""
-    xb = pos
-    xa = xb + cfg.drift * cfg.dt + sq2dt * rng.standard_normal(pos.size)
-    if cfg.absorb:
-        alive = xa > 0.0
-        if cfg.bridge_correction and pos.size:
-            u = rng.random(pos.size)
-            cross = np.exp(-np.clip(xb * xa, 0.0, None) / cfg.dt)
-            alive &= u > cross
-        pos = xa[alive]
-        rep = rep[alive] if rep is not None else None
-    else:
-        pos = xa
-    if p_branch > 0.0 and pos.size:
-        b = rng.random(pos.size) < p_branch
-        pos = np.concatenate([pos, pos[b]])
-        if rep is not None:
-            rep = np.concatenate([rep, rep[b]])
-    return pos, rep
-
-
-def simulate_replica(x0: float, t_end: float, cfg: McConfig,
-                     stream: np.random.Generator) -> np.ndarray:
-    """Final alive positions of a single replica started at x0."""
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
-    pos = np.array([float(x0)])
-    if t_end == 0.0:
-        return pos
-    sq2dt = math.sqrt(2.0 * cfg.dt)
-    p_branch = -math.expm1(-cfg.branch_rate * cfg.dt)
-    nsteps = int(round(t_end / cfg.dt))
-    for _ in range(nsteps):
-        pos, _ = _step_population(pos, None, stream, cfg, sq2dt, p_branch)
-        if pos.size > cfg.population_cap:
+    Returns (positions, replicas, alive): the particles alive at stops[-1]
+    with their replica index in [0, n), and alive[j, r] telling whether
+    replica r had a particle alive at stops[j].
+    """
+    alive = np.zeros((stops.size, n), dtype=bool)
+    alive[stops <= 0.0] = True
+    pos, rep = np.full(n, float(x0)), np.arange(n)
+    t = np.zeros(n)
+    k = np.full(n, np.count_nonzero(stops <= 0.0))   # index of each particle's next stop
+    last = stops.size - 1
+    final_pos, final_rep, n_final = [], [], 0
+    while pos.size:
+        m = pos.size
+        if cfg.branch_rate > 0.0:
+            life = rng.standard_exponential(m) / cfg.branch_rate
+        else:
+            life = np.full(m, np.inf)
+        gap = stops[k] - t
+        hit = life >= gap
+        h = np.where(hit, gap, life)
+        new = pos + cfg.drift * h + np.sqrt(2.0 * h) * rng.standard_normal(m)
+        count = 2 - hit - (hit & (k == last))   # 2 split, 1 at a checkpoint, 0 at the end
+        if cfg.absorb:
+            keep = new > 0.0
+            if cfg.bridge_correction:
+                keep &= rng.random(m) >= np.exp(-pos * np.maximum(new, 0.0) / h)
+            count *= keep
+            hit &= keep
+        alive[k[hit], rep[hit]] = True
+        done = hit & (k == last)
+        final_pos.append(new[done])
+        final_rep.append(rep[done])
+        n_final += final_pos[-1].size
+        t = np.where(hit, stops[k], t + life)
+        pos, rep, t, k = (np.repeat(a, count) for a in (new, rep, t, k + hit))
+        if pos.size + n_final > cfg.population_cap:
             raise PopulationCapExceeded(f"population cap {cfg.population_cap} exceeded")
-        if pos.size == 0:
-            break
-    return pos
+    return np.concatenate(final_pos), np.concatenate(final_rep), alive
 
 
-def _chunk_bounds(n_replicas, chunk_size):
-    edges = list(range(0, n_replicas, chunk_size)) + [n_replicas]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _run_chunks(x0, t_end, cfg, per_step=None, final=None):
-    """Evolve all replicas chunk by chunk; callbacks get (lo, pos, rep, step)."""
+def _run_chunks(x0, stops, cfg):
+    """Yield (lo, n, positions, replicas, alive) for each chunk of replicas."""
     if x0 <= 0.0:
         raise ValueError("x0 must be positive")
-    sq2dt = math.sqrt(2.0 * cfg.dt)
-    p_branch = -math.expm1(-cfg.branch_rate * cfg.dt)
-    nsteps = int(round(t_end / cfg.dt))
-    bounds = _chunk_bounds(cfg.n_replicas, cfg.chunk_size)
-    children = np.random.SeedSequence(cfg.seed).spawn(len(bounds))
-    for (lo, hi), child in zip(bounds, children):
-        n = hi - lo
-        rng = np.random.default_rng(child)
-        pos = np.full(n, float(x0))
-        rep = np.arange(n)
-        for k in range(nsteps):
-            pos, rep = _step_population(pos, rep, rng, cfg, sq2dt, p_branch)
-            if pos.size > cfg.population_cap:
-                raise PopulationCapExceeded(f"population cap {cfg.population_cap} exceeded")
-            if per_step is not None:
-                per_step(lo, n, pos, rep, k + 1)
-            if pos.size == 0 and per_step is None:
-                break
-        if final is not None:
-            final(lo, n, pos, rep)
+    if not stops[-1] > 0.0:
+        raise ValueError("t_end must be positive")
+    edges = list(range(0, cfg.n_replicas, cfg.chunk_size)) + [cfg.n_replicas]
+    children = np.random.SeedSequence(cfg.seed).spawn(len(edges) - 1)
+    for lo, hi, child in zip(edges[:-1], edges[1:], children):
+        yield (lo, hi - lo, *_sample_chunk(x0, hi - lo, stops, cfg, np.random.default_rng(child)))
 
 
 def estimate(x0: float, t_end: float, v0, cfg: McConfig):
     """(mean, stderr) of sum_i v0(Y_i(t_end)) over replicas.
 
-    v0 is a vectorized payoff; linearity and determinism follow directly from
-    the construction.
+    v0 is a vectorized payoff, called once per chunk on all of its final
+    positions.
     """
     if t_end == 0.0:
         return float(v0(np.array([x0]))[0]), 0.0
     totals = np.zeros(cfg.n_replicas)
-
-    def final(lo, n, pos, rep):
+    for lo, n, pos, rep, _ in _run_chunks(x0, np.array([float(t_end)]), cfg):
         if pos.size:
-            np.add.at(totals, lo + rep, v0(pos))
-
-    _run_chunks(x0, t_end, cfg, final=final)
+            totals[lo:lo + n] = np.bincount(rep, weights=v0(pos), minlength=n)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(cfg.n_replicas)) if cfg.n_replicas > 1 else 0.0
     return mean, stderr
@@ -166,55 +132,27 @@ def estimate(x0: float, t_end: float, v0, cfg: McConfig):
 def survival_probability(x0: float, t_end: float, cfg: McConfig, checkpoints=None):
     """Fraction of replicas with at least one alive particle.
 
-    With checkpoints (a sorted list of times <= t_end), returns (p_array,
-    stderr_array) recorded along a single run, so the survival sets are
-    nested and the series is monotone pathwise.
+    With checkpoints (a sorted list of times in [0, t_end]), returns
+    (p_array, stderr_array) recorded along a single run, so the survival sets
+    are nested and the series is monotone pathwise.
     """
-    if t_end == 0.0:
-        return (1.0, 0.0) if checkpoints is None else (np.ones(len(checkpoints)), np.zeros(len(checkpoints)))
     if checkpoints is None:
-        check_steps = [int(round(t_end / cfg.dt))]
+        times = np.array([t_end], dtype=float)
     else:
-        check_steps = [int(round(tc / cfg.dt)) for tc in checkpoints]
-    alive = np.zeros((len(check_steps), cfg.n_replicas), dtype=bool)
-
-    def per_step(lo, n, pos, rep, k):
-        for j, ks in enumerate(check_steps):
-            if k == ks:
-                if pos.size:
-                    alive[j, lo + np.unique(rep)] = True
-
-    _run_chunks(x0, t_end, cfg, per_step=per_step)
-    p = alive.mean(axis=1)
+        times = np.asarray(checkpoints, dtype=float)
+        if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+            raise ValueError(f"checkpoints must be a sorted list of finite times, got {checkpoints!r}")
+        if times.size and not (times[0] >= 0.0 and times[-1] <= t_end):
+            raise ValueError(f"checkpoints must lie in [0, t_end={t_end}], got {checkpoints!r}")
+    if t_end == 0.0:
+        p = np.ones(times.size)
+    else:
+        stops = np.union1d(times, [t_end])
+        alive = np.zeros((stops.size, cfg.n_replicas), dtype=bool)
+        for lo, n, _, _, chunk_alive in _run_chunks(x0, stops, cfg):
+            alive[:, lo:lo + n] = chunk_alive
+        p = alive[np.searchsorted(stops, times)].mean(axis=1)
     se = np.sqrt(np.maximum(p * (1 - p), 0.0) / cfg.n_replicas)
     if checkpoints is None:
         return float(p[0]), float(se[0])
     return p, se
-
-
-def sample_interbranch_times(cfg: McConfig, t_end: float):
-    """Waiting time to the first branch event, one sample per replica.
-
-    Returns (samples, t_end): the samples use the engine's per-step branching
-    draw, so their law is Exponential(branch_rate) conditioned on landing
-    before the observation bound t_end (right-censored replicas are dropped).
-    Tests should compare against the truncated-exponential null.
-    """
-    p_branch = -math.expm1(-cfg.branch_rate * cfg.dt)
-    nsteps = int(round(t_end / cfg.dt))
-    out = []
-    bounds = _chunk_bounds(cfg.n_replicas, cfg.chunk_size)
-    children = np.random.SeedSequence(cfg.seed).spawn(len(bounds))
-    for (lo, hi), child in zip(bounds, children):
-        rng = np.random.default_rng(child)
-        waiting = np.full(hi - lo, np.nan)
-        active = np.ones(hi - lo, dtype=bool)
-        for k in range(nsteps):
-            if not active.any():
-                break
-            draws = rng.random(int(active.sum())) < p_branch
-            idx = np.nonzero(active)[0][draws]
-            waiting[idx] = (k + 1) * cfg.dt
-            active[idx] = False
-        out.append(waiting[np.isfinite(waiting)])
-    return np.concatenate(out), t_end

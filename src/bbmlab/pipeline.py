@@ -53,7 +53,6 @@ _DEFAULTS = {
     "mc.x0": 1.5,
     "mc.t_end": 3.0,
     "mc.replicas": 100_000,
-    "mc.dt": 1e-3,
     "mc.seed": 20240617,
     "fit.window": (6.0, 10.0),   # in tau
 }
@@ -96,23 +95,28 @@ def load_config(path) -> dict:
 
 
 def _validate_config(cfg: dict):
-    if not math.isfinite(cfg["cbar"]):
-        raise ConfigError("cbar must be finite")
-    for key in ("dx", "dt", "dy", "dtau", "t_end", "tau_end", "mc.dt"):
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    for key in ("x_max", "dx", "dt", "y_max", "dy", "dtau", "t_end", "tau_end"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if cfg["t_handoff"] < 0:
         raise ConfigError("t_handoff must be >= 0")
     if cfg["y_max"] < 20.0:
         raise ConfigError("y_max must be >= 20")
-    if cfg["x_max"] <= 0:
-        raise ConfigError("x_max must be positive")
+    for length, step in (("x_max", "dx"), ("y_max", "dy")):
+        cells = cfg[length] / cfg[step]
+        if abs(cells - round(cells)) > 1e-9 * cells:
+            raise ConfigError(f"{step} = {cfg[step]!r} does not divide {length} = {cfg[length]!r}")
     if cfg["v0.kind"] not in ("indicator", "smooth_bump"):
         raise ConfigError(f"unknown v0.kind: {cfg['v0.kind']!r}")
     if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < cfg["x_max"]):
         raise ConfigError("need 0 < v0.a < v0.b < x_max")
     if not cfg["mc.x0"] > 0:
         raise ConfigError("mc.x0 must be positive")
+    if not cfg["mc.t_end"] >= 0:
+        raise ConfigError("mc.t_end must be >= 0")
     if cfg["mc.replicas"] < 1:
         raise ConfigError("mc.replicas must be >= 1")
     if cfg["n_modes"] < 1:
@@ -238,14 +242,13 @@ def _pipe_specfun(cfg, out: Path):
 
 
 def _pipe_mc(cfg, out: Path):
-    mcc = McConfig(drift=cfg["mc.drift"], dt=cfg["mc.dt"],
-                   n_replicas=cfg["mc.replicas"], seed=cfg["mc.seed"])
+    mcc = McConfig(drift=cfg["mc.drift"], n_replicas=cfg["mc.replicas"], seed=cfg["mc.seed"])
     a, b = cfg["v0.a"], cfg["v0.b"]
     payoff = lambda p: ((p >= a) & (p <= b)).astype(float)
     mean, stderr = estimate(cfg["mc.x0"], cfg["mc.t_end"], payoff, mcc)
     result = {"mean": mean, "stderr": stderr, "replicas": mcc.n_replicas,
               "config": {"drift": mcc.drift, "x0": cfg["mc.x0"], "t_end": cfg["mc.t_end"],
-                         "dt": mcc.dt, "seed": mcc.seed,
+                         "seed": mcc.seed,
                          "v0": {"kind": "indicator", "a": a, "b": b}}}
     path = out / "mc_result.json"
     path.write_text(json.dumps(result, indent=2))

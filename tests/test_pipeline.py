@@ -87,12 +87,41 @@ def test_solve_pipeline_writes_series(tmp_path):
     assert summary["initial_overlap"]["weighted"] == pytest.approx(math.e**2, abs=1e-2)
 
 
+def test_mc_pipeline_writes_result(tmp_path):
+    out = run_experiment({"mc.replicas": 4000, "mc.seed": 3}, tmp_path / "o", ["mc"])
+    result = json.loads((out / "mc_result.json").read_text())
+    assert result["replicas"] == 4000
+    assert "dt" not in result["config"]   # the sampler has no time step
+    # e^3 int_1^2 of the killed drift-2 density from 1.5 (method of images)
+    assert abs(result["mean"] - 0.0913334) <= 3.0 * result["stderr"]
+
+
 def test_cli_specfun_json(capsys):
     rc = cli_main(["specfun", "--z", "0.1", "--alpha", "1.0", "--cbar", "0.0"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["F2"] == pytest.approx(6.756842535547e-3, abs=1e-9)
     assert out["g_slope0"] == pytest.approx(-3 * math.sqrt(math.pi), abs=1e-12)
+
+
+def test_cli_specfun_json_valid_past_overflow(capsys):
+    # F2 and H overflow float64 at z = 800, and their series do not converge
+    # there: they print as null, G and g (closed-form tail) as numbers
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert cli_main(["specfun", "--z", "800"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["F2"] is None and out["H"] is None
+    assert out["F2_scaled"] is None and out["H_scaled"] is None
+    assert math.isfinite(out["G"]) and math.isfinite(out["g"])
+
+    assert cli_main(["specfun", "--z", "300"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    # leading terms of the asymptotic series, corrected at order 1/z
+    assert out["F2_scaled"] == pytest.approx(math.sqrt(math.pi) * 300.0**-1.5, rel=2e-2)
+    assert out["H_scaled"] == pytest.approx(-0.25 * 300.0**-1.5, rel=2e-2)
+    assert out["F2"] == pytest.approx(out["F2_scaled"] * math.exp(300.0), rel=1e-12)
 
 
 def test_cli_specfun_wants_one_of_z_y(capsys):
@@ -102,12 +131,13 @@ def test_cli_specfun_wants_one_of_z_y(capsys):
 
 def test_cli_mc_small(capsys):
     rc = cli_main(["mc", "--drift", "2.0", "--x0", "1.5", "--t-end", "0.5",
-                   "--replicas", "500", "--dt", "0.002", "--seed", "9"])
+                   "--replicas", "500", "--seed", "9"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["replicas"] == 500
     assert out["stderr"] > 0
     assert out["config"]["drift"] == 2.0
+    assert "dt" not in out["config"]   # the sampler has no time step
 
 
 @pytest.mark.parametrize("text, named", [
@@ -118,8 +148,15 @@ def test_cli_mc_small(capsys):
     ("fit.window = 11,12", "fit.window"),
     ("mc.x0 = -1", "mc.x0"),
     ("mc.x0 = 0", "mc.x0"),
+    ("dx = 0.07", "dx"),
+    ("dy = 0.03", "dy"),
+    ("mc.t_end = -1", "mc.t_end"),
+    ("dx = nan", "dx"),
+    ("x_max = inf", "x_max"),
+    ("mc.drift = nan", "mc.drift"),
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
-        "mc_x0_negative", "mc_x0_zero"])
+        "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
+        "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "\n")
@@ -134,14 +171,20 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     (["specfun", "--z", "nan"], "--z"),
     (["specfun", "--y", "inf"], "--y"),
     (["specfun", "--z", "-1"], "--z"),
+    (["specfun", "--y", "1e200"], "--y"),
     (["mc", "--replicas", "0"], "n_replicas"),
     (["mc", "--x0", "-1"], "--x0"),
-    (["mc", "--dt", "0"], "dt"),
+    (["mc", "--dt", "0"], "--dt"),   # the exact sampler has no time step: unknown flag
     (["mc", "--drift", "nan"], "--drift"),
 ], ids=["specfun_cbar_nan", "specfun_alpha_inf", "specfun_z_nan", "specfun_y_inf",
-        "specfun_z_negative", "mc_replicas_0", "mc_x0_negative", "mc_dt_0", "mc_drift_nan"])
+        "specfun_z_negative", "specfun_y_overflows", "mc_replicas_0", "mc_x0_negative", "mc_dt_0",
+        "mc_drift_nan"])
 def test_cli_bad_arguments_exit_2(capsys, argv, named):
-    assert cli_main(argv) == 2
+    try:
+        rc = cli_main(argv)
+    except SystemExit as exc:   # argparse exits with code 2 on an unknown flag
+        rc = exc.code
+    assert rc == 2
     captured = capsys.readouterr()
     assert named in captured.err
     assert captured.out == ""
@@ -152,8 +195,7 @@ def test_cli_mc_population_cap_exits_3(monkeypatch, capsys):
     from bbmlab.mc import McConfig
 
     monkeypatch.setattr(cli_mod, "McConfig", functools.partial(McConfig, population_cap=50))
-    rc = cli_main(["mc", "--drift", "0", "--x0", "5", "--t-end", "2", "--replicas", "40",
-                   "--dt", "0.01"])
+    rc = cli_main(["mc", "--drift", "0", "--x0", "5", "--t-end", "2", "--replicas", "40"])
     assert rc == 3
     assert "population cap 50" in capsys.readouterr().err
 
