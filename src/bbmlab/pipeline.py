@@ -4,6 +4,10 @@ A run is described by a flat key=value config (defaults below), executes a
 list of named pipelines, and writes every artifact plus a manifest with the
 config echo, code version, wall-clock times, and a content hash per file.
 
+Every config comes from make_config: the defaults or a base config, plus
+overrides (values or text) coerced to the type of each key's default, then
+validated; a bad value raises ConfigError naming its key.
+
 Pipelines: 'solve' (physical frame), 'selfsim' (handoff to the self-similar
 frame), 'specfun' (series / profile tables), 'mc' (many-to-one validation),
 'fit' (rate fits on the selfsim series), and the preset 'reproduce-theorem'
@@ -15,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
 from pathlib import Path
 
@@ -27,7 +32,7 @@ from .oscillator import (SpectralBasis, WTrajectory, default_y_grid, evolve_W,
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve,
                   initial_condition, write_series_csv)
 from .rates import _is_critical, estimate_alpha0, fit_rate, prefactor_check
-from .specfun import F2, G_explicit, H, g_profile, g_slope0
+from .specfun import F2, F2_scaled, G_explicit, H, H_scaled, g_profile, g_slope0
 
 
 class ConfigError(ValueError):
@@ -57,13 +62,36 @@ _DEFAULTS = {
     "fit.window": (6.0, 10.0),   # in tau
 }
 
-_INT_KEYS = {"n_modes", "mc.replicas", "mc.seed"}
-_STR_KEYS = {"v0.kind"}
+
+def _coerce(key: str, value):
+    """value, or its text, as the type of key's default; ConfigError naming key."""
+    default = _DEFAULTS[key]
+    try:
+        if isinstance(default, tuple):
+            lo, hi = (float(v) for v in (value.split(",") if isinstance(value, str) else value))
+            return (lo, hi)
+        if isinstance(default, int):
+            return int(value) if isinstance(value, str) else operator.index(value)
+        return type(default)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+
+
+def make_config(overrides=None, base=None) -> dict:
+    """A validated config: base (default: the defaults) plus overrides, each a
+    value or its text coerced to the type of its key's default."""
+    cfg = dict(_DEFAULTS if base is None else base)
+    for key, value in (overrides or {}).items():
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key: {key!r}")
+        cfg[key] = _coerce(key, value)
+    _validate_config(cfg)
+    return cfg
 
 
 def parse_config(text: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; unknown keys are rejected."""
-    cfg = dict(_DEFAULTS)
+    """Flat key=value lines ('#' starts a comment) applied to the defaults."""
+    overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,23 +99,10 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        if key == "fit.window" and val.count(",") != 1:
-            raise ConfigError(f"fit.window wants 'lo,hi', got {val!r}")
-        try:
-            if key == "fit.window":
-                lo, hi = val.split(",")
-                cfg[key] = (float(lo), float(hi))
-            elif key in _STR_KEYS:
-                cfg[key] = val
-            elif key in _INT_KEYS:
-                cfg[key] = int(val)
-            else:
-                cfg[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    return cfg
+        if key in overrides:
+            raise ConfigError(f"line {lineno}: {key} is set twice")
+        overrides[key] = val
+    return make_config(overrides)
 
 
 def load_config(path) -> dict:
@@ -98,29 +113,21 @@ def _validate_config(cfg: dict):
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    for key in ("x_max", "dx", "dt", "y_max", "dy", "dtau", "t_end", "tau_end"):
+    for key in ("x_max", "dx", "dt", "y_max", "dy", "dtau", "t_end", "tau_end", "mc.x0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if cfg["t_handoff"] < 0:
-        raise ConfigError("t_handoff must be >= 0")
-    if cfg["y_max"] < 20.0:
-        raise ConfigError("y_max must be >= 20")
+    for key, low in (("t_handoff", 0), ("y_max", 20), ("mc.t_end", 0), ("mc.replicas", 1),
+                     ("mc.seed", 0), ("n_modes", 1)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
     for length, step in (("x_max", "dx"), ("y_max", "dy")):
         cells = cfg[length] / cfg[step]
-        if abs(cells - round(cells)) > 1e-9 * cells:
+        if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9 * cells:
             raise ConfigError(f"{step} = {cfg[step]!r} does not divide {length} = {cfg[length]!r}")
     if cfg["v0.kind"] not in ("indicator", "smooth_bump"):
         raise ConfigError(f"unknown v0.kind: {cfg['v0.kind']!r}")
     if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < cfg["x_max"]):
         raise ConfigError("need 0 < v0.a < v0.b < x_max")
-    if not cfg["mc.x0"] > 0:
-        raise ConfigError("mc.x0 must be positive")
-    if not cfg["mc.t_end"] >= 0:
-        raise ConfigError("mc.t_end must be >= 0")
-    if cfg["mc.replicas"] < 1:
-        raise ConfigError("mc.replicas must be >= 1")
-    if cfg["n_modes"] < 1:
-        raise ConfigError("n_modes must be >= 1")
     lo, hi = cfg["fit.window"]
     if not (0.0 <= lo < hi <= cfg["tau_end"]):
         raise ConfigError("fit.window must satisfy 0 <= lo < hi <= tau_end")
@@ -136,7 +143,7 @@ def selfsimilar_run(cbar: float, cfg: dict | None = None, sample_every: int = 10
     workhorse behind the rate experiments: physical-frame cost grows linearly
     in t, the self-similar frame compresses it to tau = log(1+t).
     """
-    cfg = {**_DEFAULTS, **(cfg or {})}
+    cfg = make_config(cfg)
     d = DriftExpansion(cbar)
     grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / cfg["dx"])))
     f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
@@ -227,6 +234,23 @@ def _pipe_selfsim(cfg, out: Path):
     return [p1, p2], {"selfsim": report}
 
 
+#: largest z at which a specfun row carries F2, H and their scaled forms: their
+#: series converge within the default 500 terms up to z of about 351 (G and g
+#: use the closed-form tail at every z)
+_SERIES_Z_MAX = 300.0
+
+
+def specfun_row(z: float, alpha: float, cbar: float) -> dict:
+    """z, F2, H, their e^{-z}-scaled mantissas (None above _SERIES_Z_MAX), G and g."""
+    G = G_explicit(z, alpha, cbar)
+    row = {"z": z, "F2": None, "H": None, "F2_scaled": None, "H_scaled": None,
+           "G": G, "g": math.exp(-z / 2.0) * G}
+    if z <= _SERIES_Z_MAX:
+        row.update(F2=F2(z), H=H(z), F2_scaled=F2_scaled(z).mantissa,
+                   H_scaled=H_scaled(z).mantissa)
+    return row
+
+
 def _pipe_specfun(cfg, out: Path):
     cbar = cfg["cbar"]
     alpha = 1.0
@@ -235,9 +259,8 @@ def _pipe_specfun(cfg, out: Path):
     with open(path, "w") as fh:
         fh.write("z,F2,H,G,g\n")
         for z in zs:
-            g_val = math.exp(-z / 2.0) * G_explicit(z, alpha, cbar)
-            row = (z, F2(z), H(z), G_explicit(z, alpha, cbar), g_val)
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            row = specfun_row(z, alpha, cbar)
+            fh.write(",".join(f"{row[k]:.17g}" for k in ("z", "F2", "H", "G", "g")) + "\n")
     return [path], {"specfun": {"cbar": cbar, "g_slope0_alpha1": g_slope0(alpha, cbar)}}
 
 
@@ -265,8 +288,7 @@ def _pipe_reproduce_theorem(cfg, out: Path):
     reports = []
     files = []
     for cbar in (0.0, CBAR_CRITICAL, 10.0):
-        sub = {**cfg, "cbar": cbar}
-        traj, series = selfsimilar_run(cbar, sub)
+        traj, series = selfsimilar_run(cbar, cfg)
         p = out / f"selfsim_series_cbar{cbar:.6g}.csv"
         write_series_csv(p, series)
         files.append(p)
@@ -307,19 +329,10 @@ def _sha256(path: Path) -> str:
 def run_experiment(config, out_dir, pipelines=()):
     """Execute the named pipelines and persist artifacts plus a manifest.
 
-    config may be a dict, a path to a key=value file, or None for defaults.
-    Returns the output directory path.
+    config may be a dict of overrides, a path to a key=value file, or None for
+    the defaults.  Returns the output directory path.
     """
-    if config is None:
-        cfg = dict(_DEFAULTS)
-    elif isinstance(config, dict):
-        unknown = set(config) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
-        cfg = {**_DEFAULTS, **config}
-    else:
-        cfg = load_config(config)
-    _validate_config(cfg)
+    cfg = make_config(config) if config is None or isinstance(config, dict) else load_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}

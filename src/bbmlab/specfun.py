@@ -122,6 +122,14 @@ def _check_z(z):
         raise ValueError("z must be >= 0")
 
 
+def _scale(z, what):
+    """e^{-z}, the first-term scale of a scaled series; SeriesDiverged once it underflows."""
+    scale = math.exp(-z)
+    if scale == 0.0:
+        raise SeriesDiverged(f"{what}: e^-z underflows float64 at z = {z!r}")
+    return scale
+
+
 def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """sqrt(pi) sum_{n>=2} z^n / (n (n-1) Gamma(n+1/2)), z >= 0."""
     _check_z(z)
@@ -129,9 +137,9 @@ def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
 
 
 def F2_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> ScaledValue:
-    """F2(z) e^{-z} as a ScaledValue; safe for large z."""
+    """F2(z) e^{-z} as a ScaledValue; SeriesDiverged where the series fails (z >~ 351)."""
     _check_z(z)
-    return ScaledValue(_sum_series(_f2_terms(z, math.exp(-z)), acc, "F2_scaled"), z)
+    return ScaledValue(_sum_series(_f2_terms(z, _scale(z, "F2_scaled")), acc, "F2_scaled"), z)
 
 
 def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
@@ -141,9 +149,10 @@ def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
 
 
 def H_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> ScaledValue:
-    """H(z) e^{-z} as a ScaledValue; safe for large z."""
+    """H(z) e^{-z} as a ScaledValue; SeriesDiverged where the series fails (z >~ 351)."""
     _check_z(z)
-    return ScaledValue(-0.25 * math.sqrt(z) * _sum_series(_h_terms(z, math.exp(-z)), acc, "H_scaled"), z)
+    terms = _h_terms(z, _scale(z, "H_scaled"))
+    return ScaledValue(-0.25 * math.sqrt(z) * _sum_series(terms, acc, "H_scaled"), z)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbmlab.cli import main as cli_main
-from bbmlab.pipeline import (ConfigError, _DEFAULTS, load_config, parse_config,
-                             run_experiment)
+from bbmlab.pipeline import (ConfigError, _DEFAULTS, _validate_config, load_config,
+                             make_config, parse_config, run_experiment)
 
 
 def test_parse_config_defaults():
@@ -43,6 +45,85 @@ def test_parse_config_unknown_key_named():
 def test_parse_config_bad_line():
     with pytest.raises(ConfigError):
         parse_config("just words")
+
+
+def test_make_config_coerces_values_and_text():
+    cfg = make_config({"n_modes": "16", "cbar": 0, "fit.window": (5, 9), "mc.seed": " 3 "})
+    assert cfg["n_modes"] == 16 and cfg["cbar"] == 0.0 and cfg["mc.seed"] == 3
+    assert cfg["fit.window"] == (5.0, 9.0)
+    assert all(type(v) is type(_DEFAULTS[k]) for k, v in cfg.items())
+    assert make_config({"dx": 0.02}, base=cfg)["n_modes"] == 16
+    for overrides, named in [({"n_modes": 2.5}, "n_modes"), ({"mc.replicas": "1e5"}, "mc.replicas"),
+                             ({"fit.window": "5"}, "fit.window"), ({"dx": None}, "dx"),
+                             ({"x_max": 10**400}, "x_max"), ({"dx": 5e-324}, "dx")]:
+        with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
+            make_config(overrides)
+
+
+_KEYS = sorted(_DEFAULTS)
+_VALUE_TEXT = st.one_of(
+    st.text(max_size=12), st.floats().map(repr), st.integers().map(str),
+    st.tuples(st.floats(), st.floats()).map(lambda t: f"{t[0]!r},{t[1]!r}"),
+    st.sampled_from(["indicator", "smooth_bump"]))
+_LINE = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format, st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)),
+              _VALUE_TEXT))
+
+
+@settings(deadline=None)
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@example("dx = 5e-324")
+@example("x_max = 1e308\ndx = 1e-308")
+@example("n_modes = " + "9" * 5000)
+@example("fit.window = 1,2,3")
+def test_parse_config_any_text_is_valid_or_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    _validate_config(cfg)
+    assert all(type(v) is type(_DEFAULTS[k]) for k, v in cfg.items())
+
+
+@st.composite
+def _valid_overrides(draw):
+    positive = st.floats(1e-3, 1e3)
+    fraction = st.floats(0.0, 1.0)
+    dx = draw(st.floats(1e-3, 1.0))
+    x_max = dx * draw(st.integers(10, 10**5))
+    dy = draw(st.floats(1e-3, 1.0))
+    y_max = dy * draw(st.integers(math.ceil(20.0 / dy) + 1, 10**5))
+    tau_end = draw(positive)
+    lo, hi = 0.5 * draw(fraction), 0.6 + 0.4 * draw(fraction)
+    a = x_max * (1e-6 + 0.4 * draw(fraction))
+    return {
+        "cbar": draw(st.floats(allow_nan=False, allow_infinity=False)),
+        "x_max": x_max, "dx": dx, "y_max": y_max, "dy": dy,
+        "dt": draw(positive), "t_end": draw(positive), "t_handoff": draw(fraction),
+        "tau_end": tau_end, "dtau": draw(positive),
+        "fit.window": (tau_end * lo, tau_end * hi),
+        "n_modes": draw(st.integers(1, 10**6)),
+        "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
+        "v0.a": a, "v0.b": a + x_max * (0.1 + 0.4 * draw(fraction)),
+        "mc.drift": draw(st.floats(-1e3, 1e3)), "mc.x0": draw(positive),
+        "mc.t_end": draw(fraction), "mc.replicas": draw(st.integers(1, 10**9)),
+        "mc.seed": draw(st.integers(0, 2**64)),
+    }
+
+
+def _as_text(value):
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(deadline=None)
+@given(_valid_overrides())
+def test_valid_config_text_roundtrips(overrides):
+    cfg = make_config(overrides)
+    text = "\n".join(f"{key} = {_as_text(value)}" for key, value in cfg.items())
+    assert parse_config(text) == cfg
 
 
 def test_run_experiment_empty_pipelines(tmp_path):
@@ -129,15 +210,50 @@ def test_cli_specfun_wants_one_of_z_y(capsys):
     assert rc == 2
 
 
-def test_cli_mc_small(capsys):
+def test_cli_mc_small(tmp_path, capsys):
     rc = cli_main(["mc", "--drift", "2.0", "--x0", "1.5", "--t-end", "0.5",
-                   "--replicas", "500", "--seed", "9"])
+                   "--replicas", "500", "--seed", "9", "--out", str(tmp_path)])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    out = json.loads(printed)
     assert out["replicas"] == 500
     assert out["stderr"] > 0
     assert out["config"]["drift"] == 2.0
+    assert out["config"]["seed"] == 9
+    assert out["config"]["v0"] == {"kind": "indicator", "a": 1.0, "b": 2.0}
     assert "dt" not in out["config"]   # the sampler has no time step
+    # the mc pipeline wrote what was printed, with a summary and a manifest
+    assert printed.strip() == (tmp_path / "mc_result.json").read_text()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["files"]) == {"mc_result.json", "summary.json"}
+    assert manifest["config"]["mc.replicas"] == 500
+
+
+def test_cli_mc_honours_config_file(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("mc.replicas = 300\nmc.t_end = 0.5\nmc.seed = 4\n")
+    assert cli_main(["--config", str(cfg), "mc", "--out", str(tmp_path / "a")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["replicas"] == 300
+    assert out["config"]["t_end"] == 0.5 and out["config"]["seed"] == 4
+    # a flag overrides the file's key
+    assert cli_main(["mc", "--config", str(cfg), "--replicas", "200",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert json.loads(capsys.readouterr().out)["replicas"] == 200
+
+
+def test_cli_global_seed_reaches_mc(tmp_path, capsys):
+    argv = ["mc", "--replicas", "300", "--t-end", "0.5"]
+    assert cli_main(["--seed", "5", *argv, "--out", str(tmp_path / "a")]) == 0
+    seeded = json.loads(capsys.readouterr().out)
+    assert seeded["config"]["seed"] == 5
+    assert cli_main([*argv, "--out", str(tmp_path / "b")]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert default["config"]["seed"] == _DEFAULTS["mc.seed"]
+    assert seeded["mean"] != default["mean"]
+    ref = run_experiment({"mc.replicas": 300, "mc.t_end": 0.5, "mc.seed": 5},
+                         tmp_path / "c", ["mc"])
+    assert json.loads((ref / "mc_result.json").read_text()) == seeded
 
 
 @pytest.mark.parametrize("text, named", [
@@ -154,9 +270,10 @@ def test_cli_mc_small(capsys):
     ("dx = nan", "dx"),
     ("x_max = inf", "x_max"),
     ("mc.drift = nan", "mc.drift"),
+    ("dx = abc\ndx = 0.02", "dx"),
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
-        "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan"])
+        "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text + "\n")
@@ -172,13 +289,19 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     (["specfun", "--y", "inf"], "--y"),
     (["specfun", "--z", "-1"], "--z"),
     (["specfun", "--y", "1e200"], "--y"),
-    (["mc", "--replicas", "0"], "n_replicas"),
-    (["mc", "--x0", "-1"], "--x0"),
+    (["mc", "--replicas", "0"], "mc.replicas"),
+    (["mc", "--x0", "-1"], "mc.x0"),
     (["mc", "--dt", "0"], "--dt"),   # the exact sampler has no time step: unknown flag
-    (["mc", "--drift", "nan"], "--drift"),
+    (["mc", "--drift", "nan"], "mc.drift"),
+    (["mc", "--a", "3", "--b", "1"], "v0.a"),
+    (["mc", "--replicas", "1e5"], "mc.replicas"),
+    (["mc", "--seed", "-1"], "mc.seed"),
+    (["--seed", "x", "solve"], "mc.seed"),
+    (["solve", "--cbar", "nan"], "cbar"),
 ], ids=["specfun_cbar_nan", "specfun_alpha_inf", "specfun_z_nan", "specfun_y_inf",
         "specfun_z_negative", "specfun_y_overflows", "mc_replicas_0", "mc_x0_negative", "mc_dt_0",
-        "mc_drift_nan"])
+        "mc_drift_nan", "mc_empty_payoff_support", "mc_replicas_float", "mc_seed_negative",
+        "seed_text", "solve_cbar_nan"])
 def test_cli_bad_arguments_exit_2(capsys, argv, named):
     try:
         rc = cli_main(argv)
@@ -190,12 +313,13 @@ def test_cli_bad_arguments_exit_2(capsys, argv, named):
     assert captured.out == ""
 
 
-def test_cli_mc_population_cap_exits_3(monkeypatch, capsys):
-    import bbmlab.cli as cli_mod
+def test_cli_mc_population_cap_exits_3(tmp_path, monkeypatch, capsys):
+    import bbmlab.pipeline as pipeline_mod
     from bbmlab.mc import McConfig
 
-    monkeypatch.setattr(cli_mod, "McConfig", functools.partial(McConfig, population_cap=50))
-    rc = cli_main(["mc", "--drift", "0", "--x0", "5", "--t-end", "2", "--replicas", "40"])
+    monkeypatch.setattr(pipeline_mod, "McConfig", functools.partial(McConfig, population_cap=50))
+    rc = cli_main(["mc", "--drift", "0", "--x0", "5", "--t-end", "2", "--replicas", "40",
+                   "--out", str(tmp_path)])
     assert rc == 3
     assert "population cap 50" in capsys.readouterr().err
 

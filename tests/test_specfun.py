@@ -79,6 +79,21 @@ def test_scaled_consistency():
     assert math.isfinite(big.mantissa) and big.mantissa > 0
 
 
+@pytest.mark.parametrize("z", [400.0, 746.0, 800.0])
+def test_scaled_series_raise_where_they_fail(z):
+    # beyond z of about 351 the series do not converge within 500 terms, and
+    # from about 746 on e^{-z} underflows to 0: both raise instead of giving 0
+    with pytest.raises(SeriesDiverged):
+        F2_scaled(z)
+    with pytest.raises(SeriesDiverged):
+        H_scaled(z)
+
+
+def test_scaled_series_at_zero():
+    assert F2_scaled(0.0).mantissa == 0.0
+    assert H_scaled(0.0).mantissa == 0.0
+
+
 def test_series_accuracy_validation():
     with pytest.raises(ValueError):
         SeriesAccuracy(rel_tol=1e-3)
