@@ -1,0 +1,45 @@
+"""Refinement study of the self-similar run: prints the tables of resolution_study.md.
+
+    PYTHONPATH=src python docs/resolution_study.py > tables.md
+
+For cbar in {0, 3 sqrt(pi), 10} and every (dy, dtau) pair of the grid below it
+runs pipeline.selfsimilar_run and pipeline.rate_report at the default config
+otherwise, and prints alpha_0 by both methods, every fit exponent, the
+prefactor estimate and the wall time of the run (handoff, march, readout and
+fits).  alpha_0 is also given relative to the finest pair.
+"""
+
+import time
+
+from bbmlab.drift import CBAR_CRITICAL
+from bbmlab.pipeline import rate_report, selfsimilar_run
+
+DYS = (0.01, 0.025, 0.05, 0.1)
+DTAUS = (0.002, 0.005, 0.01, 0.02)
+
+
+def main():
+    for cbar in (0.0, CBAR_CRITICAL, 10.0):
+        rows = []
+        for dy in DYS:
+            for dtau in DTAUS:
+                t0 = time.perf_counter()
+                rep = rate_report(cbar, *selfsimilar_run(cbar, {"dy": dy, "dtau": dtau}))
+                rows.append((dy, dtau, rep, time.perf_counter() - t0))
+        finest = rows[0][2]["alpha0"]
+        fits = [f"{f['observable']} {f['model']}" for f in rows[0][2]["fits"]]
+        print(f"\n### cbar = {cbar:.6g}\n")
+        print("| dy | dtau | alpha_0 (spectral) | rel. to finest | alpha_0 (slope) | "
+              + " | ".join(fits) + " | prefactor | wall s |")
+        print("|" + "---|" * (7 + len(fits)))
+        for dy, dtau, rep, wall in rows:
+            methods = rep["alpha0_methods"]
+            exps = " | ".join(f"{f['exponent']:.5f}" for f in rep["fits"])
+            print(f"| {dy} | {dtau} | {methods['spectral_projection']['value']:.8g} | "
+                  f"{abs(rep['alpha0'] - finest) / abs(finest):.1e} | "
+                  f"{methods['slope_extrapolation']['value']:.8g} | {exps} | "
+                  f"{rep['prefactor_check']['estimate']:.6g} | {wall:.2f} |")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,4 +13,5 @@ from .specfun import (F2, F2_scaled, GProfile, H, H_scaled, SeriesAccuracy, G_ex
                       g1_coefficient, g_profile, g_slope0, solve_g_spectral)
 from .mc import McConfig, PopulationCapExceeded, estimate, survival_probability
 from .rates import Alpha0Estimate, RateFit, estimate_alpha0, fit_rate, fit_remainder_decay, prefactor_check
-from .pipeline import ConfigError, parse_config, rate_report, run_experiment, selfsimilar_run
+from .pipeline import (ConfigError, parse_config, rate_report, resolved_run, run_experiment,
+                       selfsimilar_run)

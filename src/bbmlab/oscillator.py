@@ -34,7 +34,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .drift import DriftExpansion, selfsimilar_forcing
-from .pde import Field, NumericalFailure, SpatialGrid, banded, theta_step
+from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, banded,
+                  theta_step)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -298,9 +299,10 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     """Crank-Nicolson march of the forced oscillator equation on the y grid.
 
     The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
-    L1 = D1 - y/4.  The parts are assembled once per run in banded form and
-    every step goes through the shared pde.theta_step; startup_steps
-    implicit-Euler half steps precede the Crank-Nicolson loop.  Forcing
+    L1 = D1 - y/4.  The parts are assembled once per run in banded form; every
+    step combines them in place in one band buffer and goes through the shared
+    pde.theta_step; startup_steps implicit-Euler half steps precede the
+    Crank-Nicolson loop.  Forcing
     coefficients are evaluated at the half step; d=None switches the forcing
     off entirely (the kernel mode is then stationary).  Samples every
     sample_every steps, always including the initial and final states.
@@ -328,11 +330,15 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     lap[0] = lap[0] - _potential(y)
     d1[0] = d1[0] - y / 4.0
     lu = (2, 2)
-    L0, L1, I = banded(lu, n, lap), banded(lu, n, d1), banded(lu, n, {0: 1.0})
+    L0, L1 = banded(lu, n, lap), banded(lu, n, d1)
+    ab = np.empty_like(L0)      # the step's band buffer, reused by every step
 
     def step(vals, tau, h, theta):
         a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau + 0.5 * h, d)
-        return theta_step(L0 + a * L1 + b * I, lu, vals, tau, h, theta)
+        np.multiply(L1, a, out=ab)
+        np.add(ab, L0, out=ab)
+        ab[sum(lu), 1:-1] += b      # b I, whose end rows are zero like every part's
+        return theta_step(ab, lu, vals, tau, h, theta)
 
     for _ in range(startup_steps):
         vals = step(vals, tau, dtau / 2.0, theta=1.0)
@@ -367,23 +373,51 @@ def decompose(W: SelfSimilarField, alpha: float, g_values: np.ndarray) -> Decomp
     return Decomposition(alpha, g_part, R, r_norm, slope_at_origin(R, W.dy))
 
 
+#: samples whose spline and physical fields observables_from_trajectory
+#: builds at a time
+_MASS_CHUNK = 8
+
+
 def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid | None = None):
     """ObservableSeries (t, mass, slope0) read off a self-similar trajectory.
 
     The slope is exact in the transform (W_y(tau,0) = v_x(t,0)); the mass is
-    the trapezoid of the inverse-mapped field on the physical grid.
+    the trapezoid of the inverse-mapped field of from_selfsimilar on the
+    physical grid.  The samples go _MASS_CHUNK at a time: one cubic spline
+    along the uniform y grid interpolates them all, and its pieces are
+    evaluated on the physical grid at once.  The chunks bound the memory of
+    the spline and of the (samples x nodes) fields.
     """
-    from .pde import ObservableSeries, mass as field_mass
-
     if grid is None:
         grid = SpatialGrid()
-    times, masses, slopes = [], [], []
-    for i in range(len(traj)):
-        Wf = traj.field(i)
-        times.append(math.expm1(Wf.tau))
-        slopes.append(slope_correspondence(Wf))
-        masses.append(field_mass(from_selfsimilar(Wf, grid)))
-    return ObservableSeries(np.array(times), np.array(masses), np.array(slopes))
+    y, taus = traj.y, traj.taus
+    dy = float(y[1] - y[0])
+    x = grid.x
+    decay = np.exp(-x)
+    masses = np.empty(len(traj))
+    for lo in range(0, len(traj), _MASS_CHUNK):
+        rows = slice(lo, lo + _MASS_CHUNK)
+        c = CubicSpline(y, traj.states[rows], axis=1).c      # (4, intervals, chunk)
+        n_int, k = c.shape[1:]
+        tau = taus[rows, None]
+        ys = x * np.exp(-tau / 2.0)
+        yc = np.minimum(ys, y[-1])     # past the grid: W's end value, 0 up to round-off
+        j = np.minimum((yc * (1.0 / dy)).astype(np.intp), n_int - 1)
+        s = yc - y[j]
+        at = j * k + np.arange(k)[:, None]      # flat index of (piece, sample) in c[m]
+        v = np.take(c[0], at)
+        for m in range(1, 4):                   # Horner on the piece of each point
+            v *= s
+            v += np.take(c[m], at)
+        v *= np.exp(tau / 2.0 - ys * ys / 8.0)
+        v *= decay
+        v[:, 0] = v[:, -1] = 0.0
+        masses[rows] = np.trapezoid(v, dx=grid.dx, axis=1)
+    if not np.all(np.isfinite(masses)):
+        raise NumericalFailure("non-finite mass read off the self-similar trajectory")
+    times = np.array([math.expm1(t) for t in taus])
+    slopes = [slope_at_origin(row, dy) for row in traj.states]
+    return ObservableSeries(times, masses, np.array(slopes))
 
 
 def write_trajectory_csv(path, traj: WTrajectory, basis: SpectralBasis,

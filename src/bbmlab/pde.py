@@ -15,8 +15,9 @@ Crank-Nicolson modes and preserves positivity.
 
 Both frames advance through theta_step, one banded theta-stepper: the operator
 is written as fixed parts assembled once per run (here A0 + speed * A1, in the
-self-similar frame L0 + a L1 + b I), so each step only combines the parts,
-applies one banded mat-vec and makes one banded solve.
+self-similar frame L0 + a L1 + b I), so each step only combines the parts in
+place in one band buffer the run owns, applies one banded mat-vec and makes
+one LAPACK banded solve (dgbsv) in that buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .drift import DriftExpansion, front_speed
 
@@ -78,17 +79,11 @@ class SolverConfig:
     dt is a maximum: the effective step is min(dt, dx), since accuracy is
     advection-limited rather than stability-limited for the implicit scheme.
     startup_steps implicit-Euler half steps precede the trapezoidal loop.
-    The *_scale knobs multiply individual terms of the operator; they exist so
-    tests can isolate pure growth or pure advection and default to the full
-    equation.
     """
 
     dt: float = 0.01
     sample_every: int = 1
     startup_steps: int = 4
-    diffusion_scale: float = 1.0
-    advection_scale: float = 1.0
-    growth_scale: float = 1.0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -150,51 +145,61 @@ def initial_condition(kind: str, grid: SpatialGrid, a: float = 1.0, b: float = 2
 
 
 def banded(lu, n: int, diagonals: dict) -> np.ndarray:
-    """An n x n operator in solve_banded layout, with zero first and last rows.
+    """An n x n operator in LAPACK band storage, with zero first and last rows.
 
-    diagonals maps an offset k to the entries A[i, i+k] (a scalar or one value
-    per row i).  The end rows are left zero, so a theta step with this
-    operator keeps homogeneous Dirichlet values by construction.
+    The result is a (2l+u+1) x n Fortran-order array: rows l: hold A[i, j] at
+    [l + u + i - j, j], the solve_banded layout, and the first l rows are the
+    room dgbsv needs for the fill-in of its LU factors.  Fortran order lets
+    LAPACK factor the array in place, and lets operators of one layout be
+    combined with whole-array operations.  diagonals maps an offset k to the
+    entries A[i, i+k] (a scalar or one value per row i).  The end rows are
+    left zero, so a theta step with this operator keeps homogeneous Dirichlet
+    values by construction.
     """
-    _, u = lu
-    ab = np.zeros((sum(lu) + 1, n))
+    l, u = lu
+    ab = np.zeros((2 * l + u + 1, n), order="F")
     for k, c in diagonals.items():
         c = np.array(np.broadcast_to(c, n), dtype=float)
         c[0] = c[-1] = 0.0
         if k >= 0:
-            ab[u - k, k:] = c[:n - k]
+            ab[l + u - k, k:] = c[:n - k]
         else:
-            ab[u - k, :n + k] = c[-k:]
+            ab[l + u - k, :n + k] = c[-k:]
     return ab
 
 
-def _matvec(L, lu, v):
-    """L v, summed from the lowest band to the highest."""
+def _matvec(ab, lu, v):
+    """A v for a banded() operator ab, summed from the lowest band to the highest."""
     l, u = lu
     n = v.size
     out = np.zeros_like(v)
     for k in range(-l, u + 1):
         lo, hi = max(0, -k), min(n, n - k)
-        out[lo:hi] += L[u - k, lo + k:hi + k] * v[lo + k:hi + k]
+        out[lo:hi] += ab[l + u - k, lo + k:hi + k] * v[lo + k:hi + k]
     return out
 
 
-def theta_step(L, lu, values, t, h, theta):
+def theta_step(ab, lu, values, t, h, theta):
     """One theta step of v' = L v from t to t + h; returns the new values.
 
-    L is a banded operator from banded() and values vanish at both ends.
-    theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.  The zero end
-    rows of L make the end rows of the system the identity; pivoting in the
-    solve can still leave round-off there, so the ends are set to exactly 0.
+    ab holds L as from banded(); the step overwrites it with the LU factors
+    of I - theta h L, so the caller assembles L again before the next step.
+    values vanish at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1
+    implicit Euler.  The zero end rows of L make the end rows of the system
+    the identity; pivoting in the solve can still leave round-off there, so
+    the ends are set to exactly 0.  The solve is the LAPACK call (dgbsv) that
+    scipy.linalg.solve_banded makes, on the same layout, so both give the same
+    values bit for bit.
     """
+    l, u = lu
     rhs = values.copy()
     if theta < 1.0:
-        rhs += (1.0 - theta) * h * _matvec(L, lu, values)
-    ab = -theta * h * L
-    ab[lu[1]] += 1.0
-    out = solve_banded(lu, ab, rhs, overwrite_b=True, check_finite=False)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure(f"non-finite values in the theta step from {t:.6g} to {t + h:.6g}")
+        rhs += (1.0 - theta) * h * _matvec(ab, lu, values)
+    ab *= -theta * h
+    ab[l + u] += 1.0
+    _, _, out, info = dgbsv(l, u, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info != 0 or not np.all(np.isfinite(out)):
+        raise NumericalFailure(f"singular or non-finite theta step from {t:.6g} to {t + h:.6g}")
     out[0] = out[-1] = 0.0
     return out
 
@@ -203,7 +208,7 @@ def theta_step(L, lu, values, t, h, theta):
 _BANDS = (1, 2)
 
 
-def _operator_parts(grid: SpatialGrid, cfg: SolverConfig):
+def _operator_parts(grid: SpatialGrid):
     """(A0, first-order A1, second-order A1) with L = A0 + speed * A1.
 
     A0 is diffusion plus growth.  A1 is the advection +d/dx per unit speed,
@@ -212,9 +217,9 @@ def _operator_parts(grid: SpatialGrid, cfg: SolverConfig):
     no i+2 neighbour.
     """
     n = grid.nx + 1
-    d2 = cfg.diffusion_scale / grid.dx**2
-    a = cfg.advection_scale / grid.dx
-    A0 = banded(_BANDS, n, {-1: d2, 0: -2.0 * d2 + cfg.growth_scale, 1: d2})
+    d2 = 1.0 / grid.dx**2
+    a = 1.0 / grid.dx
+    A0 = banded(_BANDS, n, {-1: d2, 0: -2.0 * d2 + 1.0, 1: d2})
     first = banded(_BANDS, n, {0: -a, 1: a})
     lo, di, up1, up2 = np.zeros(n), np.full(n, -1.5 * a), np.full(n, 2.0 * a), np.full(n, -0.5 * a)
     lo[-2], di[-2], up1[-2], up2[-2] = -0.5 * a, 0.0, 0.5 * a, 0.0
@@ -222,12 +227,19 @@ def _operator_parts(grid: SpatialGrid, cfg: SolverConfig):
     return A0, first, second
 
 
+def _assemble(ab, A0, speed, A1):
+    """A0 + speed * A1, written into ab in place."""
+    np.multiply(A1, speed, out=ab)
+    ab += A0
+
+
 def step(f: Field, cfg: SolverConfig, d: DriftExpansion) -> Field:
     """One trapezoidal step with the drift speed evaluated at the half step."""
     dt = cfg.effective_dt(f.grid)
-    A0, _, A1 = _operator_parts(f.grid, cfg)
-    L = A0 + front_speed(f.time + 0.5 * dt, d) * A1
-    return Field(f.grid, theta_step(L, _BANDS, f.values, f.time, dt, 0.5), f.time + dt)
+    A0, _, A1 = _operator_parts(f.grid)
+    ab = np.empty_like(A0)
+    _assemble(ab, A0, front_speed(f.time + 0.5 * dt, d), A1)
+    return Field(f.grid, theta_step(ab, _BANDS, f.values, f.time, dt, 0.5), f.time + dt)
 
 
 def mass(f: Field) -> float:
@@ -264,14 +276,16 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
         masses.append(mass(fc))
         slopes.append(boundary_slope(fc))
 
-    A0, first, second = _operator_parts(grid, cfg)
+    A0, first, second = _operator_parts(grid)
+    ab = np.empty_like(A0)      # the step's band buffer, reused by every step
     # Rannacher startup: implicit-Euler half steps
     n_start = cfg.startup_steps
     for _ in range(n_start):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        vals = theta_step(A0 + front_speed(t + 0.5 * h, d) * first, _BANDS, vals, t, h, 1.0)
+        _assemble(ab, A0, front_speed(t + 0.5 * h, d), first)
+        vals = theta_step(ab, _BANDS, vals, t, h, 1.0)
         t += h
     if n_start and t > times[-1]:
         record(t, vals)
@@ -279,7 +293,8 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
     k = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        vals = theta_step(A0 + front_speed(t + 0.5 * h, d) * second, _BANDS, vals, t, h, 0.5)
+        _assemble(ab, A0, front_speed(t + 0.5 * h, d), second)
+        vals = theta_step(ab, _BANDS, vals, t, h, 0.5)
         t += h
         k += 1
         if k % cfg.sample_every == 0 or t >= t_end - 1e-12:

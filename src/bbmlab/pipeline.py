@@ -12,6 +12,8 @@ Pipelines: 'solve' (physical frame), 'selfsim' (handoff to the self-similar
 frame), 'specfun' (series / profile tables), 'mc' (many-to-one validation),
 'fit' (rate fits on the selfsim series), and the preset 'reproduce-theorem'
 (selfsim + fits for cbar in {0, 3 sqrt(pi), 10} plus the prefactor check).
+The last three run each self-similar run through resolved_run and write its
+Richardson error estimates to a 'resolution' block of summary.json.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ _DEFAULTS = {
     "t_handoff": 1.0,
     "tau_end": 10.0,
     "y_max": 25.0,
-    "dy": 0.01,
-    "dtau": 0.002,
+    "dy": 0.05,       # chosen by the refinement study in docs/resolution_study.md
+    "dtau": 0.01,
     "n_modes": 12,
     "v0.kind": "indicator",
     "v0.a": 1.0,
@@ -106,7 +108,12 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    return parse_config(Path(path).read_text())
+    """parse_config of a UTF-8 file; a file that cannot be read is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+    return parse_config(text)
 
 
 def _validate_config(cfg: dict):
@@ -136,7 +143,34 @@ def _validate_config(cfg: dict):
 # ---------------------------------------------------------------------------
 # the core runs
 
-def selfsimilar_run(cbar: float, cfg: dict | None = None, sample_every: int = 10):
+#: spacing in tau of the samples a self-similar run keeps (to the nearest
+#: multiple of dtau), so the fits see the same samples at every dtau
+SAMPLE_DTAU = 0.02
+
+
+def _handoff(cbar: float, cfg: dict):
+    """(drift, physical field at t_handoff) from v0 under the drift of cbar."""
+    d = DriftExpansion(cbar)
+    grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / cfg["dx"])))
+    f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
+    f1, _ = evolve(f0, cfg["t_handoff"], SolverConfig(dt=cfg["dt"]), d)
+    return d, f1
+
+
+def _march(d: DriftExpansion, f1, cfg: dict, coarsen: int = 1):
+    """W from the handoff field f1 to tau_end at (coarsen dy, coarsen dtau).
+
+    Returns (trajectory, ObservableSeries in physical time); the mass is read
+    on the physical grid of f1.
+    """
+    dtau = coarsen * cfg["dtau"]
+    W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], coarsen * cfg["dy"]))
+    traj = evolve_W(W0, cfg["tau_end"], d, dtau=dtau,
+                    sample_every=max(1, round(SAMPLE_DTAU / dtau)))
+    return traj, observables_from_trajectory(traj, f1.grid)
+
+
+def selfsimilar_run(cbar: float, cfg: dict | None = None):
     """Physical solve to the handoff time, then march W to tau_end.
 
     Returns (trajectory, ObservableSeries in physical time).  This is the
@@ -144,15 +178,43 @@ def selfsimilar_run(cbar: float, cfg: dict | None = None, sample_every: int = 10
     in t, the self-similar frame compresses it to tau = log(1+t).
     """
     cfg = make_config(cfg)
-    d = DriftExpansion(cbar)
-    grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / cfg["dx"])))
-    f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    solver = SolverConfig(dt=cfg["dt"])
-    f1, _ = evolve(f0, cfg["t_handoff"], solver, d)
-    W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], cfg["dy"]))
-    traj = evolve_W(W0, cfg["tau_end"], d, dtau=cfg["dtau"], sample_every=sample_every)
-    series = observables_from_trajectory(traj, grid)
-    return traj, series
+    return _march(*_handoff(cbar, cfg), cfg)
+
+
+def resolved_run(cbar: float, cfg: dict | None = None):
+    """selfsimilar_run and its rate_report, with a Richardson error estimate.
+
+    A partner run at (2 dy, 2 dtau) starts from the same handoff field, and
+    |A(h) - A(2h)| / 3 estimates the error of each reported number A at the
+    run's own resolution.  The divisor suits the second-order dtau error
+    (Crank-Nicolson); dy enters at fourth order, so where it dominates the
+    estimate errs high.  Returns (trajectory, series, report, errors).
+    """
+    cfg = make_config(cfg)
+    d, f1 = _handoff(cbar, cfg)
+    traj, series = _march(d, f1, cfg)
+    report = rate_report(cbar, traj, series, cfg["fit.window"])
+    partner = rate_report(cbar, *_march(d, f1, cfg, coarsen=2), cfg["fit.window"])
+
+    def err(a, b):
+        return abs(a - b) / 3.0
+
+    errors = {
+        "alpha0": err(report["alpha0"], partner["alpha0"]),
+        "exponents": {f"{f['observable']}.{f['model']}": err(f["exponent"], p["exponent"])
+                      for f, p in zip(report["fits"], partner["fits"])},
+        "prefactor": err(report["prefactor_check"]["estimate"],
+                         partner["prefactor_check"]["estimate"]),
+    }
+    return traj, series, report, errors
+
+
+def _resolution_block(cfg: dict, errors: dict) -> dict:
+    """summary.json's record of the Richardson estimates, errors keyed by cbar."""
+    return {"dy": cfg["dy"], "dtau": cfg["dtau"],
+            "partner": {"dy": 2 * cfg["dy"], "dtau": 2 * cfg["dtau"]},
+            "estimate": "|A(dy, dtau) - A(2 dy, 2 dtau)| / 3",
+            "error": errors}
 
 
 def _tau_window_to_t(window):
@@ -222,8 +284,7 @@ def _pipe_solve(cfg, out: Path):
 
 def _pipe_selfsim(cfg, out: Path):
     cbar = cfg["cbar"]
-    traj, series = selfsimilar_run(cbar, cfg)
-    report = rate_report(cbar, traj, series, cfg["fit.window"])
+    traj, series, report, errors = resolved_run(cbar, cfg)
     alpha0 = report["alpha0"]
     gp = g_profile(alpha0, cbar, traj.y)
     basis = SpectralBasis(traj.y, max(8, int(cfg["n_modes"])))
@@ -231,7 +292,8 @@ def _pipe_selfsim(cfg, out: Path):
     write_series_csv(p1, series)
     p2 = out / f"trajectory_cbar{cbar:.6g}.csv"
     write_trajectory_csv(p2, traj, basis, alpha0, gp.values)
-    return [p1, p2], {"selfsim": report}
+    return [p1, p2], {"selfsim": report,
+                      "resolution": _resolution_block(cfg, {f"{cbar:.6g}": errors})}
 
 
 #: largest z at which a specfun row carries F2, H and their scaled forms: their
@@ -279,20 +341,21 @@ def _pipe_mc(cfg, out: Path):
 
 
 def _pipe_fit(cfg, out: Path):
-    traj, series = selfsimilar_run(cfg["cbar"], cfg)
-    report = rate_report(cfg["cbar"], traj, series, cfg["fit.window"])
-    return [], {"fit": report}
+    _, _, report, errors = resolved_run(cfg["cbar"], cfg)
+    return [], {"fit": report,
+                "resolution": _resolution_block(cfg, {f"{cfg['cbar']:.6g}": errors})}
 
 
 def _pipe_reproduce_theorem(cfg, out: Path):
     reports = []
+    errors = {}
     files = []
     for cbar in (0.0, CBAR_CRITICAL, 10.0):
-        traj, series = selfsimilar_run(cbar, cfg)
+        _, series, report, errors[f"{cbar:.6g}"] = resolved_run(cbar, cfg)
         p = out / f"selfsim_series_cbar{cbar:.6g}.csv"
         write_series_csv(p, series)
         files.append(p)
-        reports.append(rate_report(cbar, traj, series, cfg["fit.window"]))
+        reports.append(report)
     table = out / "rate_table.csv"
     with open(table, "w") as fh:
         fh.write("cbar,observable,model,exponent,prefactor,r2\n")
@@ -306,6 +369,7 @@ def _pipe_reproduce_theorem(cfg, out: Path):
         "alpha0_methods": {f"{r['cbar']:.6g}": r["alpha0_methods"] for r in reports},
         "fits": [f for r in reports for f in r["fits"]],
         "prefactor_check": {f"{r['cbar']:.6g}": r["prefactor_check"] for r in reports},
+        "resolution": _resolution_block(cfg, errors),
     }
     return files, summary
 

@@ -147,10 +147,10 @@ def test_criterion_6_spectral_suite(y_grid, weights, basis12, report):
            f"inequality margin {-worst:.1e} over 100 functions")
 
 
-def test_criterion_7_remainder_decay(run_critical, y_grid, report):
+def test_criterion_7_remainder_decay(run_critical, report):
     traj, _, rep = run_critical
     alpha = rep["alpha0"]
-    g = g_profile(alpha, CB, y_grid).values
+    g = g_profile(alpha, CB, traj.y).values
     norms = []
     for i in range(len(traj)):
         norms.append(decompose(traj.field(i), alpha, g).r_norm)

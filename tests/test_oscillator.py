@@ -11,7 +11,7 @@ from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField,
                                observables_from_trajectory, quadratic_form_Q,
                                slope_correspondence, to_selfsimilar)
 from bbmlab.pde import (Field, SolverConfig, SpatialGrid, boundary_slope,
-                        evolve, initial_condition)
+                        evolve, initial_condition, mass)
 
 CB = CBAR_CRITICAL
 DY = 0.01
@@ -19,6 +19,13 @@ DY = 0.01
 
 def l2(w, f):
     return math.sqrt(np.sum(w * f * f))
+
+
+def trapezoid_weights(y):
+    dy = y[1] - y[0]
+    w = np.full_like(y, dy)
+    w[0] = w[-1] = dy / 2.0
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +283,11 @@ def test_kernel_mode_stationary_without_forcing(y_grid):
     assert drift < 1e-6
 
 
-def test_projection_convergence_rate(run_critical, y_grid, weights):
+def test_projection_convergence_rate(run_critical):
     # <W(tau), e_0> settles at rate e^{-tau/2}
     traj, _, _ = run_critical
-    e0 = eigenfunction(0, y_grid)
-    P = traj.states @ (weights * e0)
+    e0 = eigenfunction(0, traj.y)
+    P = traj.states @ (trapezoid_weights(traj.y) * e0)
     taus = traj.taus
     i_ref = len(taus) - 1
     sel = (taus >= 2.0) & (taus <= 8.0)
@@ -333,11 +340,11 @@ def test_decompose_exact_reconstruction(y_grid):
     np.testing.assert_allclose(rebuilt, W.values, atol=1e-15)
 
 
-def test_remainder_slope_decay(run_critical, y_grid):
+def test_remainder_slope_decay(run_critical):
     from bbmlab.specfun import g_profile
     traj, _, report = run_critical
     alpha = report["alpha0"]
-    g = g_profile(alpha, CB, y_grid).values
+    g = g_profile(alpha, CB, traj.y).values
     taus = traj.taus
     i4 = int(np.argmin(np.abs(taus - 4.0)))
     i8 = int(np.argmin(np.abs(taus - 8.0)))
@@ -345,6 +352,13 @@ def test_remainder_slope_decay(run_critical, y_grid):
     r8 = abs(decompose(traj.field(i8), alpha, g).r_slope0)
     # decay consistent with tau e^{-tau} within a factor 10
     assert r8 <= 10.0 * r4 * (8 * math.exp(-8)) / (4 * math.exp(-4))
+
+
+def test_vectorised_mass_matches_per_sample_route(run_critical):
+    traj, series, _ = run_critical
+    grid = SpatialGrid()
+    per_sample = [mass(from_selfsimilar(traj.field(i), grid)) for i in range(len(traj))]
+    np.testing.assert_allclose(series.mass, per_sample, rtol=1e-12, atol=0)
 
 
 def test_observables_from_trajectory_match_physical():
@@ -357,7 +371,6 @@ def test_observables_from_trajectory_match_physical():
     traj = evolve_W(W0, math.log(6.0), d, dtau=0.002, sample_every=10**9)
     series = observables_from_trajectory(traj, grid)
     f5, _ = evolve(f1, 5.0, cfg, d)
-    from bbmlab.pde import mass
     assert series.times[-1] == pytest.approx(5.0, abs=1e-9)
     # both routes carry O(dx^2 + dt^2) marching error at this resolution
     assert series.mass[-1] == pytest.approx(mass(f5), rel=1e-3)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
-from bbmlab.pde import (Field, NumericalFailure, ObservableSeries, SolverConfig,
-                        SpatialGrid, banded, boundary_slope, evolve,
-                        flux_identity_residual, initial_condition, mass, step,
-                        theta_step, write_series_csv)
+from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
+                        SpatialGrid, _matvec, _operator_parts, banded,
+                        boundary_slope, evolve, flux_identity_residual,
+                        initial_condition, mass, step, theta_step, write_series_csv)
 
 CB = CBAR_CRITICAL
 
@@ -70,11 +71,14 @@ def test_dirichlet_stays_zero(grid):
 
 
 def test_pure_growth_factor(grid):
-    # growth only: one trapezoidal step multiplies by (1 + dt/2)/(1 - dt/2)
+    # A0 less its 3-point Laplacian is the growth term alone: one trapezoidal
+    # step with it multiplies by (1 + dt/2)/(1 - dt/2)
+    A0, _, _ = _operator_parts(grid)
+    n, d2 = grid.nx + 1, 1.0 / grid.dx**2
+    ab = A0 - banded(_BANDS, n, {-1: d2, 0: -2.0 * d2, 1: d2})
     f = initial_condition("smooth_bump", grid, 5.0, 9.0)
-    cfg = SolverConfig(dt=0.01, diffusion_scale=0.0, advection_scale=0.0)
-    f1 = step(f, cfg, DriftExpansion(CB))
-    dt = cfg.effective_dt(grid)
+    dt = SolverConfig(dt=0.01).effective_dt(grid)
+    f1 = Field(grid, theta_step(ab, _BANDS, f.values, 0.0, dt, 0.5), dt)
     factor = (1 + dt / 2) / (1 - dt / 2)
     inner = slice(1, -1)
     np.testing.assert_allclose(f1.values[inner], factor * f.values[inner],
@@ -217,7 +221,7 @@ def test_theta_step_scales_sine_mode_exactly(k):
     h = 1e-3
     for theta, factor in ((1.0, 1.0 / (1.0 + h * lam)),
                           (0.5, (1.0 - h * lam / 2) / (1.0 + h * lam / 2))):
-        out = theta_step(L, lu, v, 0.0, h, theta)
+        out = theta_step(L.copy(), lu, v, 0.0, h, theta)
         assert out[0] == 0.0 and out[-1] == 0.0
         np.testing.assert_allclose(out, factor * v, rtol=0, atol=1e-12)
 
@@ -227,3 +231,31 @@ def test_theta_step_non_finite_raises():
     L = banded(lu, 5, {-1: 1.0, 0: np.inf, 1: 1.0})
     with pytest.raises(NumericalFailure):
         theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("lu", [(1, 2), (2, 2)])
+def test_theta_step_matches_solve_banded_bit_for_bit(lu):
+    # random diagonally dominant systems, several steps through one buffer: the
+    # fill-in rows start as NaN and then hold the previous step's LU factors,
+    # so a solve that read them would show
+    l, u = lu
+    n = 257
+    rng = np.random.default_rng(sum(lu))
+    ab = banded(lu, n, {})
+    ab[:l] = np.nan
+    v = rng.standard_normal(n)
+    v[0] = v[-1] = 0.0
+    for h, theta in ((0.03, 0.5), (0.011, 0.5), (0.02, 1.0)):
+        diags = {k: rng.uniform(-50.0, 50.0, n) for k in range(-l, u + 1) if k}
+        diags[0] = -(sum(np.abs(c) for c in diags.values()) + rng.uniform(0.0, 5.0, n))
+        L = banded(lu, n, diags)
+        rhs = v + (1.0 - theta) * h * _matvec(L, lu, v) if theta < 1.0 else v.copy()
+        A = -theta * h * L[l:]
+        A[u] += 1.0
+        want = solve_banded(lu, A, rhs)
+        want[0] = want[-1] = 0.0
+        ab[l:] = L[l:]
+        got = theta_step(ab, lu, v, 0.0, h, theta)
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, v)
+        v = got

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbmlab.cli import main as cli_main
-from bbmlab.pipeline import (ConfigError, _DEFAULTS, _validate_config, load_config,
-                             make_config, parse_config, run_experiment)
+from bbmlab.drift import CBAR_CRITICAL
+from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _validate_config,
+                             load_config, make_config, parse_config, rate_report,
+                             resolved_run, run_experiment, selfsimilar_run)
 
 
 def test_parse_config_defaults():
@@ -168,6 +170,43 @@ def test_solve_pipeline_writes_series(tmp_path):
     assert summary["initial_overlap"]["weighted"] == pytest.approx(math.e**2, abs=1e-2)
 
 
+def test_reproduce_theorem_summary_has_resolution_block(tmp_path):
+    out = run_experiment(None, tmp_path / "o", ["reproduce-theorem"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"alpha0", "alpha0_methods", "fits", "prefactor_check", "resolution"}
+    res = summary["resolution"]
+    assert (res["dy"], res["dtau"]) == (0.05, 0.01)
+    assert res["partner"] == {"dy": 0.1, "dtau": 0.02}
+    assert set(res["error"]) == set(summary["alpha0"]) == {"0", "5.31736", "10"}
+    for key, err in res["error"].items():
+        fits = [f for f in summary["fits"] if f"{f['cbar']:.6g}" == key]
+        assert set(err["exponents"]) == {f"{f['observable']}.{f['model']}" for f in fits}
+        values = [err["alpha0"], err["prefactor"], *err["exponents"].values()]
+        assert all(0.0 < v < 0.01 for v in values), (key, err)
+        # the samples the fits use are SAMPLE_DTAU apart in tau over fit.window = (6, 10)
+        assert all(f["n_samples"] == round(4.0 / SAMPLE_DTAU) + 1 for f in fits)
+
+
+def test_fine_grid_regression_at_the_critical_cbar():
+    # the resolution of the earlier defaults (dy = 0.01, dtau = 0.002) against
+    # the current ones; the Richardson estimate of the current run's error is
+    # not below a third of its actual distance from the fine run
+    fine_run = selfsimilar_run(CBAR_CRITICAL, {"dy": 0.01, "dtau": 0.002})
+    fine = rate_report(CBAR_CRITICAL, *fine_run)
+    _, _, report, errors = resolved_run(CBAR_CRITICAL)
+    gap = abs(report["alpha0"] - fine["alpha0"])
+    assert gap <= 1e-4 * fine["alpha0"]
+    assert errors["alpha0"] >= gap / 3.0
+    for f, g in zip(fine["fits"], report["fits"]):
+        assert (f["observable"], f["model"], f["n_samples"]) == (g["observable"], g["model"],
+                                                                 g["n_samples"])
+        gap = abs(f["exponent"] - g["exponent"])
+        assert gap <= 0.005, f
+        assert errors["exponents"][f"{f['observable']}.{f['model']}"] >= gap / 3.0
+    gap = abs(report["prefactor_check"]["estimate"] - fine["prefactor_check"]["estimate"])
+    assert errors["prefactor"] >= gap / 3.0
+
+
 def test_mc_pipeline_writes_result(tmp_path):
     out = run_experiment({"mc.replicas": 4000, "mc.seed": 3}, tmp_path / "o", ["mc"])
     result = json.loads((out / "mc_result.json").read_text())
@@ -271,12 +310,18 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("x_max = inf", "x_max"),
     ("mc.drift = nan", "mc.drift"),
     ("dx = abc\ndx = 0.02", "dx"),
+    (None, "bad.cfg"),
+    (b"cbar = 1\n# \xff\xfe\n", "bad.cfg"),
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
-        "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice"])
+        "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice",
+        "missing_file", "not_utf8"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(text + "\n")
+    bad = tmp_path / "bad.cfg"      # text None: the file does not exist
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    elif text is not None:
+        bad.write_text(text + "\n")
     rc = cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "solve"])
     assert rc == 2
     assert named in capsys.readouterr().err
