@@ -34,8 +34,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .drift import DriftExpansion, selfsimilar_forcing
-from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, banded,
-                  theta_step)
+from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, StepFactors,
+                  banded, theta_step)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -301,11 +301,12 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
     L1 = D1 - y/4.  The parts are assembled once per run in banded form; every
     step combines them in place in one band buffer and goes through the shared
-    pde.theta_step; startup_steps implicit-Euler half steps precede the
-    Crank-Nicolson loop.  Forcing
-    coefficients are evaluated at the half step; d=None switches the forcing
-    off entirely (the kernel mode is then stationary).  Samples every
-    sample_every steps, always including the initial and final states.
+    pde.theta_step with the run's StepFactors; startup_steps implicit-Euler
+    half steps precede the Crank-Nicolson loop, whose steps are counted from
+    the tau the startup reaches.  Forcing coefficients are evaluated at the
+    half step; d=None switches the forcing off entirely (the kernel mode is
+    then stationary).  Samples every sample_every steps, always including the
+    initial and final states.
     """
     if tau_end < W0.tau - 1e-14:
         raise ValueError("tau_end must be >= W0.tau")
@@ -316,7 +317,6 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     tau = W0.tau
     taus = [tau]
     states = [vals.copy()]
-    nsteps = max(int(math.ceil((tau_end - tau) / dtau - 1e-12)), 0)
 
     # offsets -2..2: 5-point stencils inside, 3-point on the rows next to the ends
     edge = np.isin(np.arange(n), (1, n - 2))
@@ -331,18 +331,20 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     d1[0] = d1[0] - y / 4.0
     lu = (2, 2)
     L0, L1 = banded(lu, n, lap), banded(lu, n, d1)
-    ab = np.empty_like(L0)      # the step's band buffer, reused by every step
+    L = np.empty_like(L0)       # the step's operator, assembled in place by every step
+    factors = StepFactors(L)
 
     def step(vals, tau, h, theta):
         a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau + 0.5 * h, d)
-        np.multiply(L1, a, out=ab)
-        np.add(ab, L0, out=ab)
-        ab[sum(lu), 1:-1] += b      # b I, whose end rows are zero like every part's
-        return theta_step(ab, lu, vals, tau, h, theta)
+        np.multiply(L1, a, out=L)
+        np.add(L, L0, out=L)
+        L[sum(lu), 1:-1] += b       # b I, whose end rows are zero like every part's
+        return theta_step(L, lu, vals, tau, h, theta, factors, key=(a, b))
 
     for _ in range(startup_steps):
         vals = step(vals, tau, dtau / 2.0, theta=1.0)
         tau += dtau / 2.0
+    nsteps = max(int(math.ceil((tau_end - tau) / dtau - 1e-12)), 0)
     for k in range(nsteps):
         h = min(dtau, tau_end - tau)
         vals = step(vals, tau, h, theta=0.5)

@@ -16,8 +16,14 @@ Crank-Nicolson modes and preserves positivity.
 Both frames advance through theta_step, one banded theta-stepper: the operator
 is written as fixed parts assembled once per run (here A0 + speed * A1, in the
 self-similar frame L0 + a L1 + b I), so each step only combines the parts in
-place in one band buffer the run owns, applies one banded mat-vec and makes
-one LAPACK banded solve (dgbsv) in that buffer.
+place in one band buffer the run owns and applies one banded mat-vec.  The
+step matrix I - theta h L is factored once per distinct matrix.  Each step
+names its operator by a key, the coefficients it was assembled with (here
+the speed and the stencil, in the self-similar frame a and b).  A step whose
+key, h and theta equal those of the run's stored LU factors (a constant
+drift, away from the startup and the last step) solves with them (dgbtrs);
+any other step factors and solves in one LAPACK call (dgbsv) and keeps the
+factors.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .drift import DriftExpansion, front_speed
 
@@ -149,9 +155,10 @@ def banded(lu, n: int, diagonals: dict) -> np.ndarray:
 
     The result is a (2l+u+1) x n Fortran-order array: rows l: hold A[i, j] at
     [l + u + i - j, j], the solve_banded layout, and the first l rows are the
-    room dgbsv needs for the fill-in of its LU factors.  Fortran order lets
-    LAPACK factor the array in place, and lets operators of one layout be
-    combined with whole-array operations.  diagonals maps an offset k to the
+    room dgbsv needs for the fill-in of its LU factors, which theta_step
+    makes in an array of this shape.  Fortran order lets LAPACK factor that
+    array in place, and lets operators of one layout be combined with
+    whole-array operations.  diagonals maps an offset k to the
     entries A[i, i+k] (a scalar or one value per row i).  The end rows are
     left zero, so a theta step with this operator keeps homogeneous Dirichlet
     values by construction.
@@ -179,25 +186,48 @@ def _matvec(ab, lu, v):
     return out
 
 
-def theta_step(ab, lu, values, t, h, theta):
+class StepFactors:
+    """The LU factors of the last theta-step matrix I - theta h L, and what they factor.
+
+    A run keeps one for its operator buffer L and hands it to each theta_step
+    with a key: the values that fix L among the run's operators, such as the
+    drift speed and the stencil.  A step whose key, h and theta equal the
+    stored ones reuses the factors.
+    """
+
+    def __init__(self, L):
+        self.ab = np.empty(L.shape, order="F")  # dgbsv factors I - theta h L here in place
+        self.piv = self.made_for = None
+
+
+def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     """One theta step of v' = L v from t to t + h; returns the new values.
 
-    ab holds L as from banded(); the step overwrites it with the LU factors
-    of I - theta h L, so the caller assembles L again before the next step.
-    values vanish at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1
-    implicit Euler.  The zero end rows of L make the end rows of the system
-    the identity; pivoting in the solve can still leave round-off there, so
-    the ends are set to exactly 0.  The solve is the LAPACK call (dgbsv) that
-    scipy.linalg.solve_banded makes, on the same layout, so both give the same
-    values bit for bit.
+    L holds the operator as from banded() and is left unchanged; values vanish
+    at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.
+    When factors (a StepFactors, fresh if None) hold the LU factors for the
+    same key, h and theta, the step solves with them (dgbtrs); otherwise, or
+    without a key, it factors and solves in one call (dgbsv) and stores the
+    factors.  dgbsv, the call scipy.linalg.solve_banded makes on the same
+    layout, is dgbtrf followed by dgbtrs, so both paths give solve_banded's
+    values bit for bit.  The zero end rows of L make the end rows of the
+    system the identity; pivoting in the solve can still leave round-off
+    there, so the ends are set to exactly 0.
     """
     l, u = lu
+    factors = StepFactors(L) if factors is None else factors
+    made_for = (key, h, theta)
     rhs = values.copy()
     if theta < 1.0:
-        rhs += (1.0 - theta) * h * _matvec(ab, lu, values)
-    ab *= -theta * h
-    ab[l + u] += 1.0
-    _, _, out, info = dgbsv(l, u, ab, rhs, overwrite_ab=True, overwrite_b=True)
+        rhs += (1.0 - theta) * h * _matvec(L, lu, values)
+    if key is not None and made_for == factors.made_for:
+        out, info = dgbtrs(factors.ab, l, u, rhs, factors.piv, overwrite_b=True)
+    else:
+        np.multiply(L, -theta * h, out=factors.ab)
+        factors.ab[l + u] += 1.0
+        _, factors.piv, out, info = dgbsv(l, u, factors.ab, rhs,
+                                          overwrite_ab=True, overwrite_b=True)
+        factors.made_for = made_for if info == 0 else None
     if info != 0 or not np.all(np.isfinite(out)):
         raise NumericalFailure(f"singular or non-finite theta step from {t:.6g} to {t + h:.6g}")
     out[0] = out[-1] = 0.0
@@ -228,18 +258,23 @@ def _operator_parts(grid: SpatialGrid):
 
 
 def _assemble(ab, A0, speed, A1):
-    """A0 + speed * A1, written into ab in place."""
+    """A0 + speed * A1, written into ab in place.
+
+    Returns (speed, id(A1)), the theta_step key that fixes the result among
+    the operators of a run with these parts.
+    """
     np.multiply(A1, speed, out=ab)
     ab += A0
+    return speed, id(A1)
 
 
 def step(f: Field, cfg: SolverConfig, d: DriftExpansion) -> Field:
     """One trapezoidal step with the drift speed evaluated at the half step."""
     dt = cfg.effective_dt(f.grid)
     A0, _, A1 = _operator_parts(f.grid)
-    ab = np.empty_like(A0)
-    _assemble(ab, A0, front_speed(f.time + 0.5 * dt, d), A1)
-    return Field(f.grid, theta_step(ab, _BANDS, f.values, f.time, dt, 0.5), f.time + dt)
+    L = np.empty_like(A0)
+    _assemble(L, A0, front_speed(f.time + 0.5 * dt, d), A1)
+    return Field(f.grid, theta_step(L, _BANDS, f.values, f.time, dt, 0.5), f.time + dt)
 
 
 def mass(f: Field) -> float:
@@ -277,15 +312,16 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
         slopes.append(boundary_slope(fc))
 
     A0, first, second = _operator_parts(grid)
-    ab = np.empty_like(A0)      # the step's band buffer, reused by every step
+    L = np.empty_like(A0)       # the step's operator, assembled in place by every step
+    factors = StepFactors(L)    # of the last step matrix, reused while it repeats
     # Rannacher startup: implicit-Euler half steps
     n_start = cfg.startup_steps
     for _ in range(n_start):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        _assemble(ab, A0, front_speed(t + 0.5 * h, d), first)
-        vals = theta_step(ab, _BANDS, vals, t, h, 1.0)
+        key = _assemble(L, A0, front_speed(t + 0.5 * h, d), first)
+        vals = theta_step(L, _BANDS, vals, t, h, 1.0, factors, key)
         t += h
     if n_start and t > times[-1]:
         record(t, vals)
@@ -293,8 +329,8 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
     k = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        _assemble(ab, A0, front_speed(t + 0.5 * h, d), second)
-        vals = theta_step(ab, _BANDS, vals, t, h, 0.5)
+        key = _assemble(L, A0, front_speed(t + 0.5 * h, d), second)
+        vals = theta_step(L, _BANDS, vals, t, h, 0.5, factors, key)
         t += h
         k += 1
         if k % cfg.sample_every == 0 or t >= t_end - 1e-12:

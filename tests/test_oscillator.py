@@ -375,3 +375,16 @@ def test_observables_from_trajectory_match_physical():
     # both routes carry O(dx^2 + dt^2) marching error at this resolution
     assert series.mass[-1] == pytest.approx(mass(f5), rel=1e-3)
     assert series.slope0[-1] == pytest.approx(boundary_slope(f5), rel=1e-3)
+
+
+@pytest.mark.parametrize("startup_steps", [2, 4])
+def test_startup_steps_end_at_tau_end_once(startup_steps):
+    # the Crank-Nicolson steps are counted from the tau the implicit-Euler
+    # half steps reach, so the march takes no zero-length steps at its end
+    y = default_y_grid(dy=0.1)
+    W0 = SelfSimilarField(math.log(2.0), y, y * np.exp(-y * y / 8.0))
+    traj = evolve_W(W0, 10.0, DriftExpansion(10.0), dtau=0.01, sample_every=1,
+                    startup_steps=startup_steps)
+    assert np.all(np.diff(traj.taus) > 0.0)
+    assert traj.taus[-1] == 10.0
+    assert len(observables_from_trajectory(traj)) == len(traj)

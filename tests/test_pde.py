@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
+from bbmlab.drift import CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
-                        SpatialGrid, _matvec, _operator_parts, banded,
+                        SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
                         initial_condition, mass, step, theta_step, write_series_csv)
 
@@ -235,9 +235,8 @@ def test_theta_step_non_finite_raises():
 
 @pytest.mark.parametrize("lu", [(1, 2), (2, 2)])
 def test_theta_step_matches_solve_banded_bit_for_bit(lu):
-    # random diagonally dominant systems, several steps through one buffer: the
-    # fill-in rows start as NaN and then hold the previous step's LU factors,
-    # so a solve that read them would show
+    # random diagonally dominant systems, several steps through one buffer
+    # whose fill-in rows are NaN, so a solve that read them would show
     l, u = lu
     n = 257
     rng = np.random.default_rng(sum(lu))
@@ -259,3 +258,89 @@ def test_theta_step_matches_solve_banded_bit_for_bit(lu):
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, v)
         v = got
+
+
+def _solve_banded_step(L, lu, v, h, theta):
+    """A theta step factored afresh by solve_banded, as in the test above."""
+    l, u = lu
+    rhs = v + (1.0 - theta) * h * _matvec(L, lu, v) if theta < 1.0 else v.copy()
+    A = -theta * h * L[l:]
+    A[u] += 1.0
+    out = solve_banded(lu, A, rhs)
+    out[0] = out[-1] = 0.0
+    return out
+
+
+def test_step_factors_reused_only_for_the_same_matrix():
+    # one StepFactors through steps that repeat the matrix or change one of L
+    # (named by its key), h and theta at a time, and one step without a key;
+    # a reused factorization keeps its pivot array
+    lu = (1, 2)
+    n = 129
+    rng = np.random.default_rng(7)
+
+    def operator():
+        diags = {k: rng.uniform(-50.0, 50.0, n) for k in (-1, 1, 2)}
+        diags[0] = -(sum(np.abs(c) for c in diags.values()) + rng.uniform(0.0, 5.0, n))
+        return banded(lu, n, diags)
+
+    L1, L2 = operator(), operator()
+    v = rng.standard_normal(n)
+    v[0] = v[-1] = 0.0
+    factors = StepFactors(L1)
+    plan = [(L1, 1, 0.03, 0.5, False), (L1, 1, 0.03, 0.5, True), (L1, 1, 0.03, 1.0, False),
+            (L1, 1, 0.03, 1.0, True), (L1, 1, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, False),
+            (L2, None, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, True)]
+    for L, key, h, theta, reused in plan:
+        piv = factors.piv
+        got = theta_step(L, lu, v, 0.0, h, theta, factors, key)
+        np.testing.assert_array_equal(got, _solve_banded_step(L, lu, v, h, theta))
+        assert (factors.piv is piv) == reused
+        v = got
+    # the finiteness check runs on the reusing path too
+    bad = v.copy()
+    bad[n // 2] = np.nan
+    with pytest.raises(NumericalFailure):
+        theta_step(L2, lu, bad, 0.0, 0.02, 1.0, factors, 2)
+    assert factors.piv is piv
+
+
+def _reference_evolve(f0, t_end, cfg, d):
+    """pde.evolve with sample_every = 1, every step factored by solve_banded."""
+    grid = f0.grid
+    A0, first, second = _operator_parts(grid)
+    dt = cfg.effective_dt(grid)
+    t, v = f0.time, f0.values.copy()
+    samples = [(t, v)]
+    for _ in range(cfg.startup_steps):
+        if t >= t_end - 1e-14:
+            break
+        h = min(dt / 2.0, t_end - t)
+        v = _solve_banded_step(front_speed(t + 0.5 * h, d) * first + A0, _BANDS, v, h, 1.0)
+        t += h
+    if cfg.startup_steps:
+        samples.append((t, v))
+    while t < t_end - 1e-12:
+        h = min(dt, t_end - t)
+        v = _solve_banded_step(front_speed(t + 0.5 * h, d) * second + A0, _BANDS, v, h, 0.5)
+        t += h
+        samples.append((t, v))
+    fields = [Field(grid, vs, ts) for ts, vs in samples]
+    return (v, np.array([f.time for f in fields]), np.array([mass(f) for f in fields]),
+            np.array([boundary_slope(f) for f in fields]))
+
+
+@pytest.mark.parametrize("d", [ConstantDrift(2.0), DriftExpansion(5.0)],
+                         ids=["constant", "expansion"])
+def test_evolve_matches_per_step_factorization_bit_for_bit(d):
+    # startup, main and a short last step (1.03 = 2 x 0.025 + 19 x 0.05 + 0.03):
+    # a constant drift reuses the factors within each, the expansion never
+    grid = SpatialGrid(60.0, 600)
+    cfg = SolverConfig(dt=0.05, sample_every=1, startup_steps=2)
+    f0 = initial_condition("indicator", grid)
+    fT, series = evolve(f0, 1.03, cfg, d)
+    v, times, masses, slopes = _reference_evolve(f0, 1.03, cfg, d)
+    np.testing.assert_array_equal(fT.values, v)
+    np.testing.assert_array_equal(series.times, times)
+    np.testing.assert_array_equal(series.mass, masses)
+    np.testing.assert_array_equal(series.slope0, slopes)
