@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .drift import CBAR_CRITICAL, DriftExpansion, front_position, front_speed, selfsimilar_forcing
 from .pde import (Field, NumericalFailure, ObservableSeries, SolverConfig, SpatialGrid,
-                  boundary_slope, evolve, flux_identity_residual, initial_condition, mass, step)
+                  boundary_slope, evolve, flux_identity_residual, initial_condition, mass)
 from .oscillator import (Decomposition, LossOfSupport, SelfSimilarField, SpectralBasis,
                          WTrajectory, apply_M, decompose, default_y_grid, eigenfunction,
                          eigenvalue, evolve_W, from_selfsimilar, observables_from_trajectory,

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: solve, selfsim, specfun, mc, fit, reproduce-theorem.  All but
+Subcommands: solve, selfsim, specfun, mc, reproduce-theorem.  All but
 specfun run their pipeline through run_experiment; --config PATH (key=value
 file), --seed N and the subcommand's flags set config keys (_FLAG_KEYS), --out
 DIR takes the artifacts and mc prints its mc_result.json.  specfun prints one
@@ -38,7 +38,7 @@ def _build_parser():
                                             "absorption: numerical laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name in ("solve", "selfsim", "fit", "reproduce-theorem"):
+    for name in ("solve", "selfsim", "reproduce-theorem"):
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("--cbar", default=argparse.SUPPRESS,
                         help="sets cbar, the drift correction coefficient")

@@ -34,8 +34,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .drift import DriftExpansion, selfsimilar_forcing
-from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, StepFactors,
-                  banded, theta_step)
+from .pde import Field, NumericalFailure, ObservableSeries, SpatialGrid, banded, march
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -107,6 +106,13 @@ def eigenvalue(n: int) -> float:
     return float(n)
 
 
+def trapezoid_weights(n: int, dy: float) -> np.ndarray:
+    """Composite trapezoid weights of n uniform nodes dy apart."""
+    w = np.full(n, dy)
+    w[0] = w[-1] = dy / 2.0
+    return w
+
+
 @dataclass
 class SpectralBasis:
     """First n_modes eigenfunctions sampled on a grid, with trapezoid weights."""
@@ -118,9 +124,7 @@ class SpectralBasis:
         self.y = np.asarray(self.y, dtype=float)
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        dy = self.y[1] - self.y[0]
-        self.weights = np.full_like(self.y, dy)
-        self.weights[0] = self.weights[-1] = dy / 2.0
+        self.weights = trapezoid_weights(self.y.size, self.y[1] - self.y[0])
         self.modes = hermite_functions(self.y / 2.0, 2 * self.n_modes - 1)[1::2]
 
     def project(self, values: np.ndarray) -> np.ndarray:
@@ -196,9 +200,7 @@ def quadratic_form_Q(phi: np.ndarray, dy: float) -> float:
     phi = np.asarray(phi, dtype=float)
     y = np.arange(phi.size) * dy
     integrand = _derivative(phi, dy) ** 2 + _potential(y) * phi * phi
-    w = np.full_like(phi, dy)
-    w[0] = w[-1] = dy / 2.0
-    return float(np.sum(w * integrand))
+    return float(np.sum(trapezoid_weights(phi.size, dy) * integrand))
 
 
 def slope_at_origin(values: np.ndarray, dy: float) -> float:
@@ -300,23 +302,15 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
 
     The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
     L1 = D1 - y/4.  The parts are assembled once per run in banded form; every
-    step combines them in place in one band buffer and goes through the shared
-    pde.theta_step with the run's StepFactors; startup_steps implicit-Euler
-    half steps precede the Crank-Nicolson loop, whose steps are counted from
-    the tau the startup reaches.  Forcing coefficients are evaluated at the
-    half step; d=None switches the forcing off entirely (the kernel mode is
-    then stationary).  Samples every sample_every steps, always including the
-    initial and final states.
+    step of pde.march combines them in place in one band buffer, with the
+    forcing coefficients at the half step.  d=None switches the forcing off
+    entirely (the kernel mode is then stationary).  The samples are those of
+    pde.march: the initial state, the state after the startup_steps
+    implicit-Euler half steps, every sample_every-th step and the final state.
     """
-    if tau_end < W0.tau - 1e-14:
-        raise ValueError("tau_end must be >= W0.tau")
     y = W0.y
     dy = W0.dy
     n = y.size
-    vals = W0.values.copy()
-    tau = W0.tau
-    taus = [tau]
-    states = [vals.copy()]
 
     # offsets -2..2: 5-point stencils inside, 3-point on the rows next to the ends
     edge = np.isin(np.arange(n), (1, n - 2))
@@ -331,27 +325,17 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     d1[0] = d1[0] - y / 4.0
     lu = (2, 2)
     L0, L1 = banded(lu, n, lap), banded(lu, n, d1)
-    L = np.empty_like(L0)       # the step's operator, assembled in place by every step
-    factors = StepFactors(L)
+    L = np.empty_like(L0)
 
-    def step(vals, tau, h, theta):
-        a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau + 0.5 * h, d)
+    def operator(tau_half, startup):
+        a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau_half, d)
         np.multiply(L1, a, out=L)
         np.add(L, L0, out=L)
         L[sum(lu), 1:-1] += b       # b I, whose end rows are zero like every part's
-        return theta_step(L, lu, vals, tau, h, theta, factors, key=(a, b))
+        return a, b
 
-    for _ in range(startup_steps):
-        vals = step(vals, tau, dtau / 2.0, theta=1.0)
-        tau += dtau / 2.0
-    nsteps = max(int(math.ceil((tau_end - tau) / dtau - 1e-12)), 0)
-    for k in range(nsteps):
-        h = min(dtau, tau_end - tau)
-        vals = step(vals, tau, h, theta=0.5)
-        tau += h
-        if (k + 1) % sample_every == 0 or k == nsteps - 1:
-            taus.append(tau)
-            states.append(vals.copy())
+    taus, states = zip(*march(L, lu, W0.values, W0.tau, tau_end, dtau, startup_steps,
+                              sample_every, operator))
     cb = d.cbar if d is not None else None
     return WTrajectory(y, np.array(taus), np.array(states), cb)
 
@@ -369,9 +353,7 @@ def decompose(W: SelfSimilarField, alpha: float, g_values: np.ndarray) -> Decomp
     kernel = y * np.exp(-y * y / 8.0)
     g_part = math.exp(-W.tau / 2.0) * np.asarray(g_values, dtype=float)
     R = W.values - alpha * kernel - g_part
-    w = np.full_like(y, W.dy)
-    w[0] = w[-1] = W.dy / 2.0
-    r_norm = math.sqrt(max(float(np.sum(w * R * R)), 0.0))
+    r_norm = math.sqrt(max(float(np.sum(trapezoid_weights(y.size, W.dy) * R * R)), 0.0))
     return Decomposition(alpha, g_part, R, r_norm, slope_at_origin(R, W.dy))
 
 

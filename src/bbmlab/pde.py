@@ -13,17 +13,18 @@ initial data (indicators) is handled by a short Rannacher startup: a few
 implicit-Euler half steps with first-order upwinding, which damps the undamped
 Crank-Nicolson modes and preserves positivity.
 
-Both frames advance through theta_step, one banded theta-stepper: the operator
-is written as fixed parts assembled once per run (here A0 + speed * A1, in the
-self-similar frame L0 + a L1 + b I), so each step only combines the parts in
-place in one band buffer the run owns and applies one banded mat-vec.  The
-step matrix I - theta h L is factored once per distinct matrix.  Each step
-names its operator by a key, the coefficients it was assembled with (here
-the speed and the stencil, in the self-similar frame a and b).  A step whose
-key, h and theta equal those of the run's stored LU factors (a constant
-drift, away from the startup and the last step) solves with them (dgbtrs);
-any other step factors and solves in one LAPACK call (dgbsv) and keeps the
-factors.
+Both frames advance through march, a loop around theta_step, the one banded
+theta-stepper.  march takes the startup half steps and the Crank-Nicolson
+steps and yields the samples; each frame passes it a callback that writes the
+step's operator from fixed parts assembled once per run (here A0 + speed * A1,
+in the self-similar frame L0 + a L1 + b I), combined in place in one band
+buffer, and each step applies one banded mat-vec.  The step matrix
+I - theta h L is factored once per distinct matrix.  The callback names the
+operator by a key, the coefficients it was assembled with (here the speed and
+the stencil, in the self-similar frame a and b).  A step whose key, h and
+theta equal those of the run's stored LU factors (a constant drift, away from
+the startup and the last step) solves with them (dgbtrs); any other step
+factors and solves in one LAPACK call (dgbsv) and keeps the factors.
 """
 
 from __future__ import annotations
@@ -189,10 +190,10 @@ def _matvec(ab, lu, v):
 class StepFactors:
     """The LU factors of the last theta-step matrix I - theta h L, and what they factor.
 
-    A run keeps one for its operator buffer L and hands it to each theta_step
-    with a key: the values that fix L among the run's operators, such as the
-    drift speed and the stencil.  A step whose key, h and theta equal the
-    stored ones reuses the factors.
+    march keeps one per run for its operator buffer L and hands it to each
+    theta_step with a key: the values that fix L among the run's operators,
+    such as the drift speed and the stencil.  A step whose key, h and theta
+    equal the stored ones reuses the factors.
     """
 
     def __init__(self, L):
@@ -234,6 +235,40 @@ def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     return out
 
 
+def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
+    """Advance values from t to t_end with theta_step; yield (t, values) at each sample.
+
+    startup_steps implicit-Euler half steps (Rannacher startup, stopped at
+    t_end) precede Crank-Nicolson steps of dt, the last one cut short to end
+    at t_end.  The samples are the state handed in, the state after the
+    startup, every sample_every-th Crank-Nicolson step and the state at t_end.
+    operator(t_half, startup) writes the step's operator, at the half step of
+    an implicit-Euler (startup true) or Crank-Nicolson step, into the buffer
+    L and returns its theta_step key; the march owns the StepFactors.
+    """
+    if t_end < t - 1e-14:
+        raise ValueError(f"t_end = {t_end!r} is before the start time {t!r}")
+    factors = StepFactors(L)    # of the last step matrix, reused while it repeats
+    t0 = t
+    yield t, values
+    for _ in range(startup_steps):
+        if t >= t_end - 1e-14:
+            break
+        h = min(dt / 2.0, t_end - t)
+        values = theta_step(L, lu, values, t, h, 1.0, factors, operator(t + 0.5 * h, True))
+        t += h
+    if t > t0:
+        yield t, values
+    k = 0
+    while t < t_end - 1e-12:
+        h = min(dt, t_end - t)
+        values = theta_step(L, lu, values, t, h, 0.5, factors, operator(t + 0.5 * h, False))
+        t += h
+        k += 1
+        if k % sample_every == 0 or t >= t_end - 1e-12:
+            yield t, values
+
+
 #: Band layout of the physical operator: one lower and two upper bands.
 _BANDS = (1, 2)
 
@@ -257,26 +292,6 @@ def _operator_parts(grid: SpatialGrid):
     return A0, first, second
 
 
-def _assemble(ab, A0, speed, A1):
-    """A0 + speed * A1, written into ab in place.
-
-    Returns (speed, id(A1)), the theta_step key that fixes the result among
-    the operators of a run with these parts.
-    """
-    np.multiply(A1, speed, out=ab)
-    ab += A0
-    return speed, id(A1)
-
-
-def step(f: Field, cfg: SolverConfig, d: DriftExpansion) -> Field:
-    """One trapezoidal step with the drift speed evaluated at the half step."""
-    dt = cfg.effective_dt(f.grid)
-    A0, _, A1 = _operator_parts(f.grid)
-    L = np.empty_like(A0)
-    _assemble(L, A0, front_speed(f.time + 0.5 * dt, d), A1)
-    return Field(f.grid, theta_step(L, _BANDS, f.values, f.time, dt, 0.5), f.time + dt)
-
-
 def mass(f: Field) -> float:
     """Composite trapezoid of v over the grid."""
     return float(np.trapezoid(f.values, dx=f.grid.dx))
@@ -291,53 +306,28 @@ def boundary_slope(f: Field) -> float:
 def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
     """March f0 to t_end, sampling mass and boundary slope along the way.
 
-    Returns (final field, ObservableSeries).  The startup uses implicit-Euler
-    half steps with first-order upwinding; sampling starts once the startup is
-    complete (the very first sample is the state handed in).
+    Returns (final field, ObservableSeries) over march's samples.  The startup
+    half steps use first-order upwinding, the Crank-Nicolson steps the
+    second-order stencil, each with the drift speed at the half step.
     """
-    if t_end < f0.time - 1e-14:
-        raise ValueError("t_end must be >= f0.time")
     grid = f0.grid
-    dt = cfg.effective_dt(grid)
-    t = f0.time
-    vals = f0.values.copy()
-    times = [t]
-    masses = [mass(f0)]
-    slopes = [boundary_slope(f0)]
-
-    def record(tc, vc):
-        fc = Field(grid, vc, tc)
-        times.append(tc)
-        masses.append(mass(fc))
-        slopes.append(boundary_slope(fc))
-
     A0, first, second = _operator_parts(grid)
-    L = np.empty_like(A0)       # the step's operator, assembled in place by every step
-    factors = StepFactors(L)    # of the last step matrix, reused while it repeats
-    # Rannacher startup: implicit-Euler half steps
-    n_start = cfg.startup_steps
-    for _ in range(n_start):
-        if t >= t_end - 1e-14:
-            break
-        h = min(dt / 2.0, t_end - t)
-        key = _assemble(L, A0, front_speed(t + 0.5 * h, d), first)
-        vals = theta_step(L, _BANDS, vals, t, h, 1.0, factors, key)
-        t += h
-    if n_start and t > times[-1]:
-        record(t, vals)
+    L = np.empty_like(A0)
 
-    k = 0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        key = _assemble(L, A0, front_speed(t + 0.5 * h, d), second)
-        vals = theta_step(L, _BANDS, vals, t, h, 0.5, factors, key)
-        t += h
-        k += 1
-        if k % cfg.sample_every == 0 or t >= t_end - 1e-12:
-            record(t, vals)
+    def operator(t_half, startup):
+        speed = front_speed(t_half, d)
+        np.multiply(first if startup else second, speed, out=L)
+        np.add(L, A0, out=L)
+        return speed, startup
 
-    series = ObservableSeries(np.array(times), np.array(masses), np.array(slopes))
-    return Field(grid, vals, t), series
+    times, masses, slopes = [], [], []
+    for t, vals in march(L, _BANDS, f0.values.copy(), f0.time, t_end, cfg.effective_dt(grid),
+                         cfg.startup_steps, cfg.sample_every, operator):
+        f = Field(grid, vals, t)
+        times.append(t)
+        masses.append(mass(f))
+        slopes.append(boundary_slope(f))
+    return f, ObservableSeries(times, masses, slopes)
 
 
 def flux_identity_residual(s: ObservableSeries) -> float:

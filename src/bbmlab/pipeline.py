@@ -9,11 +9,11 @@ overrides (values or text) coerced to the type of each key's default, then
 validated; a bad value raises ConfigError naming its key.
 
 Pipelines: 'solve' (physical frame), 'selfsim' (handoff to the self-similar
-frame), 'specfun' (series / profile tables), 'mc' (many-to-one validation),
-'fit' (rate fits on the selfsim series), and the preset 'reproduce-theorem'
-(selfsim + fits for cbar in {0, 3 sqrt(pi), 10} plus the prefactor check).
-The last three run each self-similar run through resolved_run and write its
-Richardson error estimates to a 'resolution' block of summary.json.
+frame, with its rate fits), 'specfun' (series / profile tables), 'mc'
+(many-to-one validation), and the preset 'reproduce-theorem' (selfsim + fits
+for cbar in {0, 3 sqrt(pi), 10} plus the prefactor check).  The last two run
+each self-similar run through resolved_run and write its Richardson error
+estimates to a 'resolution' block of summary.json.
 """
 
 from __future__ import annotations
@@ -303,13 +303,12 @@ _SERIES_Z_MAX = 300.0
 
 
 def specfun_row(z: float, alpha: float, cbar: float) -> dict:
-    """z, F2, H, their e^{-z}-scaled mantissas (None above _SERIES_Z_MAX), G and g."""
+    """z, F2, H, their e^{-z}-scaled forms (None above _SERIES_Z_MAX), G and g."""
     G = G_explicit(z, alpha, cbar)
     row = {"z": z, "F2": None, "H": None, "F2_scaled": None, "H_scaled": None,
            "G": G, "g": math.exp(-z / 2.0) * G}
     if z <= _SERIES_Z_MAX:
-        row.update(F2=F2(z), H=H(z), F2_scaled=F2_scaled(z).mantissa,
-                   H_scaled=H_scaled(z).mantissa)
+        row.update(F2=F2(z), H=H(z), F2_scaled=F2_scaled(z), H_scaled=H_scaled(z))
     return row
 
 
@@ -338,12 +337,6 @@ def _pipe_mc(cfg, out: Path):
     path = out / "mc_result.json"
     path.write_text(json.dumps(result, indent=2))
     return [path], {"mc": result}
-
-
-def _pipe_fit(cfg, out: Path):
-    _, _, report, errors = resolved_run(cfg["cbar"], cfg)
-    return [], {"fit": report,
-                "resolution": _resolution_block(cfg, {f"{cfg['cbar']:.6g}": errors})}
 
 
 def _pipe_reproduce_theorem(cfg, out: Path):
@@ -379,7 +372,6 @@ _PIPELINES = {
     "selfsim": _pipe_selfsim,
     "specfun": _pipe_specfun,
     "mc": _pipe_mc,
-    "fit": _pipe_fit,
     "reproduce-theorem": _pipe_reproduce_theorem,
 }
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import CBAR_CRITICAL
-from .oscillator import KERNEL_NORM, WTrajectory, eigenfunction
+from .oscillator import KERNEL_NORM, WTrajectory, eigenfunction, trapezoid_weights
 from .pde import ObservableSeries
 from .specfun import g1_coefficient
 
@@ -119,9 +119,7 @@ def estimate_alpha0(data, method: str = "spectral_projection",
         if tau_f < 6.0:
             raise ValueError("spectral projection wants tau >= 6")
         e0 = eigenfunction(0, data.y)
-        dy = float(data.y[1] - data.y[0])
-        w = np.full_like(data.y, dy)
-        w[0] = w[-1] = dy / 2.0
+        w = trapezoid_weights(data.y.size, float(data.y[1] - data.y[0]))
         gamma1 = g1_coefficient(1.0, cb)
 
         def alpha_at(i):

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
-from .oscillator import SpectralBasis
+from .oscillator import SpectralBasis, trapezoid_weights
 
 #: G0 is summed from the series for z <= _Z0 and continued in closed form above
 _Z0 = 5.0
@@ -71,17 +70,6 @@ DEFAULT_ACCURACY = SeriesAccuracy()
 
 class SeriesDiverged(RuntimeError):
     """max_terms hit before the truncation criterion (diagnostic, not expected)."""
-
-
-class ScaledValue(NamedTuple):
-    """Pair (value * e^{-z}, z) representing an exponentially large value."""
-
-    mantissa: float
-    z: float
-
-    @property
-    def value(self) -> float:
-        return self.mantissa * math.exp(self.z)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +124,10 @@ def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     return 0.0 if z == 0.0 else _sum_series(_f2_terms(z, 1.0), acc, "F2")
 
 
-def F2_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> ScaledValue:
-    """F2(z) e^{-z} as a ScaledValue; SeriesDiverged where the series fails (z >~ 351)."""
+def F2_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+    """F2(z) e^{-z}, summed scaled; SeriesDiverged where the series fails (z >~ 351)."""
     _check_z(z)
-    return ScaledValue(_sum_series(_f2_terms(z, _scale(z, "F2_scaled")), acc, "F2_scaled"), z)
+    return _sum_series(_f2_terms(z, _scale(z, "F2_scaled")), acc, "F2_scaled")
 
 
 def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
@@ -148,11 +136,11 @@ def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z, 1.0), acc, "H")
 
 
-def H_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> ScaledValue:
-    """H(z) e^{-z} as a ScaledValue; SeriesDiverged where the series fails (z >~ 351)."""
+def H_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+    """H(z) e^{-z}, summed scaled; SeriesDiverged where the series fails (z >~ 351)."""
     _check_z(z)
     terms = _h_terms(z, _scale(z, "H_scaled"))
-    return ScaledValue(-0.25 * math.sqrt(z) * _sum_series(terms, acc, "H_scaled"), z)
+    return -0.25 * math.sqrt(z) * _sum_series(terms, acc, "H_scaled")
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +250,7 @@ def solve_g_spectral(alpha: float, cbar: float, basis: SpectralBasis,
     y_big = 4.0 * math.sqrt(n_modes + 0.75) + 12.0
     nq = int(round(y_big / dyq))
     yq = np.linspace(0.0, nq * dyq, nq + 1)
-    wq = np.full_like(yq, dyq)
-    wq[0] = wq[-1] = dyq / 2.0
-    Fq = forcing_F(alpha, cbar, yq) * wq
+    Fq = forcing_F(alpha, cbar, yq) * trapezoid_weights(yq.size, dyq)
 
     uq = yq / 2.0
     uo = basis.y / 2.0

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from bbmlab.drift import CBAR_CRITICAL
-from bbmlab.oscillator import SpectralBasis, default_y_grid
+from bbmlab.oscillator import SpectralBasis, default_y_grid, trapezoid_weights
 from bbmlab.pipeline import rate_report, selfsimilar_run
 
 
@@ -13,10 +12,7 @@ def y_grid():
 
 @pytest.fixture(scope="session")
 def weights(y_grid):
-    dy = y_grid[1] - y_grid[0]
-    w = np.full_like(y_grid, dy)
-    w[0] = w[-1] = dy / 2.0
-    return w
+    return trapezoid_weights(y_grid.size, y_grid[1] - y_grid[0])
 
 
 @pytest.fixture(scope="session")

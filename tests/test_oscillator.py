@@ -9,7 +9,7 @@ from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField,
                                eigenfunction, eigenvalue, evolve_W,
                                from_selfsimilar, initial_mode_overlap,
                                observables_from_trajectory, quadratic_form_Q,
-                               slope_correspondence, to_selfsimilar)
+                               slope_correspondence, to_selfsimilar, trapezoid_weights)
 from bbmlab.pde import (Field, SolverConfig, SpatialGrid, boundary_slope,
                         evolve, initial_condition, mass)
 
@@ -19,13 +19,6 @@ DY = 0.01
 
 def l2(w, f):
     return math.sqrt(np.sum(w * f * f))
-
-
-def trapezoid_weights(y):
-    dy = y[1] - y[0]
-    w = np.full_like(y, dy)
-    w[0] = w[-1] = dy / 2.0
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +190,7 @@ def test_eigen_residual_refines():
     errs = []
     for dy in (0.02, 0.01):
         y = default_y_grid(25.0, dy)
-        w = np.full_like(y, dy)
-        w[0] = w[-1] = dy / 2
+        w = trapezoid_weights(y.size, dy)
         e4 = eigenfunction(4, y)
         errs.append(l2(w, apply_M(e4, dy) - 4 * e4))
     assert errs[0] / errs[1] > 3.9   # 4th-order stencil refines at least this fast
@@ -287,7 +279,7 @@ def test_projection_convergence_rate(run_critical):
     # <W(tau), e_0> settles at rate e^{-tau/2}
     traj, _, _ = run_critical
     e0 = eigenfunction(0, traj.y)
-    P = traj.states @ (trapezoid_weights(traj.y) * e0)
+    P = traj.states @ (trapezoid_weights(traj.y.size, traj.y[1] - traj.y[0]) * e0)
     taus = traj.taus
     i_ref = len(taus) - 1
     sel = (taus >= 2.0) & (taus <= 8.0)
@@ -315,9 +307,7 @@ def test_two_route_consistency():
     f20, _ = evolve(f1, 20.0, cfg, d)
     W_phys = to_selfsimilar(f20).values
 
-    dy = 0.01
-    w = np.full_like(W_ss, dy)
-    w[0] = w[-1] = dy / 2
+    w = trapezoid_weights(W_ss.size, 0.01)
     diff = l2(w, W_ss - W_phys)
     norm = l2(w, W_phys)
     # absolute L2 agreement; the relative bound guards against a vacuous pass
@@ -388,3 +378,15 @@ def test_startup_steps_end_at_tau_end_once(startup_steps):
     assert np.all(np.diff(traj.taus) > 0.0)
     assert traj.taus[-1] == 10.0
     assert len(observables_from_trajectory(traj)) == len(traj)
+
+
+def test_startup_stops_at_tau_end():
+    # a march shorter than its startup ends at tau_end after half steps
+    # clipped there, with the stepped state as its last sample
+    y = default_y_grid(dy=0.1)
+    W0 = SelfSimilarField(math.log(2.0), y, y * np.exp(-y * y / 8.0))
+    tau_end = math.log(2.0) + 0.01
+    traj = evolve_W(W0, tau_end, DriftExpansion(10.0), dtau=0.01, sample_every=1,
+                    startup_steps=4)
+    assert traj.taus[-1] == pytest.approx(tau_end, abs=1e-14)
+    assert not np.array_equal(traj.final().values, W0.values)

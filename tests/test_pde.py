@@ -8,7 +8,7 @@ from bbmlab.drift import CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_spe
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
-                        initial_condition, mass, step, theta_step, write_series_csv)
+                        initial_condition, march, mass, theta_step, write_series_csv)
 
 CB = CBAR_CRITICAL
 
@@ -55,18 +55,18 @@ def test_field_invariants(grid):
 def test_zero_is_fixed_point(grid):
     f = Field(grid, np.zeros(grid.nx + 1))
     d = DriftExpansion(CB)
-    cfg = SolverConfig(dt=0.01)
+    cfg = SolverConfig(dt=0.01, startup_steps=0)
     for _ in range(5):
-        f = step(f, cfg, d)
+        f, _ = evolve(f, f.time + cfg.dt, cfg, d)     # one Crank-Nicolson step
     assert np.all(f.values == 0.0)
 
 
 def test_dirichlet_stays_zero(grid):
     f = initial_condition("indicator", grid)
     d = DriftExpansion(CB)
-    cfg = SolverConfig(dt=0.01)
+    cfg = SolverConfig(dt=0.01, startup_steps=0)
     for _ in range(10):
-        f = step(f, cfg, d)
+        f, _ = evolve(f, f.time + cfg.dt, cfg, d)     # one Crank-Nicolson step
         assert f.values[0] == 0.0 and f.values[-1] == 0.0
 
 
@@ -344,3 +344,44 @@ def test_evolve_matches_per_step_factorization_bit_for_bit(d):
     np.testing.assert_array_equal(series.times, times)
     np.testing.assert_array_equal(series.mass, masses)
     np.testing.assert_array_equal(series.slope0, slopes)
+
+
+def _march_decay(t_end, dt, startup_steps, sample_every):
+    """march of v' = -v on 5 nodes from t = 0: (samples, operator calls)."""
+    L = banded((1, 1), 5, {0: -1.0})
+    calls = []
+
+    def operator(t_half, startup):
+        calls.append((t_half, startup))
+        return 0
+    v0 = np.array([0.0, 1.0, 2.0, 3.0, 0.0])
+    return list(march(L, (1, 1), v0, 0.0, t_end, dt, startup_steps, sample_every, operator)), calls
+
+
+def test_march_sample_schedule():
+    # two half steps to 0.1, nine steps of 0.1 and a short last one to 1.05:
+    # samples at the start, after the startup, every third step and at t_end
+    samples, calls = _march_decay(1.05, 0.1, 2, 3)
+    times = [t for t, _ in samples]
+    np.testing.assert_allclose(times, [0.0, 0.1, 0.4, 0.7, 1.0, 1.05], atol=1e-12)
+    assert [s for _, s in calls] == [True] * 2 + [False] * 10
+    np.testing.assert_allclose([t for t, _ in calls],
+                               [0.025, 0.075] + [0.15 + 0.1 * k for k in range(9)] + [1.025],
+                               atol=1e-12)
+    # implicit Euler scales by 1/(1 + h), Crank-Nicolson by (1 - h/2)/(1 + h/2)
+    gain = (1.0 / 1.05) ** 2 * (0.95 / 1.05) ** 9 * (0.975 / 1.025)
+    np.testing.assert_allclose(samples[-1][1], gain * np.array([0.0, 1.0, 2.0, 3.0, 0.0]),
+                               rtol=1e-13)
+    # without a startup there is no sample before the first regular one
+    times = [t for t, _ in _march_decay(0.5, 0.1, 0, 2)[0]]
+    np.testing.assert_allclose(times, [0.0, 0.2, 0.4, 0.5], atol=1e-12)
+
+
+def test_march_startup_stops_at_t_end():
+    # the second half step is cut to end at t_end, and no Crank-Nicolson step follows
+    samples, calls = _march_decay(0.07, 0.1, 4, 1)
+    np.testing.assert_allclose([t for t, _ in samples], [0.0, 0.07], atol=1e-15)
+    np.testing.assert_allclose([t for t, _ in calls], [0.025, 0.06], atol=1e-15)
+    assert all(s for _, s in calls)
+    np.testing.assert_allclose(samples[-1][1], np.array([0.0, 1.0, 2.0, 3.0, 0.0]) / (1.05 * 1.02),
+                               rtol=1e-14)

@@ -343,10 +343,11 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     (["mc", "--seed", "-1"], "mc.seed"),
     (["--seed", "x", "solve"], "mc.seed"),
     (["solve", "--cbar", "nan"], "cbar"),
+    (["fit"], "'fit'"),   # selfsim writes the rate fits: no fit subcommand
 ], ids=["specfun_cbar_nan", "specfun_alpha_inf", "specfun_z_nan", "specfun_y_inf",
         "specfun_z_negative", "specfun_y_overflows", "mc_replicas_0", "mc_x0_negative", "mc_dt_0",
         "mc_drift_nan", "mc_empty_payoff_support", "mc_replicas_float", "mc_seed_negative",
-        "seed_text", "solve_cbar_nan"])
+        "seed_text", "solve_cbar_nan", "no_fit_subcommand"])
 def test_cli_bad_arguments_exit_2(capsys, argv, named):
     try:
         rc = cli_main(argv)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
-from bbmlab.oscillator import SpectralBasis
+from bbmlab.oscillator import SpectralBasis, trapezoid_weights
 from bbmlab.specfun import (F2, F2_scaled, H, H_scaled,
                             G_explicit, SeriesAccuracy, SeriesDiverged,
                             _tail_integrand, forcing_F, g1_coefficient, g_profile,
@@ -63,8 +63,8 @@ def test_F2_hypergeometric_oracle():
 
 def test_asymptotic_ratios():
     zs = [10.0, 20.0, 30.0, 40.0, 50.0]
-    rf = [F2_scaled(z).mantissa * z**1.5 / SQRT_PI for z in zs]
-    rh = [-4.0 * H_scaled(z).mantissa * z**1.5 for z in zs]
+    rf = [F2_scaled(z) * z**1.5 / SQRT_PI for z in zs]
+    rh = [-4.0 * H_scaled(z) * z**1.5 for z in zs]
     assert abs(rf[-1] - 1.0) <= 0.10
     assert abs(rh[-1] - 1.0) <= 0.10
     assert all(a > b for a, b in zip(rf, rf[1:]))   # monotone approach from above
@@ -73,10 +73,10 @@ def test_asymptotic_ratios():
 
 def test_scaled_consistency():
     for z in (5.0, 20.0):
-        assert F2_scaled(z).value == pytest.approx(F2(z), rel=1e-12)
-        assert H_scaled(z).value == pytest.approx(H(z), rel=1e-12)
+        assert F2_scaled(z) * math.exp(z) == pytest.approx(F2(z), rel=1e-12)
+        assert H_scaled(z) * math.exp(z) == pytest.approx(H(z), rel=1e-12)
     big = F2_scaled(156.0)
-    assert math.isfinite(big.mantissa) and big.mantissa > 0
+    assert math.isfinite(big) and big > 0
 
 
 @pytest.mark.parametrize("z", [400.0, 746.0, 800.0])
@@ -90,8 +90,8 @@ def test_scaled_series_raise_where_they_fail(z):
 
 
 def test_scaled_series_at_zero():
-    assert F2_scaled(0.0).mantissa == 0.0
-    assert H_scaled(0.0).mantissa == 0.0
+    assert F2_scaled(0.0) == 0.0
+    assert H_scaled(0.0) == 0.0
 
 
 def test_series_accuracy_validation():
@@ -237,8 +237,7 @@ def test_g_membership_in_X(y_grid):
         n = int(round(25.0 / dy))
         y = np.linspace(0.0, 25.0, n + 1)
         g = g_profile(1.0, CB, y).values
-        w = np.full_like(y, dy)
-        w[0] = w[-1] = dy / 2
+        w = trapezoid_weights(y.size, dy)
         gp = np.gradient(g, dy)
         vals[dy] = float(np.sum(w * (gp * gp + (1 + y * y) * g * g)))
     assert math.isfinite(vals[0.01])
