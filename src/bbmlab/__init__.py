@@ -9,8 +9,8 @@ from .oscillator import (Decomposition, LossOfSupport, SelfSimilarField, Spectra
                          WTrajectory, apply_M, decompose, default_y_grid, eigenfunction,
                          eigenvalue, evolve_W, from_selfsimilar, observables_from_trajectory,
                          quadratic_form_Q, slope_correspondence, to_selfsimilar)
-from .specfun import (F2, F2_scaled, GProfile, H, H_scaled, SeriesAccuracy, G_explicit,
-                      g1_coefficient, g_profile, g_slope0, solve_g_spectral)
+from .specfun import (F2, GProfile, H, SeriesAccuracy, G_explicit, g1_coefficient, g_profile,
+                      g_slope0, solve_g_spectral)
 from .mc import McConfig, PopulationCapExceeded, estimate, survival_probability
 from .rates import Alpha0Estimate, RateFit, estimate_alpha0, fit_rate, fit_remainder_decay, prefactor_check
 from .pipeline import (ConfigError, parse_config, rate_report, resolved_run, run_experiment,

@@ -22,11 +22,14 @@ repeats it with sympy).  Two consequences used throughout:
 
 Eigenfunctions on the half-line with a Dirichlet condition at 0 are the odd
 Hermite modes e_n(y) = H_{2n+1}(y/2) e^{-y^2/8} / sqrt(2^{2n+1} (2n+1)! sqrt(pi)),
-with eigenvalue exactly n.
+with eigenvalue exactly n.  Every mode comes from one recurrence, the
+generator hermite_rows.  The discrete M_h is assembled in one place,
+_operator_parts: evolve_W steps with it and apply_M applies it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .drift import DriftExpansion, selfsimilar_forcing
-from .pde import Field, NumericalFailure, ObservableSeries, SpatialGrid, banded, march
+from .pde import Field, NumericalFailure, ObservableSeries, SpatialGrid, _matvec, banded, march
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -77,19 +80,17 @@ def default_y_grid(y_max: float = 25.0, dy: float = 0.01) -> np.ndarray:
     return np.linspace(0.0, n * dy, n + 1)
 
 
-def hermite_functions(u: np.ndarray, k_max: int) -> np.ndarray:
-    """Full-line orthonormal Hermite functions h_0..h_k_max at nodes u.
+def hermite_rows(u: np.ndarray):
+    """Full-line orthonormal Hermite functions h_0, h_1, ... at nodes u, one row at a time.
 
     h_k(u) = H_k(u) e^{-u^2/2} / sqrt(2^k k! sqrt(pi)), generated by the
-    weight-inside recurrence, which is overflow-free for any k.
+    weight-inside recurrence, which is overflow-free for any k.  The generator
+    is endless and keeps two rows.
     """
-    h = np.zeros((k_max + 1, u.size))
-    h[0] = np.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if k_max >= 1:
-        h[1] = math.sqrt(2.0) * u * h[0]
-    for k in range(1, k_max):
-        h[k + 1] = math.sqrt(2.0 / (k + 1)) * u * h[k] - math.sqrt(k / (k + 1)) * h[k - 1]
-    return h
+    h_prev, h = 0.0, np.pi ** -0.25 * np.exp(-0.5 * u * u)
+    for k in itertools.count():
+        yield h
+        h_prev, h = h, math.sqrt(2.0 / (k + 1)) * u * h - math.sqrt(k / (k + 1)) * h_prev
 
 
 def eigenfunction(n: int, y: np.ndarray) -> np.ndarray:
@@ -97,7 +98,7 @@ def eigenfunction(n: int, y: np.ndarray) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     y = np.asarray(y, dtype=float)
-    return hermite_functions(y / 2.0, 2 * n + 1)[2 * n + 1]
+    return next(itertools.islice(hermite_rows(y / 2.0), 2 * n + 1, None))
 
 
 def eigenvalue(n: int) -> float:
@@ -125,7 +126,8 @@ class SpectralBasis:
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         self.weights = trapezoid_weights(self.y.size, self.y[1] - self.y[0])
-        self.modes = hermite_functions(self.y / 2.0, 2 * self.n_modes - 1)[1::2]
+        rows = itertools.islice(hermite_rows(self.y / 2.0), 1, 2 * self.n_modes, 2)
+        self.modes = np.array(list(rows))
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <values, e_n> for n < n_modes."""
@@ -133,12 +135,6 @@ class SpectralBasis:
 
     def gram(self) -> np.ndarray:
         return (self.modes * self.weights) @ self.modes.T
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(np.sum(self.weights * f * g))
-
-    def norm(self, f: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(f, f), 0.0))
 
 
 @dataclass
@@ -159,25 +155,42 @@ def _potential(y: np.ndarray) -> np.ndarray:
     return y * y / 16.0 - 0.75
 
 
-def apply_M(phi: np.ndarray, dy: float) -> np.ndarray:
-    """Discrete M phi for phi vanishing at both ends.
+#: band layout of the self-similar operators: two bands on each side
+_BANDS = (2, 2)
 
-    Fourth-order 5-point Laplacian on the interior, 3-point at the nodes next
-    to the boundary (where the wider stencil would leave the grid).
+
+def _operator_parts(y: np.ndarray, dy: float):
+    """(L0, L1) = (-M_h, D1 - y/4) in banded form on the grid y of spacing dy.
+
+    Fourth-order 5-point stencils for d^2/dy^2 and d/dy inside, 3-point ones
+    on the nodes next to the ends (where the wider stencil would leave the
+    grid); the end rows are zero, the Dirichlet condition.
+    """
+    n = y.size
+    edge = np.isin(np.arange(n), (1, n - 2))
+
+    def stencil(inner, near):
+        return {k: np.where(edge, b, a) for k, a, b in zip(range(-2, 3), inner, near)}
+
+    lap = stencil(np.array([-1, 16, -30, 16, -1]) * (1.0 / (12 * dy * dy)),
+                  np.array([0, 1, -2, 1, 0]) / (dy * dy))
+    d1 = stencil(np.array([1, -8, 0, 8, -1]) / (12 * dy), np.array([0, -1, 0, 1, 0]) / (2 * dy))
+    lap[0] = lap[0] - _potential(y)
+    d1[0] = d1[0] - y / 4.0
+    return banded(_BANDS, n, lap), banded(_BANDS, n, d1)
+
+
+def apply_M(phi: np.ndarray, dy: float) -> np.ndarray:
+    """M_h phi for phi vanishing at both ends: the operator evolve_W steps with.
+
+    M_h = -L0 of _operator_parts; the result is zero at both ends.
     """
     phi = np.asarray(phi, dtype=float)
     scale = np.abs(phi).max()
     if scale > 0 and max(abs(phi[0]), abs(phi[-1])) > 1e-8 * scale:
         raise ValueError("phi must vanish at both ends")
-    n = phi.size
-    y = np.arange(n) * dy
-    out = np.zeros_like(phi)
-    out[2:-2] = -(-phi[:-4] + 16 * phi[1:-3] - 30 * phi[2:-2] + 16 * phi[3:-1] - phi[4:]) / (12 * dy * dy)
-    out[1] = -(phi[0] - 2 * phi[1] + phi[2]) / (dy * dy)
-    out[-2] = -(phi[-3] - 2 * phi[-2] + phi[-1]) / (dy * dy)
-    out += _potential(y) * phi
-    out[0] = out[-1] = 0.0
-    return out
+    L0, _ = _operator_parts(np.arange(phi.size) * dy, dy)
+    return -_matvec(L0, _BANDS, phi)
 
 
 def _derivative(phi: np.ndarray, dy: float) -> np.ndarray:
@@ -190,8 +203,8 @@ def _derivative(phi: np.ndarray, dy: float) -> np.ndarray:
     d[2] = (phi[0] - 8 * phi[1] + 8 * phi[3] - phi[4]) / (12 * dy)
     d[-3] = (phi[-5] - 8 * phi[-4] + 8 * phi[-2] - phi[-1]) / (12 * dy)
     d[-2] = (3 * phi[-1] + 10 * phi[-2] - 18 * phi[-3] + 6 * phi[-4] - phi[-5]) / (12 * dy)
-    d[0] = (-25 * phi[0] + 48 * phi[1] - 36 * phi[2] + 16 * phi[3] - 3 * phi[4]) / (12 * dy)
-    d[-1] = (25 * phi[-1] - 48 * phi[-2] + 36 * phi[-3] - 16 * phi[-4] + 3 * phi[-5]) / (12 * dy)
+    d[0] = slope_at_origin(phi, dy)
+    d[-1] = -slope_at_origin(phi[::-1], dy)
     return d
 
 
@@ -301,43 +314,27 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     """Crank-Nicolson march of the forced oscillator equation on the y grid.
 
     The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
-    L1 = D1 - y/4.  The parts are assembled once per run in banded form; every
+    L1 = D1 - y/4.  _operator_parts assembles them once per run in banded form; every
     step of pde.march combines them in place in one band buffer, with the
     forcing coefficients at the half step.  d=None switches the forcing off
     entirely (the kernel mode is then stationary).  The samples are those of
     pde.march: the initial state, the state after the startup_steps
     implicit-Euler half steps, every sample_every-th step and the final state.
     """
-    y = W0.y
-    dy = W0.dy
-    n = y.size
-
-    # offsets -2..2: 5-point stencils inside, 3-point on the rows next to the ends
-    edge = np.isin(np.arange(n), (1, n - 2))
-
-    def stencil(inner, near):
-        return {k: np.where(edge, b, a) for k, a, b in zip(range(-2, 3), inner, near)}
-
-    lap = stencil(np.array([-1, 16, -30, 16, -1]) * (1.0 / (12 * dy * dy)),
-                  np.array([0, 1, -2, 1, 0]) / (dy * dy))
-    d1 = stencil(np.array([1, -8, 0, 8, -1]) / (12 * dy), np.array([0, -1, 0, 1, 0]) / (2 * dy))
-    lap[0] = lap[0] - _potential(y)
-    d1[0] = d1[0] - y / 4.0
-    lu = (2, 2)
-    L0, L1 = banded(lu, n, lap), banded(lu, n, d1)
+    L0, L1 = _operator_parts(W0.y, W0.dy)
     L = np.empty_like(L0)
 
     def operator(tau_half, startup):
         a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau_half, d)
         np.multiply(L1, a, out=L)
         np.add(L, L0, out=L)
-        L[sum(lu), 1:-1] += b       # b I, whose end rows are zero like every part's
+        L[sum(_BANDS), 1:-1] += b       # b I, whose end rows are zero like every part's
         return a, b
 
-    taus, states = zip(*march(L, lu, W0.values, W0.tau, tau_end, dtau, startup_steps,
+    taus, states = zip(*march(L, _BANDS, W0.values, W0.tau, tau_end, dtau, startup_steps,
                               sample_every, operator))
     cb = d.cbar if d is not None else None
-    return WTrajectory(y, np.array(taus), np.array(states), cb)
+    return WTrajectory(W0.y, np.array(taus), np.array(states), cb)
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +401,15 @@ def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid | None = No
     return ObservableSeries(times, masses, np.array(slopes))
 
 
-def write_trajectory_csv(path, traj: WTrajectory, basis: SpectralBasis,
-                         alpha: float, g_values: np.ndarray):
+def write_trajectory_csv(path, traj: WTrajectory, alpha: float, g_values: np.ndarray):
     """CSV per trajectory: tau, coef_e0..coef_e7, W_slope0, R_norm, R_slope0."""
-    n_coef = min(8, basis.n_modes)
-    header = ["tau"] + [f"coef_e{n}" for n in range(n_coef)] + ["W_slope0", "R_norm", "R_slope0"]
+    basis = SpectralBasis(traj.y, 8)
+    header = ["tau", *(f"coef_e{n}" for n in range(8)), "W_slope0", "R_norm", "R_slope0"]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(len(traj)):
             Wf = traj.field(i)
-            coefs = basis.project(Wf.values)[:n_coef]
             dec = decompose(Wf, alpha, g_values)
-            row = [Wf.tau, *coefs, slope_correspondence(Wf), dec.r_norm, dec.r_slope0]
+            row = [Wf.tau, *basis.project(Wf.values), slope_correspondence(Wf),
+                   dec.r_norm, dec.r_slope0]
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

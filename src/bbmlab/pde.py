@@ -244,10 +244,14 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
     startup, every sample_every-th Crank-Nicolson step and the state at t_end.
     operator(t_half, startup) writes the step's operator, at the half step of
     an implicit-Euler (startup true) or Crank-Nicolson step, into the buffer
-    L and returns its theta_step key; the march owns the StepFactors.
+    L and returns its theta_step key; the march owns the StepFactors.  It
+    raises ValueError unless sample_every >= 1 and startup_steps >= 0.
     """
     if t_end < t - 1e-14:
         raise ValueError(f"t_end = {t_end!r} is before the start time {t!r}")
+    if sample_every < 1 or startup_steps < 0:
+        raise ValueError(f"need sample_every >= 1 and startup_steps >= 0, got "
+                         f"{sample_every!r} and {startup_steps!r}")
     factors = StepFactors(L)    # of the last step matrix, reused while it repeats
     t0 = t
     yield t, values

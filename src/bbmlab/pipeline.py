@@ -28,13 +28,12 @@ from pathlib import Path
 from . import __version__
 from .drift import CBAR_CRITICAL, DriftExpansion
 from .mc import McConfig, estimate
-from .oscillator import (SpectralBasis, WTrajectory, default_y_grid, evolve_W,
-                         initial_mode_overlap, observables_from_trajectory,
-                         to_selfsimilar, write_trajectory_csv)
+from .oscillator import (WTrajectory, default_y_grid, evolve_W, initial_mode_overlap,
+                         observables_from_trajectory, to_selfsimilar, write_trajectory_csv)
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve,
                   initial_condition, write_series_csv)
 from .rates import _is_critical, estimate_alpha0, fit_rate, prefactor_check
-from .specfun import F2, F2_scaled, G_explicit, H, H_scaled, g_profile, g_slope0
+from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
 
 class ConfigError(ValueError):
@@ -52,7 +51,6 @@ _DEFAULTS = {
     "y_max": 25.0,
     "dy": 0.05,       # chosen by the refinement study in docs/resolution_study.md
     "dtau": 0.01,
-    "n_modes": 12,
     "v0.kind": "indicator",
     "v0.a": 1.0,
     "v0.b": 2.0,
@@ -124,7 +122,7 @@ def _validate_config(cfg: dict):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     for key, low in (("t_handoff", 0), ("y_max", 20), ("mc.t_end", 0), ("mc.replicas", 1),
-                     ("mc.seed", 0), ("n_modes", 1)):
+                     ("mc.seed", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
     for length, step in (("x_max", "dx"), ("y_max", "dy")):
@@ -247,7 +245,7 @@ def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
             fits.append({"cbar": cbar, "observable": observable, "model": "log_over_t",
                          "alpha0_source": "spectral_projection",
                          **_fit_dict(fit_rate(series, alpha0, "log_over_t", window, observable))})
-    pref = prefactor_check(series, alpha0, cbar, window)
+    pref = prefactor_check(series, alpha0, window)
     return {
         "cbar": cbar,
         "alpha0": alpha0,
@@ -287,28 +285,28 @@ def _pipe_selfsim(cfg, out: Path):
     traj, series, report, errors = resolved_run(cbar, cfg)
     alpha0 = report["alpha0"]
     gp = g_profile(alpha0, cbar, traj.y)
-    basis = SpectralBasis(traj.y, max(8, int(cfg["n_modes"])))
     p1 = out / f"selfsim_series_cbar{cbar:.6g}.csv"
     write_series_csv(p1, series)
     p2 = out / f"trajectory_cbar{cbar:.6g}.csv"
-    write_trajectory_csv(p2, traj, basis, alpha0, gp.values)
+    write_trajectory_csv(p2, traj, alpha0, gp.values)
     return [p1, p2], {"selfsim": report,
                       "resolution": _resolution_block(cfg, {f"{cbar:.6g}": errors})}
 
 
-#: largest z at which a specfun row carries F2, H and their scaled forms: their
-#: series converge within the default 500 terms up to z of about 351 (G and g
-#: use the closed-form tail at every z)
+#: largest z at which a specfun row carries F2, H and their scaled forms: the
+#: series converge within the default 500 terms up to z of about 351, and
+#: F2(z) e^{-z} stays finite there (G and g use the closed-form tail at every z)
 _SERIES_Z_MAX = 300.0
 
 
 def specfun_row(z: float, alpha: float, cbar: float) -> dict:
-    """z, F2, H, their e^{-z}-scaled forms (None above _SERIES_Z_MAX), G and g."""
+    """z, F2, H, F2(z) e^{-z} and H(z) e^{-z} (None above _SERIES_Z_MAX), G and g."""
     G = G_explicit(z, alpha, cbar)
     row = {"z": z, "F2": None, "H": None, "F2_scaled": None, "H_scaled": None,
            "G": G, "g": math.exp(-z / 2.0) * G}
     if z <= _SERIES_Z_MAX:
-        row.update(F2=F2(z), H=H(z), F2_scaled=F2_scaled(z), H_scaled=H_scaled(z))
+        f2, h = F2(z), H(z)
+        row.update(F2=f2, H=h, F2_scaled=f2 * math.exp(-z), H_scaled=h * math.exp(-z))
     return row
 
 

@@ -170,7 +170,7 @@ def fit_rate(series: ObservableSeries, alpha0: float, model: str = "power",
                    (float(t.min()), float(t.max())), len(t))
 
 
-def prefactor_check(series: ObservableSeries, alpha0: float, cbar: float,
+def prefactor_check(series: ObservableSeries, alpha0: float,
                     window: tuple | None = None) -> float:
     """Limit estimate of sqrt(1+t) (v_x(0,t) - alpha_0).
 

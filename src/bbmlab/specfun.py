@@ -9,7 +9,8 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
        G0(z) = 3 z - (3/2) F2(z) - 6 sqrt(pi) H(z),
        g(y) = e^{-z/2} G(z),
 
-   where F2 and H are the power series below.  G satisfies
+   where F2 and H are the power series below, each summed one way (their
+   e^{-z}-scaled forms are F2(z) e^{-z} and H(z) e^{-z}).  G satisfies
    z G'' - (z - 1/2) G' + G = -alpha (3 z - cbar sqrt(z) - 3/2); cbar enters
    only through the exact particular solution 2 cbar sqrt(z), so G0 does not
    depend on cbar.  F2 and H both grow like z^{-3/2} e^z, with leading
@@ -24,9 +25,10 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
    with w0 = (G0(z0) - 3 z0)/(z0 - 1/2) from the series (derivation in
    docs/g_profile_tail.md).
 
-2. solve_g_spectral: project the equation on the Hermite eigenbasis.  The
-   kernel coefficient is forced by projecting on e_0 (g1 = -2 <F, e_0>); all
-   other coefficients follow from the diagonal inverse 1/(n - 1/2).
+2. solve_g_spectral: project the equation on the Hermite eigenbasis, whose
+   modes come from oscillator.hermite_rows.  The kernel coefficient is
+   forced by projecting on e_0 (g1 = -2 <F, e_0>); all other coefficients
+   follow from the diagonal inverse 1/(n - 1/2).
 
 The slope at the origin is alpha (cbar - 3 sqrt(pi)), read off the sqrt(z)
 coefficient of G; it vanishes exactly at the critical cbar.
@@ -34,6 +36,7 @@ coefficient of G; it vanishes exactly at the critical cbar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +44,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
-from .oscillator import SpectralBasis, trapezoid_weights
+from .oscillator import SpectralBasis, hermite_rows, trapezoid_weights
 
 #: G0 is summed from the series for z <= _Z0 and continued in closed form above
 _Z0 = 5.0
@@ -75,9 +78,9 @@ class SeriesDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # the two series
 
-def _f2_terms(z, scale):
-    """Generator of the F2 terms starting at n=2, each multiplied by scale."""
-    term = scale * SQRT_PI * z * z / (2 * math.gamma(2.5))
+def _f2_terms(z):
+    """Generator of the F2 terms starting at n=2."""
+    term = SQRT_PI * z * z / (2 * math.gamma(2.5))
     n = 2
     while True:
         yield term
@@ -85,9 +88,9 @@ def _f2_terms(z, scale):
         n += 1
 
 
-def _h_terms(z, scale):
-    """Generator of the bracket terms of H starting at n=0, each multiplied by scale."""
-    term = -4.0 * scale  # Gamma(-1/2)/Gamma(3/2)
+def _h_terms(z):
+    """Generator of the bracket terms of H starting at n=0."""
+    term = -4.0  # Gamma(-1/2)/Gamma(3/2)
     n = 0
     while True:
         yield term
@@ -110,37 +113,16 @@ def _check_z(z):
         raise ValueError("z must be >= 0")
 
 
-def _scale(z, what):
-    """e^{-z}, the first-term scale of a scaled series; SeriesDiverged once it underflows."""
-    scale = math.exp(-z)
-    if scale == 0.0:
-        raise SeriesDiverged(f"{what}: e^-z underflows float64 at z = {z!r}")
-    return scale
-
-
 def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """sqrt(pi) sum_{n>=2} z^n / (n (n-1) Gamma(n+1/2)), z >= 0."""
     _check_z(z)
-    return 0.0 if z == 0.0 else _sum_series(_f2_terms(z, 1.0), acc, "F2")
-
-
-def F2_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """F2(z) e^{-z}, summed scaled; SeriesDiverged where the series fails (z >~ 351)."""
-    _check_z(z)
-    return _sum_series(_f2_terms(z, _scale(z, "F2_scaled")), acc, "F2_scaled")
+    return 0.0 if z == 0.0 else _sum_series(_f2_terms(z), acc, "F2")
 
 
 def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """-(sqrt(z)/4) sum_{n>=0} z^n Gamma(n-1/2) / (n! Gamma(n+3/2)), z >= 0."""
     _check_z(z)
-    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z, 1.0), acc, "H")
-
-
-def H_scaled(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """H(z) e^{-z}, summed scaled; SeriesDiverged where the series fails (z >~ 351)."""
-    _check_z(z)
-    terms = _h_terms(z, _scale(z, "H_scaled"))
-    return -0.25 * math.sqrt(z) * _sum_series(terms, acc, "H_scaled")
+    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z), acc, "H")
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +234,11 @@ def solve_g_spectral(alpha: float, cbar: float, basis: SpectralBasis,
     yq = np.linspace(0.0, nq * dyq, nq + 1)
     Fq = forcing_F(alpha, cbar, yq) * trapezoid_weights(yq.size, dyq)
 
-    uq = yq / 2.0
-    uo = basis.y / 2.0
-    # rolling two-term recurrence over full-line Hermite functions, odd k only
-    hq_km1 = np.pi ** -0.25 * np.exp(-0.5 * uq * uq)
-    hq_k = math.sqrt(2.0) * uq * hq_km1
-    ho_km1 = np.pi ** -0.25 * np.exp(-0.5 * uo * uo)
-    ho_k = math.sqrt(2.0) * uo * ho_km1
+    # coefficient n pairs the odd rows h_{2n+1} on the two grids
     g = np.zeros_like(basis.y)
-    k = 1
-    while (k - 1) // 2 < n_modes:
-        if k % 2 == 1:
-            n = (k - 1) // 2
-            a_n = float(Fq @ hq_k)
-            c_n = -2.0 * a_n if n == 0 else a_n / (n - 0.5)
-            g += c_n * ho_k
-        hq_km1, hq_k = hq_k, math.sqrt(2.0 / (k + 1)) * uq * hq_k - math.sqrt(k / (k + 1)) * hq_km1
-        ho_km1, ho_k = ho_k, math.sqrt(2.0 / (k + 1)) * uo * ho_k - math.sqrt(k / (k + 1)) * ho_km1
-        k += 1
+    rows = zip(hermite_rows(yq / 2.0), hermite_rows(basis.y / 2.0))
+    for n, (hq, ho) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
+        a_n = float(Fq @ hq)
+        c_n = -2.0 * a_n if n == 0 else a_n / (n - 0.5)
+        g += c_n * ho
     return g

@@ -19,8 +19,7 @@ from bbmlab.oscillator import (apply_M, decompose, eigenfunction,
 from bbmlab.pde import (SolverConfig, SpatialGrid, evolve, flux_identity_residual,
                         initial_condition)
 from bbmlab.rates import fit_remainder_decay
-from bbmlab.specfun import (F2_scaled, H_scaled, g_profile, g_slope0,
-                            solve_g_spectral)
+from bbmlab.specfun import F2, H, g_profile, g_slope0, solve_g_spectral
 
 CB = CBAR_CRITICAL
 
@@ -107,8 +106,8 @@ def test_criterion_4_g_slope_and_routes(y_grid, weights, basis12, report):
 
 def test_criterion_5_series_asymptotics(report):
     zs = [10.0, 20.0, 30.0, 40.0, 50.0]
-    rf = [F2_scaled(z) * z**1.5 / math.sqrt(math.pi) for z in zs]
-    rh = [-4.0 * H_scaled(z) * z**1.5 for z in zs]
+    rf = [F2(z) * math.exp(-z) * z**1.5 / math.sqrt(math.pi) for z in zs]
+    rh = [-4.0 * H(z) * math.exp(-z) * z**1.5 for z in zs]
     ok = (abs(rf[-1] - 1) <= 0.10 and abs(rh[-1] - 1) <= 0.10
           and all(a > b for a, b in zip(rf, rf[1:]))
           and all(a > b for a, b in zip(rh, rh[1:])))

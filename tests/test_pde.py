@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from bbmlab.drift import CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed
+from bbmlab.oscillator import evolve_W, to_selfsimilar
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
@@ -385,3 +386,17 @@ def test_march_startup_stops_at_t_end():
     assert all(s for _, s in calls)
     np.testing.assert_allclose(samples[-1][1], np.array([0.0, 1.0, 2.0, 3.0, 0.0]) / (1.05 * 1.02),
                                rtol=1e-14)
+
+
+@pytest.mark.parametrize("frame", ["physical", "selfsimilar"])
+@pytest.mark.parametrize("bad", [{"sample_every": 0}, {"startup_steps": -1}],
+                         ids=["sample_every_0", "startup_steps_negative"])
+def test_march_rejects_bad_schedule(frame, bad):
+    # both frames reach march, which rejects the schedule before any step
+    f0 = initial_condition("indicator", SpatialGrid(60.0, 600))
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        if frame == "physical":
+            evolve(f0, 1.0, SolverConfig(dt=0.05, **bad), DriftExpansion(1.0))
+        else:
+            schedule = {"sample_every": 1, "startup_steps": 0, **bad}
+            evolve_W(to_selfsimilar(f0), 0.1, DriftExpansion(1.0), dtau=0.01, **schedule)

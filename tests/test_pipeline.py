@@ -29,13 +29,13 @@ def test_parse_config_values():
 cbar = 0.0
 dx = 0.02          # inline comment
 v0.kind = smooth_bump
-n_modes = 16
+mc.replicas = 16
 fit.window = 5,9
 """)
     assert cfg["cbar"] == 0.0
     assert cfg["dx"] == 0.02
     assert cfg["v0.kind"] == "smooth_bump"
-    assert cfg["n_modes"] == 16
+    assert cfg["mc.replicas"] == 16
     assert cfg["fit.window"] == (5.0, 9.0)
 
 
@@ -50,12 +50,13 @@ def test_parse_config_bad_line():
 
 
 def test_make_config_coerces_values_and_text():
-    cfg = make_config({"n_modes": "16", "cbar": 0, "fit.window": (5, 9), "mc.seed": " 3 "})
-    assert cfg["n_modes"] == 16 and cfg["cbar"] == 0.0 and cfg["mc.seed"] == 3
+    cfg = make_config({"mc.replicas": "16", "cbar": 0, "fit.window": (5, 9), "mc.seed": " 3 "})
+    assert cfg["mc.replicas"] == 16 and cfg["cbar"] == 0.0 and cfg["mc.seed"] == 3
     assert cfg["fit.window"] == (5.0, 9.0)
     assert all(type(v) is type(_DEFAULTS[k]) for k, v in cfg.items())
-    assert make_config({"dx": 0.02}, base=cfg)["n_modes"] == 16
-    for overrides, named in [({"n_modes": 2.5}, "n_modes"), ({"mc.replicas": "1e5"}, "mc.replicas"),
+    assert make_config({"dx": 0.02}, base=cfg)["mc.replicas"] == 16
+    for overrides, named in [({"mc.replicas": 2.5}, "mc.replicas"),
+                             ({"mc.replicas": "1e5"}, "mc.replicas"),
                              ({"fit.window": "5"}, "fit.window"), ({"dx": None}, "dx"),
                              ({"x_max": 10**400}, "x_max"), ({"dx": 5e-324}, "dx")]:
         with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
@@ -77,7 +78,7 @@ _LINE = st.one_of(
 @given(st.lists(_LINE, max_size=8).map("\n".join))
 @example("dx = 5e-324")
 @example("x_max = 1e308\ndx = 1e-308")
-@example("n_modes = " + "9" * 5000)
+@example("mc.replicas = " + "9" * 5000)
 @example("fit.window = 1,2,3")
 def test_parse_config_any_text_is_valid_or_config_error(text):
     try:
@@ -105,7 +106,6 @@ def _valid_overrides(draw):
         "dt": draw(positive), "t_end": draw(positive), "t_handoff": draw(fraction),
         "tau_end": tau_end, "dtau": draw(positive),
         "fit.window": (tau_end * lo, tau_end * hi),
-        "n_modes": draw(st.integers(1, 10**6)),
         "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
         "v0.a": a, "v0.b": a + x_max * (0.1 + 0.4 * draw(fraction)),
         "mc.drift": draw(st.floats(-1e3, 1e3)), "mc.x0": draw(positive),
@@ -312,10 +312,11 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("dx = abc\ndx = 0.02", "dx"),
     (None, "bad.cfg"),
     (b"cbar = 1\n# \xff\xfe\n", "bad.cfg"),
+    ("n_modes = 12", "n_modes"),   # not a key: the trajectory CSV always has 8 modes
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
         "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice",
-        "missing_file", "not_utf8"])
+        "missing_file", "not_utf8", "n_modes_unknown"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist
     if isinstance(text, bytes):

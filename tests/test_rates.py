@@ -103,7 +103,7 @@ def test_prefactor_check_synthetic():
     tau = np.log1p(t)
     slope = 1.5 + P / np.sqrt(1 + t) + 0.4 * tau * np.exp(-tau)
     s = ObservableSeries(t, slope.copy(), slope)
-    est = prefactor_check(s, 1.5, 0.0)
+    est = prefactor_check(s, 1.5)
     assert est == pytest.approx(P, rel=0.02)
 
 

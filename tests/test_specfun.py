@@ -6,8 +6,7 @@ from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
 from bbmlab.oscillator import SpectralBasis, trapezoid_weights
-from bbmlab.specfun import (F2, F2_scaled, H, H_scaled,
-                            G_explicit, SeriesAccuracy, SeriesDiverged,
+from bbmlab.specfun import (F2, H, G_explicit, SeriesAccuracy, SeriesDiverged,
                             _tail_integrand, forcing_F, g1_coefficient, g_profile,
                             g_slope0, kernel_projection_of_F, solve_g_spectral)
 
@@ -63,35 +62,12 @@ def test_F2_hypergeometric_oracle():
 
 def test_asymptotic_ratios():
     zs = [10.0, 20.0, 30.0, 40.0, 50.0]
-    rf = [F2_scaled(z) * z**1.5 / SQRT_PI for z in zs]
-    rh = [-4.0 * H_scaled(z) * z**1.5 for z in zs]
+    rf = [F2(z) * math.exp(-z) * z**1.5 / SQRT_PI for z in zs]
+    rh = [-4.0 * H(z) * math.exp(-z) * z**1.5 for z in zs]
     assert abs(rf[-1] - 1.0) <= 0.10
     assert abs(rh[-1] - 1.0) <= 0.10
     assert all(a > b for a, b in zip(rf, rf[1:]))   # monotone approach from above
     assert all(a > b for a, b in zip(rh, rh[1:]))
-
-
-def test_scaled_consistency():
-    for z in (5.0, 20.0):
-        assert F2_scaled(z) * math.exp(z) == pytest.approx(F2(z), rel=1e-12)
-        assert H_scaled(z) * math.exp(z) == pytest.approx(H(z), rel=1e-12)
-    big = F2_scaled(156.0)
-    assert math.isfinite(big) and big > 0
-
-
-@pytest.mark.parametrize("z", [400.0, 746.0, 800.0])
-def test_scaled_series_raise_where_they_fail(z):
-    # beyond z of about 351 the series do not converge within 500 terms, and
-    # from about 746 on e^{-z} underflows to 0: both raise instead of giving 0
-    with pytest.raises(SeriesDiverged):
-        F2_scaled(z)
-    with pytest.raises(SeriesDiverged):
-        H_scaled(z)
-
-
-def test_scaled_series_at_zero():
-    assert F2_scaled(0.0) == 0.0
-    assert H_scaled(0.0) == 0.0
 
 
 def test_series_accuracy_validation():
