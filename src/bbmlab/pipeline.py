@@ -13,7 +13,9 @@ frame, with its rate fits), 'specfun' (series / profile tables), 'mc'
 (many-to-one validation), and the preset 'reproduce-theorem' (selfsim + fits
 for cbar in {0, 3 sqrt(pi), 10} plus the prefactor check).  The last two run
 each self-similar run through resolved_run and write its Richardson error
-estimates to a 'resolution' block of summary.json.
+estimates to a 'resolution' block of summary.json.  Every pipeline that
+writes an observable series also records its flux-identity residual there,
+and the manifest records the environment the run used.
 """
 
 from __future__ import annotations
@@ -22,15 +24,20 @@ import hashlib
 import json
 import math
 import operator
+import os
+import platform
 import time
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import __version__
 from .drift import CBAR_CRITICAL, DriftExpansion
 from .mc import McConfig, estimate
 from .oscillator import (WTrajectory, default_y_grid, evolve_W, initial_mode_overlap,
                          observables_from_trajectory, to_selfsimilar, write_trajectory_csv)
-from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve,
+from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve, flux_identity_residual,
                   initial_condition, write_series_csv)
 from .rates import _is_critical, estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
@@ -215,6 +222,13 @@ def _resolution_block(cfg: dict, errors: dict) -> dict:
             "error": errors}
 
 
+def _flux_block(kind: str, series: dict) -> dict:
+    """summary.json's max interior flux-identity residual of each series written
+    as {kind}_..._cbar{key}.csv, keyed by cbar (null below three samples)."""
+    return {"flux_identity_residual": {kind: {
+        key: flux_identity_residual(s) if len(s) >= 3 else None for key, s in series.items()}}}
+
+
 def _tau_window_to_t(window):
     return (math.expm1(window[0]), math.expm1(window[1]))
 
@@ -277,7 +291,8 @@ def _pipe_solve(cfg, out: Path):
     path = out / f"physical_cbar{cfg['cbar']:.6g}.csv"
     write_series_csv(path, series)
     ov = initial_mode_overlap(f0)
-    return [path], {"initial_overlap": {"weighted": ov[0], "plain": ov[1]}}
+    return [path], {"initial_overlap": {"weighted": ov[0], "plain": ov[1]},
+                    **_flux_block("physical", {f"{cfg['cbar']:.6g}": series})}
 
 
 def _pipe_selfsim(cfg, out: Path):
@@ -290,7 +305,8 @@ def _pipe_selfsim(cfg, out: Path):
     p2 = out / f"trajectory_cbar{cbar:.6g}.csv"
     write_trajectory_csv(p2, traj, alpha0, gp.values)
     return [p1, p2], {"selfsim": report,
-                      "resolution": _resolution_block(cfg, {f"{cbar:.6g}": errors})}
+                      "resolution": _resolution_block(cfg, {f"{cbar:.6g}": errors}),
+                      **_flux_block("selfsim", {f"{cbar:.6g}": series})}
 
 
 #: largest z at which a specfun row carries F2, H and their scaled forms: the
@@ -340,6 +356,7 @@ def _pipe_mc(cfg, out: Path):
 def _pipe_reproduce_theorem(cfg, out: Path):
     reports = []
     errors = {}
+    written = {}
     files = []
     for cbar in (0.0, CBAR_CRITICAL, 10.0):
         _, series, report, errors[f"{cbar:.6g}"] = resolved_run(cbar, cfg)
@@ -347,6 +364,7 @@ def _pipe_reproduce_theorem(cfg, out: Path):
         write_series_csv(p, series)
         files.append(p)
         reports.append(report)
+        written[f"{cbar:.6g}"] = series
     table = out / "rate_table.csv"
     with open(table, "w") as fh:
         fh.write("cbar,observable,model,exponent,prefactor,r2\n")
@@ -361,6 +379,7 @@ def _pipe_reproduce_theorem(cfg, out: Path):
         "fits": [f for r in reports for f in r["fits"]],
         "prefactor_check": {f"{r['cbar']:.6g}": r["prefactor_check"] for r in reports},
         "resolution": _resolution_block(cfg, errors),
+        **_flux_block("selfsim", written),
     }
     return files, summary
 
@@ -372,6 +391,28 @@ _PIPELINES = {
     "mc": _pipe_mc,
     "reproduce-theorem": _pipe_reproduce_theorem,
 }
+
+
+def _merge(into: dict, extra: dict):
+    """Merge extra into into, recursing where both hold a dict under one key."""
+    for key, value in extra.items():
+        if isinstance(value, dict) and isinstance(into.get(key), dict):
+            _merge(into[key], value)
+        else:
+            into[key] = value
+
+
+def _environment() -> dict:
+    """The interpreter, library versions and host a run used.
+
+    The platform is system-release-machine from platform.uname(): platform.platform()
+    would also ask a `uname -p` subprocess for the processor.
+    """
+    host = platform.uname()
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "platform": f"{host.system}-{host.release}-{host.machine}",
+            "cpu_count": os.cpu_count()}
 
 
 def _sha256(path: Path) -> str:
@@ -399,13 +440,14 @@ def run_experiment(config, out_dir, pipelines=()):
         files, extra = _PIPELINES[name](cfg, out)
         timings[name] = time.perf_counter() - t0
         outputs.extend(files)
-        summary.update(extra)
+        _merge(summary, extra)
     if summary:
         spath = out / "summary.json"
         spath.write_text(json.dumps(summary, indent=2, default=float))
         outputs.append(spath)
     manifest = {
         "version": __version__,
+        "environment": _environment(),
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
         "pipelines": list(pipelines),
         "wall_clock_seconds": timings,

@@ -28,7 +28,12 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
 2. solve_g_spectral: project the equation on the Hermite eigenbasis, whose
    modes come from oscillator.hermite_rows.  The kernel coefficient is
    forced by projecting on e_0 (g1 = -2 <F, e_0>); all other coefficients
-   follow from the diagonal inverse 1/(n - 1/2).
+   follow from the diagonal inverse 1/(n - 1/2).  The cbar part of F is a
+   multiple of e_0, so its solution is the closed form alpha cbar y e^{-y^2/8}
+   and only the cbar-free sum g0 is projected, once per grid and mode count
+   (memoised); alpha and cbar then enter as g = alpha (g0 + cbar y e^{-y^2/8}).
+   The projections use a trapezoid grid that ends where e^{-y^2/8}
+   underflows to 0 (y ~ 77.2).
 
 The slope at the origin is alpha (cbar - 3 sqrt(pi)), read off the sqrt(z)
 coefficient of G; it vanishes exactly at the critical cbar.
@@ -36,6 +41,7 @@ coefficient of G; it vanishes exactly at the critical cbar.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,6 +119,12 @@ def _check_z(z):
         raise ValueError("z must be >= 0")
 
 
+def _check_finite(**params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """sqrt(pi) sum_{n>=2} z^n / (n (n-1) Gamma(n+1/2)), z >= 0."""
     _check_z(z)
@@ -163,6 +175,7 @@ def G_explicit(z: float, alpha: float, cbar: float,
                acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """G(z) = alpha [2 cbar sqrt(z) + G0(z)], G0 = 3 z - (3/2) F2(z) - 6 sqrt(pi) H(z)."""
     _check_z(z)
+    _check_finite(alpha=alpha, cbar=cbar)
     return alpha * (2.0 * cbar * math.sqrt(z) + float(_G0(np.array([float(z)]), acc)[0]))
 
 
@@ -185,6 +198,7 @@ class GProfile:
 def g_profile(alpha: float, cbar: float, y: np.ndarray,
               acc: SeriesAccuracy = DEFAULT_ACCURACY) -> GProfile:
     """g(y) = e^{-y^2/8} G(y^2/4) on the grid, slope at 0 taken analytically."""
+    _check_finite(alpha=alpha, cbar=cbar)
     y = np.asarray(y, dtype=float)
     z = y * y / 4.0
     values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _G0(z, acc))
@@ -214,31 +228,60 @@ def g1_coefficient(alpha: float, cbar: float) -> float:
     return -2.0 * kernel_projection_of_F(alpha, cbar)
 
 
+#: node spacing of the grid the forcing is projected on
+_DYQ = 0.01
+
+
+def _weighted_forcing():
+    """(yq, w F0) for the projections: the cbar-free forcing at alpha = 1,
+    F0 = e^{-y^2/8} ((3/4) y^2 - 3/2), times its trapezoid weights.
+
+    yq has spacing _DYQ and ends at the last node where w F0 is nonzero:
+    e^{-y^2/8} underflows to exactly 0 in float64 once y^2/8 > 745.2
+    (y ~ 77.2), and nodes past that add nothing to any projection.
+    """
+    yq = _DYQ * np.arange(math.ceil(math.sqrt(8.0 * 746.0) / _DYQ) + 1)
+    wF = forcing_F(1.0, 0.0, yq) * trapezoid_weights(yq.size, _DYQ)
+    keep = np.flatnonzero(wF)[-1] + 1
+    return yq[:keep], wF[:keep]
+
+
+@functools.lru_cache(maxsize=8)
+def _g0_spectral(y_bytes: bytes, n_modes: int) -> np.ndarray:
+    """Read-only Galerkin sum g0 of the cbar-free forcing F0 on the float64 grid y_bytes.
+
+    Coefficients: c_0 = -2 <F0, e_0> (kernel projection), c_n = <F0, e_n>/(n - 1/2)
+    for n >= 1 (the diagonal inverse; coercive since n - 1/2 >= 1/2).
+    """
+    y = np.frombuffer(y_bytes)
+    yq, wF = _weighted_forcing()
+    # coefficient n pairs the odd rows h_{2n+1} on the two grids
+    g0 = np.zeros_like(y)
+    rows = zip(hermite_rows(yq / 2.0), hermite_rows(y / 2.0))
+    for n, (hq, h) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
+        a_n = float(wF @ hq)
+        g0 += (-2.0 * a_n if n == 0 else a_n / (n - 0.5)) * h
+    g0.flags.writeable = False
+    return g0
+
+
 def solve_g_spectral(alpha: float, cbar: float, basis: SpectralBasis,
                      n_modes: int = 1024) -> np.ndarray:
     """Galerkin solution of (M - 1/2) g = F, returned on the basis grid.
 
-    Coefficients: c_0 = -2 <F, e_0> (kernel projection), c_n = <F, e_n>/(n - 1/2)
-    for n >= 1 (the diagonal inverse; coercive since n - 1/2 >= 1/2).  The
-    projections are taken on an internal quadrature grid wide enough to hold
-    the highest mode's turning point, then the sum is evaluated on basis.y.
+    F splits as alpha F0 - (alpha cbar / 2) y e^{-y^2/8}, and y e^{-y^2/8} is
+    sqrt(2 sqrt(pi)) e_0 exactly, so the cbar part projects on e_0 alone and its
+    Galerkin solution is alpha cbar y e^{-y^2/8} (the series route's
+    2 cbar sqrt(z) in y).  Hence g = alpha (g0 + cbar y e^{-y^2/8}), where g0,
+    the sum for F0, depends only on basis.y and n_modes and is computed once
+    per pair (_g0_spectral).  Its projections are trapezoid sums on a grid
+    that ends where F0 underflows to exactly 0 (_weighted_forcing); the high
+    modes reach past that point, but against a zero forcing they add nothing.
     The forcing has a nonzero value at the origin, so the odd-mode
     coefficients decay like n^{-7/4}; n_modes ~ 1000 gives ~1e-4 in L2.
     """
+    _check_finite(alpha=alpha, cbar=cbar)
     if n_modes < 40:
         raise ValueError("need n_modes >= 40")
-
-    dyq = 0.01
-    y_big = 4.0 * math.sqrt(n_modes + 0.75) + 12.0
-    nq = int(round(y_big / dyq))
-    yq = np.linspace(0.0, nq * dyq, nq + 1)
-    Fq = forcing_F(alpha, cbar, yq) * trapezoid_weights(yq.size, dyq)
-
-    # coefficient n pairs the odd rows h_{2n+1} on the two grids
-    g = np.zeros_like(basis.y)
-    rows = zip(hermite_rows(yq / 2.0), hermite_rows(basis.y / 2.0))
-    for n, (hq, ho) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
-        a_n = float(Fq @ hq)
-        c_n = -2.0 * a_n if n == 0 else a_n / (n - 0.5)
-        g += c_n * ho
-    return g
+    y = basis.y
+    return alpha * (_g0_spectral(y.tobytes(), n_modes) + cbar * y * np.exp(-y * y / 8.0))

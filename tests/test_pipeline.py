@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +163,38 @@ def test_manifest_hashes_outputs(tmp_path):
         assert actual == digest
 
 
+def test_manifest_records_environment(tmp_path):
+    out = run_experiment(None, tmp_path / "o", [])
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    host = platform.uname()
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "scipy": scipy.__version__,
+                   "platform": f"{host.system}-{host.release}-{host.machine}",
+                   "cpu_count": os.cpu_count()}
+
+
+def _max_interior_flux_residual(path):
+    residual = np.loadtxt(path, delimiter=",", skiprows=1)[:, 3]
+    return float(np.max(np.abs(residual[1:-1])))
+
+
+def test_summary_records_flux_residual_of_each_series(tmp_path):
+    # solve and selfsim in one run: both series are recorded, merged under one key
+    cfg = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "dt": 0.02, "tau_end": 6.0,
+           "fit.window": (3.0, 6.0)}
+    out = run_experiment(cfg, tmp_path / "o", ["solve", "selfsim"])
+    flux = json.loads((out / "summary.json").read_text())["flux_identity_residual"]
+    assert flux == {
+        "physical": {"1.5": _max_interior_flux_residual(out / "physical_cbar1.5.csv")},
+        "selfsim": {"1.5": _max_interior_flux_residual(out / "selfsim_series_cbar1.5.csv")},
+    }
+    assert 0.0 < flux["physical"]["1.5"] < 1.0 and 0.0 < flux["selfsim"]["1.5"] < 1.0
+    # a solve that ends inside its startup writes two samples: no interior residual
+    out = run_experiment({"t_end": 0.01, "dx": 0.02}, tmp_path / "short", ["solve"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["flux_identity_residual"] == {"physical": {"5.31736": None}}
+
+
 def test_solve_pipeline_writes_series(tmp_path):
     out = run_experiment({"t_end": 1.0, "dx": 0.02, "dt": 0.02}, tmp_path / "o", ["solve"])
     files = list(out.glob("physical_cbar*.csv"))
@@ -170,10 +205,15 @@ def test_solve_pipeline_writes_series(tmp_path):
     assert summary["initial_overlap"]["weighted"] == pytest.approx(math.e**2, abs=1e-2)
 
 
-def test_reproduce_theorem_summary_has_resolution_block(tmp_path):
-    out = run_experiment(None, tmp_path / "o", ["reproduce-theorem"])
-    summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"alpha0", "alpha0_methods", "fits", "prefactor_check", "resolution"}
+@pytest.fixture(scope="module")
+def theorem_dir(tmp_path_factory):
+    return run_experiment(None, tmp_path_factory.mktemp("thm"), ["reproduce-theorem"])
+
+
+def test_reproduce_theorem_summary_has_resolution_block(theorem_dir):
+    summary = json.loads((theorem_dir / "summary.json").read_text())
+    assert set(summary) == {"alpha0", "alpha0_methods", "fits", "prefactor_check", "resolution",
+                            "flux_identity_residual"}
     res = summary["resolution"]
     assert (res["dy"], res["dtau"]) == (0.05, 0.01)
     assert res["partner"] == {"dy": 0.1, "dtau": 0.02}
@@ -185,6 +225,14 @@ def test_reproduce_theorem_summary_has_resolution_block(tmp_path):
         assert all(0.0 < v < 0.01 for v in values), (key, err)
         # the samples the fits use are SAMPLE_DTAU apart in tau over fit.window = (6, 10)
         assert all(f["n_samples"] == round(4.0 / SAMPLE_DTAU) + 1 for f in fits)
+
+
+def test_reproduce_theorem_summary_has_flux_residuals(theorem_dir):
+    summary = json.loads((theorem_dir / "summary.json").read_text())
+    flux = summary["flux_identity_residual"]["selfsim"]
+    assert set(flux) == set(summary["alpha0"])
+    for key, residual in flux.items():
+        assert residual == _max_interior_flux_residual(theorem_dir / f"selfsim_series_cbar{key}.csv")
 
 
 def test_fine_grid_regression_at_the_critical_cbar():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
-from bbmlab.oscillator import SpectralBasis, trapezoid_weights
-from bbmlab.specfun import (F2, H, G_explicit, SeriesAccuracy, SeriesDiverged,
-                            _tail_integrand, forcing_F, g1_coefficient, g_profile,
-                            g_slope0, kernel_projection_of_F, solve_g_spectral)
+from bbmlab.oscillator import SpectralBasis, default_y_grid, hermite_rows, trapezoid_weights
+from bbmlab.specfun import (F2, H, G_explicit, SeriesAccuracy, SeriesDiverged, _DYQ,
+                            _g0_spectral, _tail_integrand, _weighted_forcing, forcing_F,
+                            g1_coefficient, g_profile, g_slope0, kernel_projection_of_F,
+                            solve_g_spectral)
 
 CB = CBAR_CRITICAL
 
@@ -276,3 +278,90 @@ def test_series_route_equation_residual(y_grid, weights):
     inner = slice(1, -1)
     rn = math.sqrt(np.sum(weights[inner] * r[inner] ** 2))
     assert rn <= 1e-4
+
+
+def _full_grid(n_modes):
+    """The quadrature grid out to the highest mode's turning point plus 12."""
+    y_big = 4.0 * math.sqrt(n_modes + 0.75) + 12.0
+    nq = int(round(y_big / _DYQ))
+    return np.linspace(0.0, nq * _DYQ, nq + 1)
+
+
+def _galerkin_oracle(params, y, n_modes):
+    """Galerkin solutions of (M - 1/2) g = F for each (alpha, cbar) in params, with
+    the whole forcing projected on the turning-point grid (no split, no cut)."""
+    yq = _full_grid(n_modes)
+    wF = np.array([forcing_F(a, c, yq) for a, c in params]) * trapezoid_weights(yq.size, _DYQ)
+    g = np.zeros((len(params), y.size))
+    rows = zip(hermite_rows(yq / 2.0), hermite_rows(y / 2.0))
+    for n, (hq, h) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
+        a_n = wF @ hq
+        g += np.outer(-2.0 * a_n if n == 0 else a_n / (n - 0.5), h)
+    return g
+
+
+@pytest.mark.parametrize("n_modes", [40, 1024])
+@pytest.mark.parametrize("dy", [0.01, 0.05])
+def test_spectral_split_matches_full_forcing_galerkin(dy, n_modes):
+    y = default_y_grid(25.0, dy)
+    basis = SpectralBasis(y, 12)
+    params = [(alpha, cbar) for cbar in (0.0, 1.0, CB, 10.0) for alpha in (0.5, 1.3)]
+    for (alpha, cbar), want in zip(params, _galerkin_oracle(params, y, n_modes)):
+        got = solve_g_spectral(alpha, cbar, basis, n_modes)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (alpha, cbar)
+
+
+def test_spectral_projections_unchanged_by_the_grid_cut():
+    yq, wF = _weighted_forcing()
+    assert wF[-1] != 0.0 and forcing_F(1.0, 0.0, yq[-1] + _DYQ) == 0.0
+    full = _full_grid(1024)
+    assert full[-1] > yq[-1] and np.array_equal(full[:yq.size], yq)
+    wF_full = forcing_F(1.0, 0.0, full) * trapezoid_weights(full.size, _DYQ)
+    cut_rows = itertools.islice(hermite_rows(yq / 2.0), 1, 2048, 2)
+    full_rows = itertools.islice(hermite_rows(full / 2.0), 1, 2048, 2)
+    a_cut = np.array([wF @ h for h in cut_rows])
+    a_full = np.array([wF_full @ h for h in full_rows])
+    np.testing.assert_array_equal(a_cut, a_full)
+
+
+def test_spectral_result_is_a_fresh_array(basis12):
+    first = solve_g_spectral(1.3, CB, basis12, 40)
+    want = first.copy()
+    first[:] = 123.0
+    np.testing.assert_array_equal(solve_g_spectral(1.3, CB, basis12, 40), want)
+    cached = _g0_spectral(basis12.y.tobytes(), 40)
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+
+
+def test_spectral_cache_keys_on_grid_and_modes():
+    grids = [default_y_grid(25.0, 0.05), np.linspace(0.0, 20.0, 501), default_y_grid(25.0, 0.1)]
+    keys = [(y, n) for y in grids for n in (40, 41)]
+    fresh = []
+    for y, n in keys:
+        _g0_spectral.cache_clear()
+        fresh.append(solve_g_spectral(1.0, 1.0, SpectralBasis(y, 12), n))
+    _g0_spectral.cache_clear()
+    for (y, n), want in zip(keys, fresh):
+        np.testing.assert_array_equal(solve_g_spectral(1.0, 1.0, SpectralBasis(y, 12), n), want)
+    info = _g0_spectral.cache_info()
+    assert (info.currsize, info.hits) == (len(keys), 0)
+    # an equal grid in another array is the same entry
+    solve_g_spectral(2.0, 0.0, SpectralBasis(grids[0].copy(), 12), 40)
+    assert _g0_spectral.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "cbar"])
+@pytest.mark.parametrize("route", ["G_explicit", "g_profile", "solve_g_spectral"])
+def test_rejects_non_finite_parameters(route, name, value, basis12, y_grid):
+    args = {"alpha": 1.0, "cbar": CB, name: value}
+    _g0_spectral.cache_clear()
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if route == "G_explicit":
+            G_explicit(1.0, args["alpha"], args["cbar"])
+        elif route == "g_profile":
+            g_profile(args["alpha"], args["cbar"], y_grid)
+        else:
+            solve_g_spectral(args["alpha"], args["cbar"], basis12, 40)
+    assert _g0_spectral.cache_info().currsize == 0
