@@ -47,8 +47,14 @@ class ConstantDrift:
             raise ValueError("speed must be finite")
 
 
+def _is_scalar(t) -> bool:
+    """True for a Python (or numpy float64) number, which math evaluates
+    without the cost of 0-d arrays; arrays take the numpy path."""
+    return isinstance(t, (int, float))
+
+
 def _check_nonnegative(t, name):
-    if np.any(np.asarray(t) < 0):
+    if t < 0 if _is_scalar(t) else np.any(np.asarray(t) < 0):
         raise ValueError(f"{name} must be >= 0")
 
 
@@ -66,12 +72,30 @@ def front_position(t, d):
 def front_speed(t, d):
     """dX/dt = 2 - (3/2)(t+1)^{-1} + (cbar/2)(t+1)^{-3/2}, for t >= 0."""
     _check_nonnegative(t, "t")
+    if _is_scalar(t):
+        if isinstance(d, ConstantDrift):
+            return float(d.speed)
+        tp = t + 1.0
+        return 2.0 - 1.5 / tp + 0.5 * d.cbar * tp ** -1.5
     if isinstance(d, ConstantDrift):
         out = np.full_like(np.asarray(t, dtype=float), d.speed)
         return out if out.ndim else float(out)
     tp = np.asarray(t, dtype=float) + 1.0
     out = 2.0 - 1.5 / tp + 0.5 * d.cbar * tp ** -1.5
     return out if out.ndim else float(out)
+
+
+def max_front_speed(d: DriftExpansion) -> float:
+    """sup over t >= 0 of |front_speed(t, d)|, which is max(2, |1 + cbar| / 2).
+
+    With s = (t+1)^{-1/2} in (0, 1], the speed is f(s) = 2 - (3/2) s^2 +
+    (cbar/2) s^3, with end values f(1) = (1 + cbar)/2 at t = 0 and f -> 2 as
+    t -> infinity.  For cbar <= 0, f decreases in s, so it lies between them.
+    For cbar > 0, f'(s) = 3 s (cbar s / 2 - 1) vanishes inside (0, 1) only
+    at s = 2/cbar when cbar > 2, a minimum with f = 2 - 2/cbar^2 > 0.  So |f|
+    never exceeds the larger of 2 and |1 + cbar| / 2.
+    """
+    return max(2.0, abs(1.0 + d.cbar) / 2.0)
 
 
 def selfsimilar_forcing(tau, d: DriftExpansion):
@@ -83,6 +107,9 @@ def selfsimilar_forcing(tau, d: DriftExpansion):
     if isinstance(d, ConstantDrift):
         raise TypeError("constant drifts have no self-similar frame here")
     _check_nonnegative(tau, "tau")
+    if _is_scalar(tau):
+        ehalf = math.exp(-0.5 * tau)
+        return 0.5 * d.cbar * math.exp(-tau) - 1.5 * ehalf, -0.5 * d.cbar * ehalf
     tau = np.asarray(tau, dtype=float)
     ehalf = np.exp(-0.5 * tau)
     a = 0.5 * d.cbar * np.exp(-tau) - 1.5 * ehalf

@@ -324,7 +324,7 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     L0, L1 = _operator_parts(W0.y, W0.dy)
     L = np.empty_like(L0)
 
-    def operator(tau_half, startup):
+    def operator(tau_half):
         a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau_half, d)
         np.multiply(L1, a, out=L)
         np.add(L, L0, out=L)

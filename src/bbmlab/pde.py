@@ -7,11 +7,13 @@ truncation error below round-off.
 
 Scheme: trapezoidal (Crank-Nicolson) in time with the operator evaluated at the
 half step; diffusion by the 3-point Laplacian; the advection term +Xdot v_x by
-a second-order one-sided stencil biased against the leftward transport
-direction.  The resulting system has one lower and two upper bands.  Rough
-initial data (indicators) is handled by a short Rannacher startup: a few
-implicit-Euler half steps with first-order upwinding, which damps the undamped
-Crank-Nicolson modes and preserves positivity.
+the centred 3-point stencil Xdot (v[i+1] - v[i-1]) / (2 dx).  The resulting
+system is tridiagonal.  Rough initial data (indicators) is handled by a short
+Rannacher startup: a few implicit-Euler half steps with the same operator,
+which damp the undamped Crank-Nicolson modes.  The startup preserves
+positivity while the cell Peclet number |Xdot| dx / 2 stays below 1 (then
+I - h L is an M-matrix), and evolve raises ValueError at a step that breaks
+it.
 
 Both frames advance through march, a loop around theta_step, the one banded
 theta-stepper.  march takes the startup half steps and the Crank-Nicolson
@@ -20,11 +22,13 @@ step's operator from fixed parts assembled once per run (here A0 + speed * A1,
 in the self-similar frame L0 + a L1 + b I), combined in place in one band
 buffer, and each step applies one banded mat-vec.  The step matrix
 I - theta h L is factored once per distinct matrix.  The callback names the
-operator by a key, the coefficients it was assembled with (here the speed and
-the stencil, in the self-similar frame a and b).  A step whose key, h and
-theta equal those of the run's stored LU factors (a constant drift, away from
-the startup and the last step) solves with them (dgbtrs); any other step
-factors and solves in one LAPACK call (dgbsv) and keeps the factors.
+operator by a key, the coefficients it was assembled with (here the speed, in
+the self-similar frame a and b).  A step whose key, h and theta equal those of
+the run's stored LU factors (a constant drift, away from the startup and the
+last step) solves with them; any other step factors, solves and keeps the
+factors.  theta_step picks LAPACK's routines by the band layout: the
+tridiagonal ones (dgttrf, dgttrs) for the physical frame's (1, 1), the banded
+ones (dgbsv, dgbtrs) for every other layout, such as the self-similar (2, 2).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrs, dgttrf, dgttrs
 
 from .drift import DriftExpansion, front_speed
 
@@ -192,13 +196,14 @@ class StepFactors:
 
     march keeps one per run for its operator buffer L and hands it to each
     theta_step with a key: the values that fix L among the run's operators,
-    such as the drift speed and the stencil.  A step whose key, h and theta
-    equal the stored ones reuses the factors.
+    such as the drift speed.  A step whose key, h and theta equal the stored
+    ones reuses the factors: the pivots piv with ab, which dgbsv factors in
+    place, or for a tridiagonal L with tri, dgttrf's (dl, d, du, du2).
     """
 
     def __init__(self, L):
-        self.ab = np.empty(L.shape, order="F")  # dgbsv factors I - theta h L here in place
-        self.piv = self.made_for = None
+        self.ab = np.empty(L.shape, order="F")  # I - theta h L in band storage
+        self.tri = self.piv = self.made_for = None
 
 
 def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
@@ -207,13 +212,17 @@ def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     L holds the operator as from banded() and is left unchanged; values vanish
     at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.
     When factors (a StepFactors, fresh if None) hold the LU factors for the
-    same key, h and theta, the step solves with them (dgbtrs); otherwise, or
-    without a key, it factors and solves in one call (dgbsv) and stores the
-    factors.  dgbsv, the call scipy.linalg.solve_banded makes on the same
-    layout, is dgbtrf followed by dgbtrs, so both paths give solve_banded's
-    values bit for bit.  The zero end rows of L make the end rows of the
-    system the identity; pivoting in the solve can still leave round-off
-    there, so the ends are set to exactly 0.
+    same key, h and theta, the step solves with them; otherwise, or without a
+    key, it factors, solves and stores the factors.  A tridiagonal L,
+    lu = (1, 1), factors with dgttrf and solves with dgttrs; any other layout
+    factors and solves in one dgbsv call and reuses the factors with dgbtrs.
+    These are the routines scipy.linalg.solve_banded calls on the same layout
+    (dgtsv at (1, 1), whose elimination is dgttrf's and dgttrs's, and dgbsv,
+    which is dgbtrf then dgbtrs), so every path gives solve_banded's values
+    bit for bit.  A nonzero LAPACK info or a non-finite value raises
+    NumericalFailure.  The zero end rows of L make the end rows of the system
+    the identity; pivoting in the solve can still leave round-off there, so
+    the ends are set to exactly 0.
     """
     l, u = lu
     factors = StepFactors(L) if factors is None else factors
@@ -221,16 +230,26 @@ def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     rhs = values.copy()
     if theta < 1.0:
         rhs += (1.0 - theta) * h * _matvec(L, lu, values)
-    if key is not None and made_for == factors.made_for:
-        out, info = dgbtrs(factors.ab, l, u, rhs, factors.piv, overwrite_b=True)
-    else:
+    reuse = key is not None and made_for == factors.made_for
+    if not reuse:
+        factors.made_for = None
         np.multiply(L, -theta * h, out=factors.ab)
         factors.ab[l + u] += 1.0
+    if lu == (1, 1):
+        failed = 0
+        if not reuse:   # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
+            ab = factors.ab
+            *factors.tri, factors.piv, failed = dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
+        out, info = dgttrs(*factors.tri, factors.piv, rhs, overwrite_b=True)
+        info = failed or info
+    elif reuse:
+        out, info = dgbtrs(factors.ab, l, u, rhs, factors.piv, overwrite_b=True)
+    else:
         _, factors.piv, out, info = dgbsv(l, u, factors.ab, rhs,
                                           overwrite_ab=True, overwrite_b=True)
-        factors.made_for = made_for if info == 0 else None
     if info != 0 or not np.all(np.isfinite(out)):
         raise NumericalFailure(f"singular or non-finite theta step from {t:.6g} to {t + h:.6g}")
+    factors.made_for = made_for
     out[0] = out[-1] = 0.0
     return out
 
@@ -242,10 +261,10 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
     t_end) precede Crank-Nicolson steps of dt, the last one cut short to end
     at t_end.  The samples are the state handed in, the state after the
     startup, every sample_every-th Crank-Nicolson step and the state at t_end.
-    operator(t_half, startup) writes the step's operator, at the half step of
-    an implicit-Euler (startup true) or Crank-Nicolson step, into the buffer
-    L and returns its theta_step key; the march owns the StepFactors.  It
-    raises ValueError unless sample_every >= 1 and startup_steps >= 0.
+    operator(t_half) writes the operator at the half step of each step,
+    implicit-Euler or Crank-Nicolson alike, into the buffer L and returns its
+    theta_step key; the march owns the StepFactors.  It raises ValueError
+    unless sample_every >= 1 and startup_steps >= 0.
     """
     if t_end < t - 1e-14:
         raise ValueError(f"t_end = {t_end!r} is before the start time {t!r}")
@@ -259,41 +278,34 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        values = theta_step(L, lu, values, t, h, 1.0, factors, operator(t + 0.5 * h, True))
+        values = theta_step(L, lu, values, t, h, 1.0, factors, operator(t + 0.5 * h))
         t += h
     if t > t0:
         yield t, values
     k = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        values = theta_step(L, lu, values, t, h, 0.5, factors, operator(t + 0.5 * h, False))
+        values = theta_step(L, lu, values, t, h, 0.5, factors, operator(t + 0.5 * h))
         t += h
         k += 1
         if k % sample_every == 0 or t >= t_end - 1e-12:
             yield t, values
 
 
-#: Band layout of the physical operator: one lower and two upper bands.
-_BANDS = (1, 2)
+#: Band layout of the physical operator: tridiagonal.
+_BANDS = (1, 1)
 
 
 def _operator_parts(grid: SpatialGrid):
-    """(A0, first-order A1, second-order A1) with L = A0 + speed * A1.
+    """(A0, A1) with L = A0 + speed * A1.
 
-    A0 is diffusion plus growth.  A1 is the advection +d/dx per unit speed,
-    one-sided against the leftward transport direction; the second-order
-    stencil falls back to a centred one on the last interior node, which has
-    no i+2 neighbour.
+    A0 is diffusion plus growth, A1 the centred advection +d/dx per unit speed.
     """
     n = grid.nx + 1
     d2 = 1.0 / grid.dx**2
-    a = 1.0 / grid.dx
-    A0 = banded(_BANDS, n, {-1: d2, 0: -2.0 * d2 + 1.0, 1: d2})
-    first = banded(_BANDS, n, {0: -a, 1: a})
-    lo, di, up1, up2 = np.zeros(n), np.full(n, -1.5 * a), np.full(n, 2.0 * a), np.full(n, -0.5 * a)
-    lo[-2], di[-2], up1[-2], up2[-2] = -0.5 * a, 0.0, 0.5 * a, 0.0
-    second = banded(_BANDS, n, {-1: lo, 0: di, 1: up1, 2: up2})
-    return A0, first, second
+    a = 0.5 / grid.dx
+    return (banded(_BANDS, n, {-1: d2, 0: -2.0 * d2 + 1.0, 1: d2}),
+            banded(_BANDS, n, {-1: -a, 1: a}))
 
 
 def mass(f: Field) -> float:
@@ -310,19 +322,29 @@ def boundary_slope(f: Field) -> float:
 def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
     """March f0 to t_end, sampling mass and boundary slope along the way.
 
-    Returns (final field, ObservableSeries) over march's samples.  The startup
-    half steps use first-order upwinding, the Crank-Nicolson steps the
-    second-order stencil, each with the drift speed at the half step.
+    Returns (final field, ObservableSeries) over march's samples.  Every step
+    uses the centred operator A0 + speed * A1 with the drift speed at its half
+    step, rewritten only when the speed changes.  The implicit-Euler startup
+    keeps positivity while |speed| dx < 2, so a step whose speed breaks that
+    raises ValueError; drift.max_front_speed bounds the speed of a whole run.
     """
     grid = f0.grid
-    A0, first, second = _operator_parts(grid)
+    A0, A1 = _operator_parts(grid)
     L = np.empty_like(A0)
+    written = None      # the speed L holds
 
-    def operator(t_half, startup):
+    def operator(t_half):
+        nonlocal written
         speed = front_speed(t_half, d)
-        np.multiply(first if startup else second, speed, out=L)
-        np.add(L, A0, out=L)
-        return speed, startup
+        if speed != written:
+            if abs(speed) * grid.dx >= 2.0:
+                raise ValueError(f"front speed {speed:.6g} at t = {t_half:.6g} with dx = "
+                                 f"{grid.dx:.6g} breaks |speed| dx < 2, the positivity bound "
+                                 f"of the centred startup")
+            np.multiply(A1, speed, out=L)
+            np.add(L, A0, out=L)
+            written = speed
+        return speed
 
     times, masses, slopes = [], [], []
     for t, vals in march(L, _BANDS, f0.values.copy(), f0.time, t_end, cfg.effective_dt(grid),

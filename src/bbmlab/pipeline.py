@@ -33,13 +33,13 @@ import numpy
 import scipy
 
 from . import __version__
-from .drift import CBAR_CRITICAL, DriftExpansion
+from .drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from .mc import McConfig, estimate
 from .oscillator import (WTrajectory, default_y_grid, evolve_W, initial_mode_overlap,
                          observables_from_trajectory, to_selfsimilar, write_trajectory_csv)
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve, flux_identity_residual,
                   initial_condition, write_series_csv)
-from .rates import _is_critical, estimate_alpha0, fit_rate, prefactor_check
+from .rates import SPECTRAL_TAU_MIN, _is_critical, estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
 
@@ -132,10 +132,21 @@ def _validate_config(cfg: dict):
                      ("mc.seed", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
-    for length, step in (("x_max", "dx"), ("y_max", "dy")):
-        cells = cfg[length] / cfg[step]
+    # the Richardson partner of a self-similar run takes the handoff at 2 dx
+    for length, step, h in (("x_max", "2 dx", 2 * cfg["dx"]), ("y_max", "dy", cfg["dy"])):
+        cells = cfg[length] / h
         if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9 * cells:
-            raise ConfigError(f"{step} = {cfg[step]!r} does not divide {length} = {cfg[length]!r}")
+            raise ConfigError(f"{step} = {h!r} does not divide {length} = {cfg[length]!r}")
+    # pde.evolve needs |front speed| dx < 2, the positivity bound of its
+    # centred startup, on every grid it runs: the partner's 2 dx included
+    speed = max_front_speed(DriftExpansion(cfg["cbar"]))
+    if 2 * cfg["dx"] * speed >= 2.0:
+        raise ConfigError(f"cbar = {cfg['cbar']!r} and dx = {cfg['dx']!r} break the positivity "
+                          f"bound |front speed| * 2 dx < 2 of the partner's handoff "
+                          f"(sup |front speed| = {speed:g})")
+    if cfg["tau_end"] < SPECTRAL_TAU_MIN:
+        raise ConfigError(f"tau_end must be >= {SPECTRAL_TAU_MIN:g}, where the spectral "
+                          f"projection reads alpha_0")
     if cfg["v0.kind"] not in ("indicator", "smooth_bump"):
         raise ConfigError(f"unknown v0.kind: {cfg['v0.kind']!r}")
     if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < cfg["x_max"]):
@@ -153,12 +164,13 @@ def _validate_config(cfg: dict):
 SAMPLE_DTAU = 0.02
 
 
-def _handoff(cbar: float, cfg: dict):
-    """(drift, physical field at t_handoff) from v0 under the drift of cbar."""
+def _handoff(cbar: float, cfg: dict, coarsen: int = 1):
+    """(drift, physical field at t_handoff) from v0 under the drift of cbar,
+    solved at (coarsen dx, coarsen dt)."""
     d = DriftExpansion(cbar)
-    grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / cfg["dx"])))
+    grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / (coarsen * cfg["dx"]))))
     f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    f1, _ = evolve(f0, cfg["t_handoff"], SolverConfig(dt=cfg["dt"]), d)
+    f1, _ = evolve(f0, cfg["t_handoff"], SolverConfig(dt=coarsen * cfg["dt"]), d)
     return d, f1
 
 
@@ -189,17 +201,18 @@ def selfsimilar_run(cbar: float, cfg: dict | None = None):
 def resolved_run(cbar: float, cfg: dict | None = None):
     """selfsimilar_run and its rate_report, with a Richardson error estimate.
 
-    A partner run at (2 dy, 2 dtau) starts from the same handoff field, and
-    |A(h) - A(2h)| / 3 estimates the error of each reported number A at the
-    run's own resolution.  The divisor suits the second-order dtau error
-    (Crank-Nicolson); dy enters at fourth order, so where it dominates the
-    estimate errs high.  Returns (trajectory, series, report, errors).
+    A partner run doubles every step: its handoff runs at (2 dx, 2 dt) and
+    its march at (2 dy, 2 dtau).  |A(h) - A(2h)| / 3 estimates the error of
+    each reported number A at the run's own resolution h.  The divisor suits
+    the second-order dx, dt and dtau errors; dy enters at fourth order, so
+    where it dominates the estimate errs high.  Returns (trajectory, series,
+    report, errors).
     """
     cfg = make_config(cfg)
-    d, f1 = _handoff(cbar, cfg)
-    traj, series = _march(d, f1, cfg)
+    traj, series = _march(*_handoff(cbar, cfg), cfg)
     report = rate_report(cbar, traj, series, cfg["fit.window"])
-    partner = rate_report(cbar, *_march(d, f1, cfg, coarsen=2), cfg["fit.window"])
+    partner = rate_report(cbar, *_march(*_handoff(cbar, cfg, coarsen=2), cfg, coarsen=2),
+                          cfg["fit.window"])
 
     def err(a, b):
         return abs(a - b) / 3.0
@@ -216,9 +229,10 @@ def resolved_run(cbar: float, cfg: dict | None = None):
 
 def _resolution_block(cfg: dict, errors: dict) -> dict:
     """summary.json's record of the Richardson estimates, errors keyed by cbar."""
-    return {"dy": cfg["dy"], "dtau": cfg["dtau"],
-            "partner": {"dy": 2 * cfg["dy"], "dtau": 2 * cfg["dtau"]},
-            "estimate": "|A(dy, dtau) - A(2 dy, 2 dtau)| / 3",
+    steps = ("dx", "dt", "dy", "dtau")
+    return {**{k: cfg[k] for k in steps},
+            "partner": {k: 2 * cfg[k] for k in steps},
+            "estimate": "|A(dx, dt, dy, dtau) - A(2 dx, 2 dt, 2 dy, 2 dtau)| / 3",
             "error": errors}
 
 

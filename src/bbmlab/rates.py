@@ -23,6 +23,10 @@ from .specfun import g1_coefficient
 
 _CRITICAL_MATCH_TOL = 1e-9
 
+#: smallest final tau at which estimate_alpha0 reads alpha_0 by spectral
+#: projection, whose uncorrected remainder decays like tau e^{-tau}
+SPECTRAL_TAU_MIN = 6.0
+
 
 def _is_critical(cbar: float) -> bool:
     return abs(cbar - CBAR_CRITICAL) <= _CRITICAL_MATCH_TOL
@@ -116,8 +120,8 @@ def estimate_alpha0(data, method: str = "spectral_projection",
             raise ValueError("cbar unknown: pass it or use a forced trajectory")
         cb = data.cbar if data.cbar is not None else cbar
         tau_f = float(data.taus[-1])
-        if tau_f < 6.0:
-            raise ValueError("spectral projection wants tau >= 6")
+        if tau_f < SPECTRAL_TAU_MIN:
+            raise ValueError(f"spectral projection wants tau >= {SPECTRAL_TAU_MIN:g}")
         e0 = eigenfunction(0, data.y)
         w = trapezoid_weights(data.y.size, float(data.y[1] - data.y[0]))
         gamma1 = g1_coefficient(1.0, cb)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bbmlab.drift import CBAR_CRITICAL
@@ -42,3 +44,16 @@ def run_cbar0():
 @pytest.fixture(scope="session")
 def run_cbar10():
     return _run(10.0)
+
+
+def _killed_density(t, x, y, c):
+    def heat(z):
+        return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    return math.exp(c * (y - x) / 2.0 - c * c * t / 4.0) * (heat(y - x) - heat(y + x))
+
+
+@pytest.fixture(scope="session")
+def killed_density():
+    """f(t, x, y, c): the density at y of variance-2 Brownian motion with
+    drift c from x, killed at 0 (the method of images)."""
+    return _killed_density

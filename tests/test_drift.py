@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab.drift import (CBAR_CRITICAL, DriftExpansion, front_position,
-                          front_speed, selfsimilar_forcing)
+from bbmlab.drift import (CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_position,
+                          front_speed, max_front_speed, selfsimilar_forcing)
 
 CB = CBAR_CRITICAL
 
@@ -76,6 +76,33 @@ def test_forcing_decays_monotonically_beyond_threshold():
     assert np.all(np.diff(np.abs(b)) < 0)
 
 
+def test_scalar_and_array_paths_agree():
+    # a float takes the math path, an array the numpy one
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 61)])
+    for cv in (-3.0, 0.0, 1.0, CB, 10.0, 1000.0):
+        d = DriftExpansion(cv)
+        speeds = front_speed(ts, d)
+        a, b = selfsimilar_forcing(ts, d)
+        for i, t in enumerate(ts.tolist()):
+            assert front_speed(t, d) == pytest.approx(speeds[i], rel=1e-15, abs=0)
+            a_t, b_t = selfsimilar_forcing(t, d)
+            assert a_t == pytest.approx(a[i], rel=1e-15, abs=0)
+            assert b_t == pytest.approx(b[i], rel=1e-15, abs=0)
+    assert front_speed(1.5, ConstantDrift(-2.0)) == -2.0
+    np.testing.assert_array_equal(front_speed(ts, ConstantDrift(-2.0)), np.full(ts.size, -2.0))
+
+
+def test_max_front_speed_bounds_the_speed():
+    ts = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 2001)])
+    for cv in (-20.0, -3.0, -1.0, 0.0, 1.0, 3.0, CB, 10.0, 1000.0):
+        d = DriftExpansion(cv)
+        bound = max_front_speed(d)
+        assert bound == max(2.0, abs(1.0 + cv) / 2.0)
+        speeds = np.abs(front_speed(ts, d))
+        assert speeds.max() <= bound * (1 + 1e-15)
+        assert speeds.max() >= bound * (1 - 1e-4)     # attained at t = 0 or approached as t grows
+
+
 def test_rejects_negative_time():
     d = DriftExpansion(1.0)
     with pytest.raises(ValueError):
@@ -84,6 +111,10 @@ def test_rejects_negative_time():
         front_speed(-1e-9, d)
     with pytest.raises(ValueError):
         selfsimilar_forcing(-2.0, d)
+    with pytest.raises(ValueError):
+        front_speed(np.array([1.0, -1e-9]), d)
+    with pytest.raises(ValueError):
+        selfsimilar_forcing(np.array([-2.0]), d)
 
 
 def test_rejects_non_finite_cbar():

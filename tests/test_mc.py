@@ -15,13 +15,6 @@ def indicator_12(p):
     return ((p >= 1.0) & (p <= 2.0)).astype(float)
 
 
-def killed_density(t, x, y, c):
-    """Density at y of variance-2 Brownian motion with drift c from x, killed at 0."""
-    def heat(z):
-        return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    return math.exp(c * (y - x) / 2.0 - c * c * t / 4.0) * (heat(y - x) - heat(y + x))
-
-
 def test_survival_trivial_and_bad_x0():
     cfg = McConfig(drift=0.0)
     assert survival_probability(1.0, 0.0, cfg) == (1.0, 0.0)
@@ -119,7 +112,7 @@ def test_single_step_survival_matches_closed_form(c):
     assert abs(p4[-1] - exact) <= 3.0 * se4[-1]
 
 
-def test_payoff_against_method_of_images():
+def test_payoff_against_method_of_images(killed_density):
     # many-to-one: E sum_i 1[1 <= Y_i(t) <= 2] = e^t int_1^2 p_c(t, x0, y) dy
     x0, t_end, c = 1.5, 3.0, 2.0
     integral, _ = quad(lambda y: killed_density(t_end, x0, y, c), 1.0, 2.0,

@@ -15,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbmlab.cli import main as cli_main
-from bbmlab.drift import CBAR_CRITICAL
+from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
+from bbmlab.pde import evolve
 from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _validate_config,
                              load_config, make_config, parse_config, rate_report,
                              resolved_run, run_experiment, selfsimilar_run)
+from bbmlab.rates import SPECTRAL_TAU_MIN
 
 
 def test_parse_config_defaults():
@@ -96,15 +98,17 @@ def test_parse_config_any_text_is_valid_or_config_error(text):
 def _valid_overrides(draw):
     positive = st.floats(1e-3, 1e3)
     fraction = st.floats(0.0, 1.0)
-    dx = draw(st.floats(1e-3, 1.0))
-    x_max = dx * draw(st.integers(10, 10**5))
+    cbar = draw(st.floats(-1e4, 1e4))
+    # below the positivity bound 2 dx max_front_speed < 2, with 2 dx dividing x_max
+    dx = draw(st.floats(1e-3, 0.99)) / max_front_speed(DriftExpansion(cbar))
+    x_max = 2 * dx * draw(st.integers(5, 5 * 10**4))
     dy = draw(st.floats(1e-3, 1.0))
     y_max = dy * draw(st.integers(math.ceil(20.0 / dy) + 1, 10**5))
-    tau_end = draw(positive)
+    tau_end = draw(st.floats(SPECTRAL_TAU_MIN, 1e3))
     lo, hi = 0.5 * draw(fraction), 0.6 + 0.4 * draw(fraction)
     a = x_max * (1e-6 + 0.4 * draw(fraction))
     return {
-        "cbar": draw(st.floats(allow_nan=False, allow_infinity=False)),
+        "cbar": cbar,
         "x_max": x_max, "dx": dx, "y_max": y_max, "dy": dy,
         "dt": draw(positive), "t_end": draw(positive), "t_handoff": draw(fraction),
         "tau_end": tau_end, "dtau": draw(positive),
@@ -215,8 +219,8 @@ def test_reproduce_theorem_summary_has_resolution_block(theorem_dir):
     assert set(summary) == {"alpha0", "alpha0_methods", "fits", "prefactor_check", "resolution",
                             "flux_identity_residual"}
     res = summary["resolution"]
-    assert (res["dy"], res["dtau"]) == (0.05, 0.01)
-    assert res["partner"] == {"dy": 0.1, "dtau": 0.02}
+    assert (res["dx"], res["dt"], res["dy"], res["dtau"]) == (0.01, 0.01, 0.05, 0.01)
+    assert res["partner"] == {"dx": 0.02, "dt": 0.02, "dy": 0.1, "dtau": 0.02}
     assert set(res["error"]) == set(summary["alpha0"]) == {"0", "5.31736", "10"}
     for key, err in res["error"].items():
         fits = [f for f in summary["fits"] if f"{f['cbar']:.6g}" == key]
@@ -253,6 +257,19 @@ def test_fine_grid_regression_at_the_critical_cbar():
         assert errors["exponents"][f"{f['observable']}.{f['model']}"] >= gap / 3.0
     gap = abs(report["prefactor_check"]["estimate"] - fine["prefactor_check"]["estimate"])
     assert errors["prefactor"] >= gap / 3.0
+
+
+def test_richardson_partner_coarsens_the_handoff(monkeypatch):
+    # the run's handoff at (dx, dt), then the partner's at (2 dx, 2 dt)
+    calls = []
+
+    def spy(f0, t_end, cfg, d):
+        calls.append((f0.grid.nx, cfg.dt))
+        return evolve(f0, t_end, cfg, d)
+
+    monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
+    resolved_run(1.0, {"dx": 0.02, "dt": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
+    assert calls == [(3000, 0.02), (1500, 0.04)]
 
 
 def test_mc_pipeline_writes_result(tmp_path):
@@ -361,10 +378,14 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     (None, "bad.cfg"),
     (b"cbar = 1\n# \xff\xfe\n", "bad.cfg"),
     ("n_modes = 12", "n_modes"),   # not a key: the trajectory CSV always has 8 modes
+    ("cbar = 1000", "cbar"),       # front speed 500.5 at t = 0: |speed| dx >= 2
+    ("tau_end = 3\nfit.window = 1,3", "tau_end"),   # below the spectral projection's floor
+    ("dx = 0.032", "2 dx"),        # divides x_max = 60, but the partner's 0.064 does not
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
         "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice",
-        "missing_file", "not_utf8", "n_modes_unknown"])
+        "missing_file", "not_utf8", "n_modes_unknown", "cbar_beyond_peclet_bound",
+        "tau_end_below_spectral_floor", "partner_dx_not_dividing_x_max"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist
     if isinstance(text, bytes):
