@@ -9,15 +9,13 @@ The distinguished value cbar = 3 sqrt(pi) separates the fast O(log t / t)
 mass-stabilization regime from the generic O(t^{-1/2}) one.
 
 Everything here uses t+1 (never bare t) so that tau = log(1+t) is exact and
-t = 0 is a regular point of the schedule.
+t = 0 is a regular point of the schedule.  Each function of time takes a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -38,7 +36,7 @@ class DriftExpansion:
 
 @dataclass(frozen=True)
 class ConstantDrift:
-    """Time-homogeneous frame speed, for Monte Carlo validation runs only."""
+    """Time-homogeneous frame speed for Monte Carlo validation; only front_speed takes it."""
 
     speed: float = 2.0
 
@@ -47,42 +45,22 @@ class ConstantDrift:
             raise ValueError("speed must be finite")
 
 
-def _is_scalar(t) -> bool:
-    """True for a Python (or numpy float64) number, which math evaluates
-    without the cost of 0-d arrays; arrays take the numpy path."""
-    return isinstance(t, (int, float))
-
-
-def _check_nonnegative(t, name):
-    if t < 0 if _is_scalar(t) else np.any(np.asarray(t) < 0):
-        raise ValueError(f"{name} must be >= 0")
-
-
-def front_position(t, d):
+def front_position(t: float, d: DriftExpansion) -> float:
     """X(t) = 2(t+1) - (3/2) log(t+1) - cbar (t+1)^{-1/2}, for t >= 0."""
-    _check_nonnegative(t, "t")
-    if isinstance(d, ConstantDrift):
-        out = d.speed * np.asarray(t, dtype=float)
-        return out if out.ndim else float(out)
-    tp = np.asarray(t, dtype=float) + 1.0
-    out = 2.0 * tp - 1.5 * np.log(tp) - d.cbar / np.sqrt(tp)
-    return out if out.ndim else float(out)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    tp = t + 1.0
+    return 2.0 * tp - 1.5 * math.log(tp) - d.cbar / math.sqrt(tp)
 
 
-def front_speed(t, d):
+def front_speed(t: float, d: DriftExpansion | ConstantDrift) -> float:
     """dX/dt = 2 - (3/2)(t+1)^{-1} + (cbar/2)(t+1)^{-3/2}, for t >= 0."""
-    _check_nonnegative(t, "t")
-    if _is_scalar(t):
-        if isinstance(d, ConstantDrift):
-            return float(d.speed)
-        tp = t + 1.0
-        return 2.0 - 1.5 / tp + 0.5 * d.cbar * tp ** -1.5
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if isinstance(d, ConstantDrift):
-        out = np.full_like(np.asarray(t, dtype=float), d.speed)
-        return out if out.ndim else float(out)
-    tp = np.asarray(t, dtype=float) + 1.0
-    out = 2.0 - 1.5 / tp + 0.5 * d.cbar * tp ** -1.5
-    return out if out.ndim else float(out)
+        return float(d.speed)
+    tp = t + 1.0
+    return 2.0 - 1.5 / tp + 0.5 * d.cbar * tp ** -1.5
 
 
 def max_front_speed(d: DriftExpansion) -> float:
@@ -98,22 +76,13 @@ def max_front_speed(d: DriftExpansion) -> float:
     return max(2.0, abs(1.0 + d.cbar) / 2.0)
 
 
-def selfsimilar_forcing(tau, d: DriftExpansion):
+def selfsimilar_forcing(tau: float, d: DriftExpansion) -> tuple[float, float]:
     """Forcing coefficients (a, b) of the self-similar frame at time tau >= 0.
 
     The transformed equation reads W_tau + M W = a(tau) (W_y - (y/4) W) + b(tau) W
     with a(tau) = cbar/(2 e^tau) - 3/(2 e^{tau/2}) and b(tau) = -cbar/(2 e^{tau/2}).
     """
-    if isinstance(d, ConstantDrift):
-        raise TypeError("constant drifts have no self-similar frame here")
-    _check_nonnegative(tau, "tau")
-    if _is_scalar(tau):
-        ehalf = math.exp(-0.5 * tau)
-        return 0.5 * d.cbar * math.exp(-tau) - 1.5 * ehalf, -0.5 * d.cbar * ehalf
-    tau = np.asarray(tau, dtype=float)
-    ehalf = np.exp(-0.5 * tau)
-    a = 0.5 * d.cbar * np.exp(-tau) - 1.5 * ehalf
-    b = -0.5 * d.cbar * ehalf
-    if a.ndim:
-        return a, b
-    return float(a), float(b)
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    ehalf = math.exp(-0.5 * tau)
+    return 0.5 * d.cbar * math.exp(-tau) - 1.5 * ehalf, -0.5 * d.cbar * ehalf

@@ -6,9 +6,10 @@ a diffusion term v_xx with unit coefficient), split in two at rate
 no time grid enters.  One round works on the whole pending population of a
 chunk of replicas at once.  Each particle draws its Exp(branch_rate) lifetime,
 cut at its next stop (a survival checkpoint or t_end), and moves exactly over
-that interval h: Y' = Y + c h + sqrt(2h) Z.  It is killed if Y' <= 0 or, with
-`bridge_correction`, with probability exp(-Y Y'/h), the exact chance that
-the variance-2 Brownian bridge between two positive endpoints touches 0.
+that interval h: Y' = Y + c h + sqrt(2h) Z.  It is killed if Y' <= 0 or
+with probability exp(-Y Y'/h), the exact chance that the variance-2
+Brownian bridge between two positive endpoints touches 0 (`absorb=False`
+skips both kills).
 Otherwise it is recorded at t_end, marks its replica alive at a checkpoint
 and continues (lifetimes are memoryless, so no branch is owed), or splits in
 two.  About 20 rounds cover t_end = 3 at rate 1.
@@ -16,8 +17,8 @@ two.  About 20 rounds cover t_end = 3 at rate 1.
 The expected payoff sum over particles solves the moving-frame equation with
 constant front speed c (the many-to-one formula), which is what `estimate`
 validates against the PDE solver.  Results are deterministic functions of
-(seed, config): replicas are split into fixed-size chunks, each sampled with
-its own stream spawned from the seed.
+(seed, config): replicas are split into chunks of CHUNK_SIZE, each sampled
+with its own stream spawned from the seed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import numpy as np
 
 from .pde import NumericalFailure
 
+#: replicas sampled together, each chunk from its own stream of the seed
+CHUNK_SIZE = 8192
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -39,9 +43,7 @@ class McConfig:
     dt: float = 1e-3
     n_replicas: int = 10_000
     seed: int = 0
-    bridge_correction: bool = True
     absorb: bool = True
-    chunk_size: int = 8192
     population_cap: int = 10_000_000
 
     def __post_init__(self):
@@ -83,9 +85,7 @@ def _sample_chunk(x0, n, stops, cfg, rng):
         new = pos + cfg.drift * h + np.sqrt(2.0 * h) * rng.standard_normal(m)
         count = 2 - hit - (hit & (k == last))   # 2 split, 1 at a checkpoint, 0 at the end
         if cfg.absorb:
-            keep = new > 0.0
-            if cfg.bridge_correction:
-                keep &= rng.random(m) >= np.exp(-pos * np.maximum(new, 0.0) / h)
+            keep = (new > 0.0) & (rng.random(m) >= np.exp(-pos * np.maximum(new, 0.0) / h))
             count *= keep
             hit &= keep
         alive[k[hit], rep[hit]] = True
@@ -106,7 +106,7 @@ def _run_chunks(x0, stops, cfg):
         raise ValueError("x0 must be positive")
     if not stops[-1] > 0.0:
         raise ValueError("t_end must be positive")
-    edges = list(range(0, cfg.n_replicas, cfg.chunk_size)) + [cfg.n_replicas]
+    edges = list(range(0, cfg.n_replicas, CHUNK_SIZE)) + [cfg.n_replicas]
     children = np.random.SeedSequence(cfg.seed).spawn(len(edges) - 1)
     for lo, hi, child in zip(edges[:-1], edges[1:], children):
         yield (lo, hi - lo, *_sample_chunk(x0, hi - lo, stops, cfg, np.random.default_rng(child)))

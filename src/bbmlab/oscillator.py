@@ -101,12 +101,6 @@ def eigenfunction(n: int, y: np.ndarray) -> np.ndarray:
     return next(itertools.islice(hermite_rows(y / 2.0), 2 * n + 1, None))
 
 
-def eigenvalue(n: int) -> float:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return float(n)
-
-
 def trapezoid_weights(n: int, dy: float) -> np.ndarray:
     """Composite trapezoid weights of n uniform nodes dy apart."""
     w = np.full(n, dy)
@@ -296,7 +290,7 @@ class WTrajectory:
     y: np.ndarray
     taus: np.ndarray
     states: np.ndarray
-    cbar: float | None = None
+    cbar: float
 
     def __len__(self):
         return len(self.taus)
@@ -304,20 +298,15 @@ class WTrajectory:
     def field(self, i: int) -> SelfSimilarField:
         return SelfSimilarField(float(self.taus[i]), self.y, self.states[i])
 
-    def final(self) -> SelfSimilarField:
-        return self.field(len(self) - 1)
 
-
-def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
-             dtau: float = 0.002, sample_every: int = 10,
-             startup_steps: int = 0) -> WTrajectory:
+def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion, dtau: float,
+             sample_every: int, startup_steps: int = 0) -> WTrajectory:
     """Crank-Nicolson march of the forced oscillator equation on the y grid.
 
     The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
     L1 = D1 - y/4.  _operator_parts assembles them once per run in banded form; every
     step of pde.march combines them in place in one band buffer, with the
-    forcing coefficients at the half step.  d=None switches the forcing off
-    entirely (the kernel mode is then stationary).  The samples are those of
+    forcing coefficients at the half step.  The samples are those of
     pde.march: the initial state, the state after the startup_steps
     implicit-Euler half steps, every sample_every-th step and the final state.
     """
@@ -325,7 +314,7 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
     L = np.empty_like(L0)
 
     def operator(tau_half):
-        a, b = (0.0, 0.0) if d is None else selfsimilar_forcing(tau_half, d)
+        a, b = selfsimilar_forcing(tau_half, d)
         np.multiply(L1, a, out=L)
         np.add(L, L0, out=L)
         L[sum(_BANDS), 1:-1] += b       # b I, whose end rows are zero like every part's
@@ -333,8 +322,7 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion | None,
 
     taus, states = zip(*march(L, _BANDS, W0.values, W0.tau, tau_end, dtau, startup_steps,
                               sample_every, operator))
-    cb = d.cbar if d is not None else None
-    return WTrajectory(W0.y, np.array(taus), np.array(states), cb)
+    return WTrajectory(W0.y, np.array(taus), np.array(states), d.cbar)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +347,7 @@ def decompose(W: SelfSimilarField, alpha: float, g_values: np.ndarray) -> Decomp
 _MASS_CHUNK = 8
 
 
-def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid | None = None):
+def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid):
     """ObservableSeries (t, mass, slope0) read off a self-similar trajectory.
 
     The slope is exact in the transform (W_y(tau,0) = v_x(t,0)); the mass is
@@ -369,8 +357,6 @@ def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid | None = No
     evaluated on the physical grid at once.  The chunks bound the memory of
     the spline and of the (samples x nodes) fields.
     """
-    if grid is None:
-        grid = SpatialGrid()
     y, taus = traj.y, traj.taus
     dy = float(y[1] - y[0])
     x = grid.x

@@ -25,10 +25,10 @@ I - theta h L is factored once per distinct matrix.  The callback names the
 operator by a key, the coefficients it was assembled with (here the speed, in
 the self-similar frame a and b).  A step whose key, h and theta equal those of
 the run's stored LU factors (a constant drift, away from the startup and the
-last step) solves with them; any other step factors, solves and keeps the
-factors.  theta_step picks LAPACK's routines by the band layout: the
+last step) solves with them; any other step factors, keeps the factors and
+solves.  theta_step picks LAPACK's routines by the band layout: the
 tridiagonal ones (dgttrf, dgttrs) for the physical frame's (1, 1), the banded
-ones (dgbsv, dgbtrs) for every other layout, such as the self-similar (2, 2).
+ones (dgbtrf, dgbtrs) for every other layout, such as the self-similar (2, 2).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .drift import DriftExpansion, front_speed
 
@@ -160,7 +160,7 @@ def banded(lu, n: int, diagonals: dict) -> np.ndarray:
 
     The result is a (2l+u+1) x n Fortran-order array: rows l: hold A[i, j] at
     [l + u + i - j, j], the solve_banded layout, and the first l rows are the
-    room dgbsv needs for the fill-in of its LU factors, which theta_step
+    room dgbtrf needs for the fill-in of its LU factors, which theta_step
     makes in an array of this shape.  Fortran order lets LAPACK factor that
     array in place, and lets operators of one layout be combined with
     whole-array operations.  diagonals maps an offset k to the
@@ -197,8 +197,8 @@ class StepFactors:
     march keeps one per run for its operator buffer L and hands it to each
     theta_step with a key: the values that fix L among the run's operators,
     such as the drift speed.  A step whose key, h and theta equal the stored
-    ones reuses the factors: the pivots piv with ab, which dgbsv factors in
-    place, or for a tridiagonal L with tri, dgttrf's (dl, d, du, du2).
+    ones reuses the factors: the pivots piv with ab, dgbtrf's factors, or for
+    a tridiagonal L with tri, dgttrf's (dl, d, du, du2).
     """
 
     def __init__(self, L):
@@ -213,16 +213,15 @@ def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.
     When factors (a StepFactors, fresh if None) hold the LU factors for the
     same key, h and theta, the step solves with them; otherwise, or without a
-    key, it factors, solves and stores the factors.  A tridiagonal L,
+    key, it factors and stores the factors, then solves.  A tridiagonal L,
     lu = (1, 1), factors with dgttrf and solves with dgttrs; any other layout
-    factors and solves in one dgbsv call and reuses the factors with dgbtrs.
-    These are the routines scipy.linalg.solve_banded calls on the same layout
-    (dgtsv at (1, 1), whose elimination is dgttrf's and dgttrs's, and dgbsv,
-    which is dgbtrf then dgbtrs), so every path gives solve_banded's values
-    bit for bit.  A nonzero LAPACK info or a non-finite value raises
-    NumericalFailure.  The zero end rows of L make the end rows of the system
-    the identity; pivoting in the solve can still leave round-off there, so
-    the ends are set to exactly 0.
+    factors with dgbtrf and solves with dgbtrs.  scipy.linalg.solve_banded's
+    LAPACK drivers run the same elimination on each layout (its tridiagonal
+    driver is dgttrf's and dgttrs's, its banded one dgbtrf then dgbtrs), so
+    every path gives solve_banded's values bit for bit.  A nonzero LAPACK
+    info or a non-finite value raises NumericalFailure.  The zero end rows
+    of L make the end rows of the system the identity; pivoting in the solve
+    can still leave round-off there, so the ends are set to exactly 0.
     """
     l, u = lu
     factors = StepFactors(L) if factors is None else factors
@@ -231,22 +230,22 @@ def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     if theta < 1.0:
         rhs += (1.0 - theta) * h * _matvec(L, lu, values)
     reuse = key is not None and made_for == factors.made_for
+    tridiagonal = lu == (1, 1)
     if not reuse:
         factors.made_for = None
-        np.multiply(L, -theta * h, out=factors.ab)
-        factors.ab[l + u] += 1.0
-    if lu == (1, 1):
-        failed = 0
-        if not reuse:   # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
-            ab = factors.ab
-            *factors.tri, factors.piv, failed = dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
+        ab = factors.ab
+        np.multiply(L, -theta * h, out=ab)
+        ab[l + u] += 1.0
+        if tridiagonal:     # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
+            *factors.tri, factors.piv, info = dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
+        else:
+            factors.ab, factors.piv, info = dgbtrf(ab, l, u, overwrite_ab=True)
+        if info != 0:
+            raise NumericalFailure(f"singular theta step from {t:.6g} to {t + h:.6g}")
+    if tridiagonal:
         out, info = dgttrs(*factors.tri, factors.piv, rhs, overwrite_b=True)
-        info = failed or info
-    elif reuse:
-        out, info = dgbtrs(factors.ab, l, u, rhs, factors.piv, overwrite_b=True)
     else:
-        _, factors.piv, out, info = dgbsv(l, u, factors.ab, rhs,
-                                          overwrite_ab=True, overwrite_b=True)
+        out, info = dgbtrs(factors.ab, l, u, rhs, factors.piv, overwrite_b=True)
     if info != 0 or not np.all(np.isfinite(out)):
         raise NumericalFailure(f"singular or non-finite theta step from {t:.6g} to {t + h:.6g}")
     factors.made_for = made_for

@@ -154,7 +154,17 @@ def _validate_config(cfg: dict):
     lo, hi = cfg["fit.window"]
     if not (0.0 <= lo < hi <= cfg["tau_end"]):
         raise ConfigError("fit.window must satisfy 0 <= lo < hi <= tau_end")
-
+    # the fits need 20 samples in the window after the handoff, on the run's
+    # sample spacing and on its partner's at 2 dtau, and a decade of t
+    if not math.isfinite(SAMPLE_DTAU / cfg["dtau"]):
+        raise ConfigError(f"dtau = {cfg['dtau']!r} is too small to space the samples")
+    tau0 = math.log1p(cfg["t_handoff"])
+    spacing = max(h * _sample_every(h) for h in (cfg["dtau"], 2 * cfg["dtau"]))
+    if hi - max(lo, tau0) < 20 * spacing:
+        raise ConfigError(f"fit.window after the handoff at t_handoff (tau = {tau0:.6g}) "
+                          f"holds fewer than 20 samples {spacing:g} apart")
+    if cfg["tau_end"] < math.log1p(10 * cfg["t_handoff"]):
+        raise ConfigError("t_handoff must leave a decade of t: e^tau_end - 1 >= 10 t_handoff")
 
 # ---------------------------------------------------------------------------
 # the core runs
@@ -162,6 +172,11 @@ def _validate_config(cfg: dict):
 #: spacing in tau of the samples a self-similar run keeps (to the nearest
 #: multiple of dtau), so the fits see the same samples at every dtau
 SAMPLE_DTAU = 0.02
+
+
+def _sample_every(dtau: float) -> int:
+    """Steps of dtau between the samples a self-similar run keeps."""
+    return max(1, round(SAMPLE_DTAU / dtau))
 
 
 def _handoff(cbar: float, cfg: dict, coarsen: int = 1):
@@ -182,8 +197,7 @@ def _march(d: DriftExpansion, f1, cfg: dict, coarsen: int = 1):
     """
     dtau = coarsen * cfg["dtau"]
     W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], coarsen * cfg["dy"]))
-    traj = evolve_W(W0, cfg["tau_end"], d, dtau=dtau,
-                    sample_every=max(1, round(SAMPLE_DTAU / dtau)))
+    traj = evolve_W(W0, cfg["tau_end"], d, dtau=dtau, sample_every=_sample_every(dtau))
     return traj, observables_from_trajectory(traj, f1.grid)
 
 
@@ -324,7 +338,7 @@ def _pipe_selfsim(cfg, out: Path):
 
 
 #: largest z at which a specfun row carries F2, H and their scaled forms: the
-#: series converge within the default 500 terms up to z of about 351, and
+#: series converge within their 500 terms up to z of about 351, and
 #: F2(z) e^{-z} stays finite there (G and g use the closed-form tail at every z)
 _SERIES_Z_MAX = 300.0
 

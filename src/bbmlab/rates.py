@@ -80,7 +80,7 @@ def estimate_alpha0(data, method: str = "spectral_projection",
     and removes the e^{-tau/2} contamination of the known g direction:
     alpha = <W, e_0> / (||y e^{-y^2/8}|| + e^{-tau/2} gamma_1) with
     gamma_1 = g_1/alpha from the closed-form kernel projection of the forcing
-    (data: WTrajectory).
+    at the trajectory's cbar (data: WTrajectory).
     """
     if method == "slope_extrapolation":
         if not isinstance(data, ObservableSeries):
@@ -116,15 +116,12 @@ def estimate_alpha0(data, method: str = "spectral_projection",
     if method == "spectral_projection":
         if not isinstance(data, WTrajectory):
             raise TypeError("spectral_projection needs a WTrajectory")
-        if data.cbar is None and cbar is None:
-            raise ValueError("cbar unknown: pass it or use a forced trajectory")
-        cb = data.cbar if data.cbar is not None else cbar
         tau_f = float(data.taus[-1])
         if tau_f < SPECTRAL_TAU_MIN:
             raise ValueError(f"spectral projection wants tau >= {SPECTRAL_TAU_MIN:g}")
         e0 = eigenfunction(0, data.y)
         w = trapezoid_weights(data.y.size, float(data.y[1] - data.y[0]))
-        gamma1 = g1_coefficient(1.0, cb)
+        gamma1 = g1_coefficient(1.0, data.cbar)
 
         def alpha_at(i):
             proj = float(np.sum(w * data.states[i] * e0))
@@ -142,7 +139,7 @@ def estimate_alpha0(data, method: str = "spectral_projection",
 
 def fit_rate(series: ObservableSeries, alpha0: float, model: str = "power",
              window: tuple | None = None, observable: str = "mass") -> RateFit:
-    """Fit the decay of |observable - alpha0| over the window.
+    """Fit the decay of |observable - alpha0| over the window ('mass' or 'slope0').
 
     'power': regress log|res| on log t (exponent = slope).
     'log_over_t': regress log|res| on log(log t / t); exponent ~ 1 and high
@@ -150,6 +147,8 @@ def fit_rate(series: ObservableSeries, alpha0: float, model: str = "power",
     Samples where the residual underflows are dropped and the window reported
     reflects what was used.
     """
+    if observable not in ("mass", "slope0"):
+        raise ValueError(f"unknown observable: {observable!r}")
     if window is None:
         window = default_window(series.times)
     s = series.restricted(*window)

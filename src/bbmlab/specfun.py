@@ -10,7 +10,9 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
        g(y) = e^{-z/2} G(z),
 
    where F2 and H are the power series below, each summed one way (their
-   e^{-z}-scaled forms are F2(z) e^{-z} and H(z) e^{-z}).  G satisfies
+   e^{-z}-scaled forms are F2(z) e^{-z} and H(z) e^{-z}) to a relative
+   tolerance of 1e-14 within 500 terms; above z ~ 352 that budget runs out
+   and they raise SeriesDiverged.  G satisfies
    z G'' - (z - 1/2) G' + G = -alpha (3 z - cbar sqrt(z) - 3/2); cbar enters
    only through the exact particular solution 2 cbar sqrt(z), so G0 does not
    depend on cbar.  F2 and H both grow like z^{-3/2} e^z, with leading
@@ -60,25 +62,14 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _PANEL_RATIO = 1.5
 
 
-@dataclass(frozen=True)
-class SeriesAccuracy:
-    """Truncation control for the power series (terms decay factorially)."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError("rel_tol must lie in (0, 1e-6]")
-        if self.max_terms < 10:
-            raise ValueError("max_terms too small")
-
-
-DEFAULT_ACCURACY = SeriesAccuracy()
+#: truncation of the power series, whose terms decay factorially: stop once a
+#: term is at most _REL_TOL of the partial sum, and give up after _MAX_TERMS
+_REL_TOL = 1e-14
+_MAX_TERMS = 500
 
 
 class SeriesDiverged(RuntimeError):
-    """max_terms hit before the truncation criterion (diagnostic, not expected)."""
+    """_MAX_TERMS hit before the truncation criterion: F2 and H above z of about 352."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +95,19 @@ def _h_terms(z):
         n += 1
 
 
-def _sum_series(gen, acc, what):
+def _sum_series(gen, what):
     s = 0.0
     for i, term in enumerate(gen):
         s += term
-        if abs(term) <= acc.rel_tol * abs(s) and i >= 1:
+        if abs(term) <= _REL_TOL * abs(s) and i >= 1:
             return s
-        if i + 1 >= acc.max_terms:
-            raise SeriesDiverged(f"{what}: truncation criterion not met within {acc.max_terms} terms")
+        if i + 1 >= _MAX_TERMS:
+            raise SeriesDiverged(f"{what}: truncation criterion not met within {_MAX_TERMS} terms")
 
 
 def _check_z(z):
-    if not z >= 0:
-        raise ValueError("z must be >= 0")
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(f"z must be finite and >= 0, got {z!r}")
 
 
 def _check_finite(**params):
@@ -125,24 +116,24 @@ def _check_finite(**params):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def F2(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def F2(z: float) -> float:
     """sqrt(pi) sum_{n>=2} z^n / (n (n-1) Gamma(n+1/2)), z >= 0."""
     _check_z(z)
-    return 0.0 if z == 0.0 else _sum_series(_f2_terms(z), acc, "F2")
+    return 0.0 if z == 0.0 else _sum_series(_f2_terms(z), "F2")
 
 
-def H(z: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def H(z: float) -> float:
     """-(sqrt(z)/4) sum_{n>=0} z^n Gamma(n-1/2) / (n! Gamma(n+3/2)), z >= 0."""
     _check_z(z)
-    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z), acc, "H")
+    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z), "H")
 
 
 # ---------------------------------------------------------------------------
 # the combination G
 
-def _series_part(z: float, acc: SeriesAccuracy) -> float:
+def _series_part(z: float) -> float:
     """G0(z) - 3 z = -(3/2) F2(z) - 6 sqrt(pi) H(z) from the series (small z only)."""
-    return -1.5 * F2(z, acc) - 6.0 * SQRT_PI * H(z, acc)
+    return -1.5 * F2(z) - 6.0 * SQRT_PI * H(z)
 
 
 def _tail_integrand(s):
@@ -151,12 +142,12 @@ def _tail_integrand(s):
     return 3.0 * (s + 1.0 + 0.5 * SQRT_PI * erfcx(rs) / rs) / (s - 0.5) ** 2
 
 
-def _G0(z: np.ndarray, acc: SeriesAccuracy) -> np.ndarray:
+def _G0(z: np.ndarray) -> np.ndarray:
     """The cbar-free part G0 of G/alpha on an array of z >= 0."""
     out = np.empty_like(z)
     small = z <= _Z0
     for i in np.flatnonzero(small):
-        out[i] = 3.0 * z[i] + _series_part(float(z[i]), acc)
+        out[i] = 3.0 * z[i] + _series_part(float(z[i]))
     zt = z[~small]
     if zt.size:
         # panels between consecutive tail nodes, refined by a geometric ladder from
@@ -166,17 +157,16 @@ def _G0(z: np.ndarray, acc: SeriesAccuracy) -> np.ndarray:
         half = np.diff(edges) / 2.0
         s = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
         integral = np.concatenate(([0.0], np.cumsum(half * (_tail_integrand(s) @ _GL_W))))
-        w0 = _series_part(_Z0, acc) / (_Z0 - 0.5)
+        w0 = _series_part(_Z0) / (_Z0 - 0.5)
         out[~small] = 3.0 * zt + (zt - 0.5) * (w0 + integral[np.searchsorted(edges, zt)])
     return out
 
 
-def G_explicit(z: float, alpha: float, cbar: float,
-               acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def G_explicit(z: float, alpha: float, cbar: float) -> float:
     """G(z) = alpha [2 cbar sqrt(z) + G0(z)], G0 = 3 z - (3/2) F2(z) - 6 sqrt(pi) H(z)."""
     _check_z(z)
     _check_finite(alpha=alpha, cbar=cbar)
-    return alpha * (2.0 * cbar * math.sqrt(z) + float(_G0(np.array([float(z)]), acc)[0]))
+    return alpha * (2.0 * cbar * math.sqrt(z) + float(_G0(np.array([float(z)]))[0]))
 
 
 def g_slope0(alpha: float, cbar: float) -> float:
@@ -195,13 +185,15 @@ class GProfile:
     slope0: float
 
 
-def g_profile(alpha: float, cbar: float, y: np.ndarray,
-              acc: SeriesAccuracy = DEFAULT_ACCURACY) -> GProfile:
+def g_profile(alpha: float, cbar: float, y: np.ndarray) -> GProfile:
     """g(y) = e^{-y^2/8} G(y^2/4) on the grid, slope at 0 taken analytically."""
     _check_finite(alpha=alpha, cbar=cbar)
     y = np.asarray(y, dtype=float)
-    z = y * y / 4.0
-    values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _G0(z, acc))
+    with np.errstate(over="ignore"):
+        z = y * y / 4.0
+    if not np.all(np.isfinite(z)):
+        raise ValueError("y must be finite at every node, and so must y^2/4")
+    values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _G0(z))
     return GProfile(alpha, cbar, y, values, g_slope0(alpha, cbar))
 
 

@@ -26,6 +26,7 @@ def test_front_speed_values():
     assert front_speed(0.0, DriftExpansion(CB)) == pytest.approx(0.5 + CB / 2.0, abs=1e-14)
     assert front_speed(0.0, DriftExpansion(0.0)) == pytest.approx(0.5, abs=1e-14)
     assert front_speed(1e12, DriftExpansion(7.0)) == pytest.approx(2.0, abs=1e-10)
+    assert front_speed(1.5, ConstantDrift(-2.0)) == -2.0
 
 
 def test_front_speed_is_symbolic_derivative():
@@ -41,11 +42,11 @@ def test_front_speed_is_symbolic_derivative():
 
 def test_front_speed_matches_central_difference_second_order():
     d = DriftExpansion(CB)
-    ts = np.linspace(0.5, 100.0, 200)
+    ts = np.linspace(0.5, 100.0, 200).tolist()
     errs = []
     for h in (1e-2, 5e-3):
-        fd = (front_position(ts + h, d) - front_position(ts - h, d)) / (2 * h)
-        errs.append(np.max(np.abs(fd - front_speed(ts, d))))
+        errs.append(max(abs((front_position(t + h, d) - front_position(t - h, d)) / (2 * h)
+                            - front_speed(t, d)) for t in ts))
     # |X'''| <= 1.6 on this range, so the h^2/6 envelope gives ~2.6e-5
     assert errs[0] < 5e-5
     # halving h divides the error by about 4
@@ -53,9 +54,10 @@ def test_front_speed_matches_central_difference_second_order():
 
 
 def test_speed_lower_bound_for_nonnegative_cbar():
-    ts = np.linspace(0.0, 500.0, 20001)
+    ts = np.linspace(0.0, 500.0, 20001).tolist()
     for cv in (0.0, 1.0, CB, 10.0):
-        assert np.all(front_speed(ts, DriftExpansion(cv)) >= 0.5 - 1e-14)
+        d = DriftExpansion(cv)
+        assert min(front_speed(t, d) for t in ts) >= 0.5 - 1e-14
 
 
 def test_forcing_values():
@@ -70,26 +72,10 @@ def test_forcing_values():
 
 def test_forcing_decays_monotonically_beyond_threshold():
     d = DriftExpansion(CB)
-    taus = np.linspace(3.0, 30.0, 400)
-    a, b = selfsimilar_forcing(taus, d)
+    taus = np.linspace(3.0, 30.0, 400).tolist()
+    a, b = np.array([selfsimilar_forcing(tau, d) for tau in taus]).T
     assert np.all(np.diff(np.abs(a)) < 0)
     assert np.all(np.diff(np.abs(b)) < 0)
-
-
-def test_scalar_and_array_paths_agree():
-    # a float takes the math path, an array the numpy one
-    ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 61)])
-    for cv in (-3.0, 0.0, 1.0, CB, 10.0, 1000.0):
-        d = DriftExpansion(cv)
-        speeds = front_speed(ts, d)
-        a, b = selfsimilar_forcing(ts, d)
-        for i, t in enumerate(ts.tolist()):
-            assert front_speed(t, d) == pytest.approx(speeds[i], rel=1e-15, abs=0)
-            a_t, b_t = selfsimilar_forcing(t, d)
-            assert a_t == pytest.approx(a[i], rel=1e-15, abs=0)
-            assert b_t == pytest.approx(b[i], rel=1e-15, abs=0)
-    assert front_speed(1.5, ConstantDrift(-2.0)) == -2.0
-    np.testing.assert_array_equal(front_speed(ts, ConstantDrift(-2.0)), np.full(ts.size, -2.0))
 
 
 def test_max_front_speed_bounds_the_speed():
@@ -98,7 +84,7 @@ def test_max_front_speed_bounds_the_speed():
         d = DriftExpansion(cv)
         bound = max_front_speed(d)
         assert bound == max(2.0, abs(1.0 + cv) / 2.0)
-        speeds = np.abs(front_speed(ts, d))
+        speeds = np.abs([front_speed(t, d) for t in ts.tolist()])
         assert speeds.max() <= bound * (1 + 1e-15)
         assert speeds.max() >= bound * (1 - 1e-4)     # attained at t = 0 or approached as t grows
 
@@ -111,10 +97,6 @@ def test_rejects_negative_time():
         front_speed(-1e-9, d)
     with pytest.raises(ValueError):
         selfsimilar_forcing(-2.0, d)
-    with pytest.raises(ValueError):
-        front_speed(np.array([1.0, -1e-9]), d)
-    with pytest.raises(ValueError):
-        selfsimilar_forcing(np.array([-2.0]), d)
 
 
 def test_rejects_non_finite_cbar():

@@ -45,8 +45,9 @@ def test_population_cap_is_a_numerical_failure():
     assert isinstance(info.value, RuntimeError)
 
 
-def test_survival_probability_deterministic():
-    cfg = McConfig(drift=1.0, n_replicas=3_000, seed=5, chunk_size=1024)
+def test_survival_probability_deterministic(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 1024)
+    cfg = McConfig(drift=1.0, n_replicas=3_000, seed=5)
     a = survival_probability(2.0, 1.0, cfg, checkpoints=[0.25, 0.5, 1.0])
     b = survival_probability(2.0, 1.0, cfg, checkpoints=[0.25, 0.5, 1.0])
     np.testing.assert_array_equal(a[0], b[0])
@@ -54,8 +55,8 @@ def test_survival_probability_deterministic():
     # the final checkpoint is the plain run: same stops, same draws
     assert survival_probability(2.0, 1.0, cfg, checkpoints=[1.0])[0][0] == \
         survival_probability(2.0, 1.0, cfg)[0]
-    c = survival_probability(2.0, 1.0, McConfig(drift=1.0, n_replicas=3_000, seed=6,
-                                                 chunk_size=1024), checkpoints=[0.25, 0.5, 1.0])
+    c = survival_probability(2.0, 1.0, McConfig(drift=1.0, n_replicas=3_000, seed=6),
+                             checkpoints=[0.25, 0.5, 1.0])
     assert not np.array_equal(a[0], c[0])
 
 
@@ -123,16 +124,6 @@ def test_payoff_against_method_of_images(killed_density):
     assert abs(mean - exact) <= 3.0 * se
 
 
-def test_bridge_correction_removes_bias():
-    x0, t_end = 1.0, 1.0
-    exact = erf(x0 / math.sqrt(4.0 * t_end))
-    cfg = McConfig(drift=0.0, branch_rate=0.0, n_replicas=40_000, seed=12,
-                   bridge_correction=False)
-    p_nb, se = survival_probability(x0, t_end, cfg)
-    # without the bridge correction only the endpoint sign kills: survival is overestimated
-    assert p_nb - exact > 3.0 * se
-
-
 def test_supercritical_pull_orders_survival():
     kw = dict(branch_rate=1.0, n_replicas=4_000, seed=21)
     p3, se3 = survival_probability(1.0, 5.0, McConfig(drift=-3.0, **kw))
@@ -160,8 +151,9 @@ def test_estimate_trivial_and_linearity():
     assert m2 == pytest.approx(2.0 * m1, rel=1e-15)
 
 
-def test_estimate_deterministic():
-    cfg = McConfig(drift=2.0, n_replicas=2_000, seed=42, chunk_size=512)
+def test_estimate_deterministic(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 512)
+    cfg = McConfig(drift=2.0, n_replicas=2_000, seed=42)
     a = estimate(1.5, 1.0, indicator_12, cfg)
     b = estimate(1.5, 1.0, indicator_12, cfg)
     assert a == b

@@ -6,7 +6,7 @@ import pytest
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
 from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField,
                                apply_M, decompose, default_y_grid,
-                               eigenfunction, eigenvalue, evolve_W,
+                               eigenfunction, evolve_W,
                                from_selfsimilar, initial_mode_overlap,
                                observables_from_trajectory, quadratic_form_Q,
                                slope_correspondence, to_selfsimilar, trapezoid_weights)
@@ -165,14 +165,6 @@ def test_eigenfunction_e1_formula(y_grid):
     np.testing.assert_allclose(e1, expect, atol=1e-13)
 
 
-def test_eigenvalues():
-    assert eigenvalue(0) == 0.0
-    assert eigenvalue(1) == 1.0
-    assert eigenvalue(4) == 4.0
-    with pytest.raises(ValueError):
-        eigenvalue(-1)
-
-
 def test_orthonormality(basis12):
     G = basis12.gram()
     off = G - np.eye(12)
@@ -268,13 +260,6 @@ def test_weighted_moment_inequality(y_grid, weights):
 # ---------------------------------------------------------------------------
 # evolution and decomposition
 
-def test_kernel_mode_stationary_without_forcing(y_grid):
-    W0 = SelfSimilarField(0.0, y_grid, y_grid * np.exp(-y_grid**2 / 8))
-    traj = evolve_W(W0, 2.0, None, dtau=0.005, sample_every=80)
-    drift = np.max(np.abs(traj.final().values - W0.values))
-    assert drift < 1e-6
-
-
 def test_projection_convergence_rate(run_critical):
     # <W(tau), e_0> settles at rate e^{-tau/2}
     traj, _, _ = run_critical
@@ -302,7 +287,7 @@ def test_two_route_consistency():
     W0 = to_selfsimilar(f1)
     tau_end = math.log(21.0)
     traj = evolve_W(W0, tau_end, d, dtau=0.001, sample_every=10**9)
-    W_ss = traj.final().values
+    W_ss = traj.states[-1]
 
     f20, _ = evolve(f1, 20.0, cfg, d)
     W_phys = to_selfsimilar(f20).values
@@ -377,7 +362,7 @@ def test_startup_steps_end_at_tau_end_once(startup_steps):
                     startup_steps=startup_steps)
     assert np.all(np.diff(traj.taus) > 0.0)
     assert traj.taus[-1] == 10.0
-    assert len(observables_from_trajectory(traj)) == len(traj)
+    assert len(observables_from_trajectory(traj, SpatialGrid())) == len(traj)
 
 
 def test_startup_stops_at_tau_end():
@@ -389,4 +374,4 @@ def test_startup_stops_at_tau_end():
     traj = evolve_W(W0, tau_end, DriftExpansion(10.0), dtau=0.01, sample_every=1,
                     startup_steps=4)
     assert traj.taus[-1] == pytest.approx(tau_end, abs=1e-14)
-    assert not np.array_equal(traj.final().values, W0.values)
+    assert not np.array_equal(traj.states[-1], W0.values)

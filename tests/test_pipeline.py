@@ -85,6 +85,7 @@ _LINE = st.one_of(
 @example("x_max = 1e308\ndx = 1e-308")
 @example("mc.replicas = " + "9" * 5000)
 @example("fit.window = 1,2,3")
+@example("dtau = 5e-324")
 def test_parse_config_any_text_is_valid_or_config_error(text):
     try:
         cfg = parse_config(text)
@@ -105,14 +106,18 @@ def _valid_overrides(draw):
     dy = draw(st.floats(1e-3, 1.0))
     y_max = dy * draw(st.integers(math.ceil(20.0 / dy) + 1, 10**5))
     tau_end = draw(st.floats(SPECTRAL_TAU_MIN, 1e3))
-    lo, hi = 0.5 * draw(fraction), 0.6 + 0.4 * draw(fraction)
+    lo, hi = tau_end * 0.5 * draw(fraction), tau_end * (0.6 + 0.4 * draw(fraction))
+    t_handoff = draw(fraction)
+    # 20 samples in the window after the handoff: the spacing is at most
+    # max(2 dtau, 4 SAMPLE_DTAU / 3), and the span at least 0.6 (tau_end >= 6)
+    span = hi - max(lo, math.log1p(t_handoff))
     a = x_max * (1e-6 + 0.4 * draw(fraction))
     return {
         "cbar": cbar,
         "x_max": x_max, "dx": dx, "y_max": y_max, "dy": dy,
-        "dt": draw(positive), "t_end": draw(positive), "t_handoff": draw(fraction),
-        "tau_end": tau_end, "dtau": draw(positive),
-        "fit.window": (tau_end * lo, tau_end * hi),
+        "dt": draw(positive), "t_end": draw(positive), "t_handoff": t_handoff,
+        "tau_end": tau_end, "dtau": draw(st.floats(1e-3, span / 40)),
+        "fit.window": (lo, hi),
         "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
         "v0.a": a, "v0.b": a + x_max * (0.1 + 0.4 * draw(fraction)),
         "mc.drift": draw(st.floats(-1e3, 1e3)), "mc.x0": draw(positive),
@@ -381,11 +386,17 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("cbar = 1000", "cbar"),       # front speed 500.5 at t = 0: |speed| dx >= 2
     ("tau_end = 3\nfit.window = 1,3", "tau_end"),   # below the spectral projection's floor
     ("dx = 0.032", "2 dx"),        # divides x_max = 60, but the partner's 0.064 does not
+    ("fit.window = 9.9,10", "fit.window"),      # 5 samples 0.02 apart
+    ("dtau = 0.03\nfit.window = 6,7", "fit.window"),  # 34 samples, but 17 in the 2 dtau partner
+    ("tau_end = 6\nfit.window = 3,6\nt_handoff = 500\ndx = 0.05\ndt = 0.05",
+     "t_handoff"),                 # the handoff ends at tau = 6.22, past the window
+    ("t_handoff = 5000\ndx = 0.05\ndt = 0.05", "t_handoff"),   # under a decade of t to tau_end
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
         "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice",
         "missing_file", "not_utf8", "n_modes_unknown", "cbar_beyond_peclet_bound",
-        "tau_end_below_spectral_floor", "partner_dx_not_dividing_x_max"])
+        "tau_end_below_spectral_floor", "partner_dx_not_dividing_x_max", "window_too_short",
+        "partner_window_too_short", "handoff_past_window", "handoff_under_a_decade"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist
     if isinstance(text, bytes):

@@ -97,6 +97,13 @@ def test_fit_rate_degenerate_raises():
         fit_rate(s, 5.0, "power")
 
 
+@pytest.mark.parametrize("observable", ["Mass", "slope", ""])
+def test_fit_rate_rejects_unknown_observable(observable):
+    s = synthetic_series(lambda t: 5.0 + 2.0 * t**-0.5)
+    with pytest.raises(ValueError, match="unknown observable"):
+        fit_rate(s, 5.0, "power", observable=observable)
+
+
 def test_prefactor_check_synthetic():
     P = -3.0
     t = np.geomspace(100.0, 20000.0, 300)

@@ -7,7 +7,7 @@ from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
 from bbmlab.oscillator import SpectralBasis, default_y_grid, hermite_rows, trapezoid_weights
-from bbmlab.specfun import (F2, H, G_explicit, SeriesAccuracy, SeriesDiverged, _DYQ,
+from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _DYQ,
                             _g0_spectral, _tail_integrand, _weighted_forcing, forcing_F,
                             g1_coefficient, g_profile, g_slope0, kernel_projection_of_F,
                             solve_g_spectral)
@@ -72,22 +72,23 @@ def test_asymptotic_ratios():
     assert all(a > b for a, b in zip(rh, rh[1:]))
 
 
-def test_series_accuracy_validation():
-    with pytest.raises(ValueError):
-        SeriesAccuracy(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        SeriesAccuracy(max_terms=3)
-    with pytest.raises(SeriesDiverged):
-        F2(25.0, SeriesAccuracy(rel_tol=1e-14, max_terms=12))
+def test_series_raise_past_their_term_budget():
+    # the 500-term budget holds up to z ~ 352 and runs out beyond
+    for series in (F2, H):
+        assert math.isfinite(series(351.0))
+        with pytest.raises(SeriesDiverged, match="500 terms"):
+            series(360.0)
 
 
 def test_rejects_negative_z():
-    with pytest.raises(ValueError):
-        F2(-1.0)
-    with pytest.raises(ValueError):
-        H(-0.5)
-    with pytest.raises(ValueError):
-        G_explicit(-2.0, 1.0, 0.0)
+    for z in (-1.0, math.inf, math.nan):
+        for f in (F2, H, lambda z: G_explicit(z, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="z must be"):
+                f(z)
+    # g_profile takes y, and z = y^2/4 >= 0 for every y whose square is finite
+    for y in (math.inf, math.nan, 1e200):
+        with pytest.raises(ValueError, match="y must be"):
+            g_profile(1.0, 0.0, np.array([0.0, 1.0, y]))
 
 
 # ---------------------------------------------------------------------------
