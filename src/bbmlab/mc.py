@@ -129,21 +129,18 @@ def estimate(x0: float, t_end: float, v0, cfg: McConfig):
     return mean, stderr
 
 
-def survival_probability(x0: float, t_end: float, cfg: McConfig, checkpoints=None):
-    """Fraction of replicas with at least one alive particle.
+def survival_probability(x0: float, t_end: float, cfg: McConfig, checkpoints):
+    """Fraction of replicas with at least one alive particle at each checkpoint.
 
-    With checkpoints (a sorted list of times in [0, t_end]), returns
-    (p_array, stderr_array) recorded along a single run, so the survival sets
-    are nested and the series is monotone pathwise.
+    checkpoints is a sorted list of times in [0, t_end]; returns (p_array,
+    stderr_array) recorded along a single run, so the survival sets are
+    nested and the series is monotone pathwise.
     """
-    if checkpoints is None:
-        times = np.array([t_end], dtype=float)
-    else:
-        times = np.asarray(checkpoints, dtype=float)
-        if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
-            raise ValueError(f"checkpoints must be a sorted list of finite times, got {checkpoints!r}")
-        if times.size and not (times[0] >= 0.0 and times[-1] <= t_end):
-            raise ValueError(f"checkpoints must lie in [0, t_end={t_end}], got {checkpoints!r}")
+    times = np.asarray(checkpoints, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+        raise ValueError(f"checkpoints must be a sorted list of finite times, got {checkpoints!r}")
+    if times.size and not (times[0] >= 0.0 and times[-1] <= t_end):
+        raise ValueError(f"checkpoints must lie in [0, t_end={t_end}], got {checkpoints!r}")
     if t_end == 0.0:
         p = np.ones(times.size)
     else:
@@ -152,7 +149,4 @@ def survival_probability(x0: float, t_end: float, cfg: McConfig, checkpoints=Non
         for lo, n, _, _, chunk_alive in _run_chunks(x0, stops, cfg):
             alive[:, lo:lo + n] = chunk_alive
         p = alive[np.searchsorted(stops, times)].mean(axis=1)
-    se = np.sqrt(np.maximum(p * (1 - p), 0.0) / cfg.n_replicas)
-    if checkpoints is None:
-        return float(p[0]), float(se[0])
-    return p, se
+    return p, np.sqrt(np.maximum(p * (1 - p), 0.0) / cfg.n_replicas)

@@ -224,15 +224,13 @@ def slope_correspondence(W: SelfSimilarField) -> float:
 # ---------------------------------------------------------------------------
 # frame changes
 
-def to_selfsimilar(f: Field, y_grid: np.ndarray | None = None) -> SelfSimilarField:
+def to_selfsimilar(f: Field, y_grid: np.ndarray) -> SelfSimilarField:
     """Map a physical field to the self-similar frame.
 
     Raises LossOfSupport if the map needs values beyond x_max where the field
     is not numerically negligible; the dead tail beyond x_max is padded with
     zeros.
     """
-    if y_grid is None:
-        y_grid = default_y_grid()
     tau = math.log1p(f.time)
     scale = math.sqrt(1.0 + f.time)
     xs = y_grid * scale

@@ -206,16 +206,16 @@ class StepFactors:
         self.tri = self.piv = self.made_for = None
 
 
-def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
+def theta_step(L, lu, values, t, h, theta, factors, key):
     """One theta step of v' = L v from t to t + h; returns the new values.
 
     L holds the operator as from banded() and is left unchanged; values vanish
     at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.
-    When factors (a StepFactors, fresh if None) hold the LU factors for the
-    same key, h and theta, the step solves with them; otherwise, or without a
-    key, it factors and stores the factors, then solves.  A tridiagonal L,
-    lu = (1, 1), factors with dgttrf and solves with dgttrs; any other layout
-    factors with dgbtrf and solves with dgbtrs.  scipy.linalg.solve_banded's
+    When factors (a StepFactors) hold the LU factors for the same key, h and
+    theta, the step solves with them; otherwise it factors and stores the
+    factors, then solves.  A tridiagonal L, lu = (1, 1), factors with dgttrf
+    and solves with dgttrs; any other layout factors with dgbtrf and solves
+    with dgbtrs.  scipy.linalg.solve_banded's
     LAPACK drivers run the same elimination on each layout (its tridiagonal
     driver is dgttrf's and dgttrs's, its banded one dgbtrf then dgbtrs), so
     every path gives solve_banded's values bit for bit.  A nonzero LAPACK
@@ -224,14 +224,12 @@ def theta_step(L, lu, values, t, h, theta, factors=None, key=None):
     can still leave round-off there, so the ends are set to exactly 0.
     """
     l, u = lu
-    factors = StepFactors(L) if factors is None else factors
     made_for = (key, h, theta)
     rhs = values.copy()
     if theta < 1.0:
         rhs += (1.0 - theta) * h * _matvec(L, lu, values)
-    reuse = key is not None and made_for == factors.made_for
     tridiagonal = lu == (1, 1)
-    if not reuse:
+    if made_for != factors.made_for:
         factors.made_for = None
         ab = factors.ab
         np.multiply(L, -theta * h, out=ab)

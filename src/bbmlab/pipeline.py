@@ -10,12 +10,11 @@ validated; a bad value raises ConfigError naming its key.
 
 Pipelines: 'solve' (physical frame), 'selfsim' (handoff to the self-similar
 frame, with its rate fits), 'specfun' (series / profile tables), 'mc'
-(many-to-one validation), and the preset 'reproduce-theorem' (selfsim + fits
-for cbar in {0, 3 sqrt(pi), 10} plus the prefactor check).  The last two run
-each self-similar run through resolved_run and write its Richardson error
-estimates to a 'resolution' block of summary.json.  Every pipeline that
-writes an observable series also records its flux-identity residual there,
-and the manifest records the environment the run used.
+(many-to-one validation), and the preset 'reproduce-theorem' (selfsim for
+cbar in {0, 3 sqrt(pi), 10} plus a rate table).  Both self-similar pipelines
+write one summary per resolved_run, keyed by cbar (its fits in one list), and
+the preset merges three of them.  Every series written records its
+flux-identity residual, and the manifest records the environment.
 """
 
 from __future__ import annotations
@@ -179,54 +178,43 @@ def _sample_every(dtau: float) -> int:
     return max(1, round(SAMPLE_DTAU / dtau))
 
 
-def _handoff(cbar: float, cfg: dict, coarsen: int = 1):
-    """(drift, physical field at t_handoff) from v0 under the drift of cbar,
-    solved at (coarsen dx, coarsen dt)."""
-    d = DriftExpansion(cbar)
+def _physical_run(cbar: float, cfg: dict, t_end: float, coarsen: int = 1):
+    """(v0, field at t_end, series) under the drift of cbar at (coarsen dx, coarsen dt)."""
     grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / (coarsen * cfg["dx"]))))
     f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    f1, _ = evolve(f0, cfg["t_handoff"], SolverConfig(dt=coarsen * cfg["dt"]), d)
-    return d, f1
+    return (f0, *evolve(f0, t_end, SolverConfig(dt=coarsen * cfg["dt"]), DriftExpansion(cbar)))
 
 
-def _march(d: DriftExpansion, f1, cfg: dict, coarsen: int = 1):
-    """W from the handoff field f1 to tau_end at (coarsen dy, coarsen dtau).
-
-    Returns (trajectory, ObservableSeries in physical time); the mass is read
-    on the physical grid of f1.
-    """
-    dtau = coarsen * cfg["dtau"]
-    W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], coarsen * cfg["dy"]))
-    traj = evolve_W(W0, cfg["tau_end"], d, dtau=dtau, sample_every=_sample_every(dtau))
-    return traj, observables_from_trajectory(traj, f1.grid)
-
-
-def selfsimilar_run(cbar: float, cfg: dict | None = None):
+def selfsimilar_run(cbar: float, cfg: dict | None = None, coarsen: int = 1):
     """Physical solve to the handoff time, then march W to tau_end.
 
-    Returns (trajectory, ObservableSeries in physical time).  This is the
-    workhorse behind the rate experiments: physical-frame cost grows linearly
-    in t, the self-similar frame compresses it to tau = log(1+t).
+    Returns (trajectory, ObservableSeries in physical time), the mass read on
+    the handoff's grid; coarsen multiplies dx, dt, dy and dtau.  Physical-frame
+    cost grows linearly in t; the self-similar frame compresses it to log(1+t).
     """
     cfg = make_config(cfg)
-    return _march(*_handoff(cbar, cfg), cfg)
+    _, f1, _ = _physical_run(cbar, cfg, cfg["t_handoff"], coarsen)
+    dtau = coarsen * cfg["dtau"]
+    W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], coarsen * cfg["dy"]))
+    traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cbar), dtau=dtau,
+                    sample_every=_sample_every(dtau))
+    return traj, observables_from_trajectory(traj, f1.grid)
 
 
 def resolved_run(cbar: float, cfg: dict | None = None):
     """selfsimilar_run and its rate_report, with a Richardson error estimate.
 
-    A partner run doubles every step: its handoff runs at (2 dx, 2 dt) and
-    its march at (2 dy, 2 dtau).  |A(h) - A(2h)| / 3 estimates the error of
-    each reported number A at the run's own resolution h.  The divisor suits
-    the second-order dx, dt and dtau errors; dy enters at fourth order, so
-    where it dominates the estimate errs high.  Returns (trajectory, series,
-    report, errors).
+    A partner run doubles every step (selfsimilar_run at coarsen 2): its
+    handoff runs at (2 dx, 2 dt) and its march at (2 dy, 2 dtau).
+    |A(h) - A(2h)| / 3 estimates the error of each reported number A at the
+    run's own resolution h.  The divisor suits the second-order dx, dt and
+    dtau errors; dy enters at fourth order, so where it dominates the
+    estimate errs high.  Returns (trajectory, series, report, errors).
     """
     cfg = make_config(cfg)
-    traj, series = _march(*_handoff(cbar, cfg), cfg)
+    traj, series = selfsimilar_run(cbar, cfg)
     report = rate_report(cbar, traj, series, cfg["fit.window"])
-    partner = rate_report(cbar, *_march(*_handoff(cbar, cfg, coarsen=2), cfg, coarsen=2),
-                          cfg["fit.window"])
+    partner = rate_report(cbar, *selfsimilar_run(cbar, cfg, coarsen=2), cfg["fit.window"])
 
     def err(a, b):
         return abs(a - b) / 3.0
@@ -242,27 +230,24 @@ def resolved_run(cbar: float, cfg: dict | None = None):
 
 
 def _resolution_block(cfg: dict, errors: dict) -> dict:
-    """summary.json's record of the Richardson estimates, errors keyed by cbar."""
-    steps = ("dx", "dt", "dy", "dtau")
-    return {**{k: cfg[k] for k in steps},
-            "partner": {k: 2 * cfg[k] for k in steps},
+    """summary.json's record of the Richardson estimates, errors keyed by cbar;
+    dt is the step the handoff takes, min(dt, dx) (SolverConfig.effective_dt)."""
+    steps = dict(dx=cfg["dx"], dt=min(cfg["dt"], cfg["dx"]), dy=cfg["dy"], dtau=cfg["dtau"])
+    return {**steps,
+            "partner": {k: 2 * h for k, h in steps.items()},
             "estimate": "|A(dx, dt, dy, dtau) - A(2 dx, 2 dt, 2 dy, 2 dtau)| / 3",
             "error": errors}
 
 
-def _flux_block(kind: str, series: dict) -> dict:
-    """summary.json's max interior flux-identity residual of each series written
+def _flux_block(kind: str, key: str, series: ObservableSeries) -> dict:
+    """summary.json's max interior flux-identity residual of the series written
     as {kind}_..._cbar{key}.csv, keyed by cbar (null below three samples)."""
-    return {"flux_identity_residual": {kind: {
-        key: flux_identity_residual(s) if len(s) >= 3 else None for key, s in series.items()}}}
-
-
-def _tau_window_to_t(window):
-    return (math.expm1(window[0]), math.expm1(window[1]))
+    residual = flux_identity_residual(series) if len(series) >= 3 else None
+    return {"flux_identity_residual": {kind: {key: residual}}}
 
 
 def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
-                tau_window=(6.0, 10.0)):
+                tau_window=_DEFAULTS["fit.window"]):
     """alpha_0 estimates and the dichotomy fits for one run.
 
     Power-law rate fits of non-critical runs use the model-matched
@@ -271,7 +256,7 @@ def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
     prefactor check use the spectral projection, whose error stays well below
     the residual being measured.
     """
-    window = _tau_window_to_t(tau_window)
+    window = (math.expm1(tau_window[0]), math.expm1(tau_window[1]))
     a_spec = estimate_alpha0(traj, "spectral_projection")
     a_slope = estimate_alpha0(series, "slope_extrapolation", cbar=cbar, window=window)
     critical = _is_critical(cbar)
@@ -312,29 +297,39 @@ def _fit_dict(f):
 # pipelines
 
 def _pipe_solve(cfg, out: Path):
-    d = DriftExpansion(cfg["cbar"])
-    grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / cfg["dx"])))
-    f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    _, series = evolve(f0, cfg["t_end"], SolverConfig(dt=cfg["dt"]), d)
-    path = out / f"physical_cbar{cfg['cbar']:.6g}.csv"
+    key = f"{cfg['cbar']:.6g}"
+    f0, _, series = _physical_run(cfg["cbar"], cfg, cfg["t_end"])
+    path = out / f"physical_cbar{key}.csv"
     write_series_csv(path, series)
     ov = initial_mode_overlap(f0)
     return [path], {"initial_overlap": {"weighted": ov[0], "plain": ov[1]},
-                    **_flux_block("physical", {f"{cfg['cbar']:.6g}": series})}
+                    **_flux_block("physical", key, series)}
+
+
+def _selfsim_summary(cbar: float, cfg, out: Path):
+    """resolved_run at cbar, its series written; (trajectory, series path, summary)
+    with every summary block keyed by f"{cbar:.6g}" but the list of fits."""
+    traj, series, report, errors = resolved_run(cbar, cfg)
+    key = f"{cbar:.6g}"
+    path = out / f"selfsim_series_cbar{key}.csv"
+    write_series_csv(path, series)
+    return traj, path, {
+        "alpha0": {key: report["alpha0"]},
+        "alpha0_methods": {key: report["alpha0_methods"]},
+        "fits": report["fits"],
+        "prefactor_check": {key: report["prefactor_check"]},
+        "resolution": _resolution_block(cfg, {key: errors}),
+        **_flux_block("selfsim", key, series),
+    }
 
 
 def _pipe_selfsim(cfg, out: Path):
     cbar = cfg["cbar"]
-    traj, series, report, errors = resolved_run(cbar, cfg)
-    alpha0 = report["alpha0"]
-    gp = g_profile(alpha0, cbar, traj.y)
-    p1 = out / f"selfsim_series_cbar{cbar:.6g}.csv"
-    write_series_csv(p1, series)
-    p2 = out / f"trajectory_cbar{cbar:.6g}.csv"
-    write_trajectory_csv(p2, traj, alpha0, gp.values)
-    return [p1, p2], {"selfsim": report,
-                      "resolution": _resolution_block(cfg, {f"{cbar:.6g}": errors}),
-                      **_flux_block("selfsim", {f"{cbar:.6g}": series})}
+    traj, series_path, summary = _selfsim_summary(cbar, cfg, out)
+    (alpha0,) = summary["alpha0"].values()
+    path = out / f"trajectory_cbar{cbar:.6g}.csv"
+    write_trajectory_csv(path, traj, alpha0, g_profile(alpha0, cbar, traj.y).values)
+    return [series_path, path], summary
 
 
 #: largest z at which a specfun row carries F2, H and their scaled forms: the
@@ -382,34 +377,18 @@ def _pipe_mc(cfg, out: Path):
 
 
 def _pipe_reproduce_theorem(cfg, out: Path):
-    reports = []
-    errors = {}
-    written = {}
-    files = []
+    files, summary = [], {}
     for cbar in (0.0, CBAR_CRITICAL, 10.0):
-        _, series, report, errors[f"{cbar:.6g}"] = resolved_run(cbar, cfg)
-        p = out / f"selfsim_series_cbar{cbar:.6g}.csv"
-        write_series_csv(p, series)
-        files.append(p)
-        reports.append(report)
-        written[f"{cbar:.6g}"] = series
+        _, path, extra = _selfsim_summary(cbar, cfg, out)
+        files.append(path)
+        _merge(summary, extra)
     table = out / "rate_table.csv"
     with open(table, "w") as fh:
         fh.write("cbar,observable,model,exponent,prefactor,r2\n")
-        for rep in reports:
-            for f in rep["fits"]:
-                fh.write(f"{f['cbar']:.17g},{f['observable']},{f['model']},"
-                         f"{f['exponent']:.17g},{f['prefactor']:.17g},{f['r2']:.17g}\n")
-    files.append(table)
-    summary = {
-        "alpha0": {f"{r['cbar']:.6g}": r["alpha0"] for r in reports},
-        "alpha0_methods": {f"{r['cbar']:.6g}": r["alpha0_methods"] for r in reports},
-        "fits": [f for r in reports for f in r["fits"]],
-        "prefactor_check": {f"{r['cbar']:.6g}": r["prefactor_check"] for r in reports},
-        "resolution": _resolution_block(cfg, errors),
-        **_flux_block("selfsim", written),
-    }
-    return files, summary
+        for f in summary["fits"]:
+            fh.write(f"{f['cbar']:.17g},{f['observable']},{f['model']},"
+                     f"{f['exponent']:.17g},{f['prefactor']:.17g},{f['r2']:.17g}\n")
+    return [*files, table], summary
 
 
 _PIPELINES = {
@@ -422,10 +401,15 @@ _PIPELINES = {
 
 
 def _merge(into: dict, extra: dict):
-    """Merge extra into into, recursing where both hold a dict under one key."""
+    """Merge extra into into: where both hold a dict under one key it recurses,
+    where both hold a list it appends the items not already there, and
+    anything else replaces."""
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
+        held = into.get(key)
+        if isinstance(value, dict) and isinstance(held, dict):
+            _merge(held, value)
+        elif isinstance(value, list) and isinstance(held, list):
+            held.extend(item for item in value if item not in held)
         else:
             into[key] = value
 
@@ -452,10 +436,10 @@ def _sha256(path: Path) -> str:
 def run_experiment(config, out_dir, pipelines=()):
     """Execute the named pipelines and persist artifacts plus a manifest.
 
-    config may be a dict of overrides, a path to a key=value file, or None for
-    the defaults.  Returns the output directory path.
+    config is a dict of overrides (a whole config included), or None for the
+    defaults.  Returns the output directory path.
     """
-    cfg = make_config(config) if config is None or isinstance(config, dict) else load_config(config)
+    cfg = make_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}

@@ -17,12 +17,11 @@ def indicator_12(p):
 
 def test_survival_trivial_and_bad_x0():
     cfg = McConfig(drift=0.0)
-    assert survival_probability(1.0, 0.0, cfg) == (1.0, 0.0)
     p, se = survival_probability(1.0, 0.0, cfg, checkpoints=[0.0])
     np.testing.assert_array_equal(p, [1.0])
     np.testing.assert_array_equal(se, [0.0])
     with pytest.raises(ValueError, match="x0"):
-        survival_probability(-1.0, 1.0, cfg)
+        survival_probability(-1.0, 1.0, cfg, checkpoints=[1.0])
     with pytest.raises(ValueError, match="x0"):
         estimate(0.0, 1.0, indicator_12, cfg)
     with pytest.raises(ValueError, match="t_end"):
@@ -52,9 +51,6 @@ def test_survival_probability_deterministic(monkeypatch):
     b = survival_probability(2.0, 1.0, cfg, checkpoints=[0.25, 0.5, 1.0])
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-    # the final checkpoint is the plain run: same stops, same draws
-    assert survival_probability(2.0, 1.0, cfg, checkpoints=[1.0])[0][0] == \
-        survival_probability(2.0, 1.0, cfg)[0]
     c = survival_probability(2.0, 1.0, McConfig(drift=1.0, n_replicas=3_000, seed=6),
                              checkpoints=[0.25, 0.5, 1.0])
     assert not np.array_equal(a[0], c[0])
@@ -93,7 +89,7 @@ def test_survival_against_reflection_oracle():
     # driftless variance-2 Brownian motion absorbed at 0: P(survive to t) = erf(x0/sqrt(4t))
     x0, t_end = 1.0, 1.0
     cfg = McConfig(drift=0.0, branch_rate=0.0, n_replicas=40_000, seed=11)
-    p, se = survival_probability(x0, t_end, cfg)
+    (p,), (se,) = survival_probability(x0, t_end, cfg, checkpoints=[t_end])
     exact = erf(x0 / math.sqrt(4.0 * t_end))
     assert abs(p - exact) <= 3.0 * se
 
@@ -106,7 +102,7 @@ def test_single_step_survival_matches_closed_form(c):
     s = math.sqrt(2.0 * t_end)
     exact = norm.cdf((x0 + c * t_end) / s) - math.exp(-c * x0) * norm.cdf((c * t_end - x0) / s)
     cfg = McConfig(drift=c, branch_rate=0.0, n_replicas=40_000, seed=13)
-    p, se = survival_probability(x0, t_end, cfg)
+    (p,), (se,) = survival_probability(x0, t_end, cfg, checkpoints=[t_end])
     assert abs(p - exact) <= 3.0 * se
     # cutting the path at checkpoints does not change the law
     p4, se4 = survival_probability(x0, t_end, cfg, checkpoints=[0.25, 0.5, 0.75, 1.0])
@@ -126,8 +122,8 @@ def test_payoff_against_method_of_images(killed_density):
 
 def test_supercritical_pull_orders_survival():
     kw = dict(branch_rate=1.0, n_replicas=4_000, seed=21)
-    p3, se3 = survival_probability(1.0, 5.0, McConfig(drift=-3.0, **kw))
-    p2, se2 = survival_probability(1.0, 5.0, McConfig(drift=-2.0, **kw))
+    (p3,), _ = survival_probability(1.0, 5.0, McConfig(drift=-3.0, **kw), checkpoints=[5.0])
+    (p2,), _ = survival_probability(1.0, 5.0, McConfig(drift=-2.0, **kw), checkpoints=[5.0])
     assert p3 < p2
 
 

@@ -63,7 +63,7 @@ def test_to_selfsimilar_at_t0():
     v = np.exp(-((x - 3.0) ** 2))
     v[0] = v[-1] = 0.0
     f = Field(grid, v, 0.0)
-    W = to_selfsimilar(f)
+    W = to_selfsimilar(f, default_y_grid())
     expect = np.exp(W.y**2 / 8) * np.exp(W.y) * np.interp(W.y, x, v)
     expect[0] = expect[-1] = 0.0
     sel = W.y <= 12.0   # beyond that both sides are ~0
@@ -77,7 +77,7 @@ def test_manufactured_gaussian_maps_to_kernel_mode():
     x = grid.x
     v = x * np.exp(-x) * np.exp(-x * x / (4 * (1 + t)))
     v[0] = v[-1] = 0.0
-    W = to_selfsimilar(Field(grid, v, t))
+    W = to_selfsimilar(Field(grid, v, t), default_y_grid())
     expect = W.y * np.exp(-W.y**2 / 8)
     sel = W.y * math.sqrt(1 + t) <= grid.x_max
     np.testing.assert_allclose(W.values[sel], expect[sel], atol=2e-9)
@@ -85,7 +85,7 @@ def test_manufactured_gaussian_maps_to_kernel_mode():
 
 def test_zero_maps_to_zero():
     grid = SpatialGrid(60.0, 6000)
-    W = to_selfsimilar(Field(grid, np.zeros(grid.nx + 1), 5.0))
+    W = to_selfsimilar(Field(grid, np.zeros(grid.nx + 1), 5.0), default_y_grid())
     assert np.all(W.values == 0.0)
 
 
@@ -95,7 +95,7 @@ def test_loss_of_support():
     v = np.exp(-x / 30.0)    # fat tail, alive at x_max
     v[0] = v[-1] = 0.0
     with pytest.raises(LossOfSupport):
-        to_selfsimilar(Field(grid, v, 30.0))
+        to_selfsimilar(Field(grid, v, 30.0), default_y_grid())
 
 
 def test_round_trip_interpolation_accuracy():
@@ -105,7 +105,7 @@ def test_round_trip_interpolation_accuracy():
     v = x * np.exp(-x) * np.exp(-x * x / (4 * (1 + t))) * (1 + 0.3 * np.sin(x))
     v[0] = v[-1] = 0.0
     f = Field(grid, v, t)
-    back = from_selfsimilar(to_selfsimilar(f), grid)
+    back = from_selfsimilar(to_selfsimilar(f, default_y_grid()), grid)
     assert back.time == pytest.approx(t, abs=1e-12)
     err = np.max(np.abs(back.values - v))
     assert err < 1e-8   # two cubic interpolations at dx = dy = 0.01
@@ -126,7 +126,7 @@ def test_slope_correspondence_cross_module():
     f = initial_condition("indicator", grid)
     d = DriftExpansion(CB)
     f1, _ = evolve(f, 10.0, SolverConfig(dt=0.01, sample_every=10**9), d)
-    ws = slope_correspondence(to_selfsimilar(f1))
+    ws = slope_correspondence(to_selfsimilar(f1, default_y_grid()))
     bs = boundary_slope(f1)
     assert ws == pytest.approx(bs, rel=5e-4)
 
@@ -284,13 +284,13 @@ def test_two_route_consistency():
     f = initial_condition("indicator", grid)
     cfg = SolverConfig(dt=0.004, sample_every=10**9)
     f1, _ = evolve(f, 1.0, cfg, d)
-    W0 = to_selfsimilar(f1)
+    W0 = to_selfsimilar(f1, default_y_grid())
     tau_end = math.log(21.0)
     traj = evolve_W(W0, tau_end, d, dtau=0.001, sample_every=10**9)
     W_ss = traj.states[-1]
 
     f20, _ = evolve(f1, 20.0, cfg, d)
-    W_phys = to_selfsimilar(f20).values
+    W_phys = to_selfsimilar(f20, default_y_grid()).values
 
     w = trapezoid_weights(W_ss.size, 0.01)
     diff = l2(w, W_ss - W_phys)
@@ -342,7 +342,7 @@ def test_observables_from_trajectory_match_physical():
     f = initial_condition("indicator", grid)
     cfg = SolverConfig(dt=0.01, sample_every=10**9)
     f1, _ = evolve(f, 1.0, cfg, d)
-    W0 = to_selfsimilar(f1)
+    W0 = to_selfsimilar(f1, default_y_grid())
     traj = evolve_W(W0, math.log(6.0), d, dtau=0.002, sample_every=10**9)
     series = observables_from_trajectory(traj, grid)
     f5, _ = evolve(f1, 5.0, cfg, d)

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from bbmlab.drift import CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed
-from bbmlab.oscillator import evolve_W, to_selfsimilar
+from bbmlab.oscillator import default_y_grid, evolve_W, to_selfsimilar
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
@@ -81,7 +81,7 @@ def test_pure_growth_factor(grid):
     ab = A0 - banded(_BANDS, n, {-1: d2, 0: -2.0 * d2, 1: d2})
     f = initial_condition("smooth_bump", grid, 5.0, 9.0)
     dt = SolverConfig(dt=0.01).effective_dt(grid)
-    f1 = Field(grid, theta_step(ab, _BANDS, f.values, 0.0, dt, 0.5), dt)
+    f1 = Field(grid, theta_step(ab, _BANDS, f.values, 0.0, dt, 0.5, StepFactors(ab), 0), dt)
     factor = (1 + dt / 2) / (1 - dt / 2)
     inner = slice(1, -1)
     np.testing.assert_allclose(f1.values[inner], factor * f.values[inner],
@@ -246,7 +246,7 @@ def test_theta_step_scales_sine_mode_exactly(k):
     h = 1e-3
     for theta, factor in ((1.0, 1.0 / (1.0 + h * lam)),
                           (0.5, (1.0 - h * lam / 2) / (1.0 + h * lam / 2))):
-        out = theta_step(L.copy(), lu, v, 0.0, h, theta)
+        out = theta_step(L.copy(), lu, v, 0.0, h, theta, StepFactors(L), 0)
         assert out[0] == 0.0 and out[-1] == 0.0
         np.testing.assert_allclose(out, factor * v, rtol=0, atol=1e-12)
 
@@ -255,7 +255,7 @@ def test_theta_step_non_finite_raises():
     lu = (1, 1)
     L = banded(lu, 5, {-1: 1.0, 0: np.inf, 1: 1.0})
     with pytest.raises(NumericalFailure):
-        theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5)
+        theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5, StepFactors(L), 0)
 
 
 @pytest.mark.parametrize("lu", [(1, 2), (2, 2), (1, 1)])
@@ -279,7 +279,7 @@ def test_theta_step_matches_solve_banded_bit_for_bit(lu):
         want = solve_banded(lu, A, rhs)
         want[0] = want[-1] = 0.0
         ab[l:] = L[l:]
-        got = theta_step(ab, lu, v, 0.0, h, theta)
+        got = theta_step(ab, lu, v, 0.0, h, theta, StepFactors(ab), 0)
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, v)
         v = got
@@ -298,9 +298,8 @@ def _solve_banded_step(L, lu, v, h, theta):
 
 def test_step_factors_reused_only_for_the_same_matrix():
     # one StepFactors through steps that repeat the matrix or change one of L
-    # (named by its key), h and theta at a time, and one step without a key,
-    # on the tridiagonal and the banded path; a reused factorization keeps
-    # its pivot array
+    # (named by its key), h and theta at a time, on the tridiagonal and the
+    # banded path; a reused factorization keeps its pivot array
     for lu in ((1, 1), (1, 2)):
         l, u = lu
         n = 129
@@ -317,7 +316,7 @@ def test_step_factors_reused_only_for_the_same_matrix():
         factors = StepFactors(L1)
         plan = [(L1, 1, 0.03, 0.5, False), (L1, 1, 0.03, 0.5, True), (L1, 1, 0.03, 1.0, False),
                 (L1, 1, 0.03, 1.0, True), (L1, 1, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, False),
-                (L2, None, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, True)]
+                (L2, 2, 0.02, 1.0, True)]
         for L, key, h, theta, reused in plan:
             piv = factors.piv
             got = theta_step(L, lu, v, 0.0, h, theta, factors, key)
@@ -434,4 +433,5 @@ def test_march_rejects_bad_schedule(frame, bad):
             evolve(f0, 1.0, SolverConfig(dt=0.05, **bad), DriftExpansion(1.0))
         else:
             schedule = {"sample_every": 1, "startup_steps": 0, **bad}
-            evolve_W(to_selfsimilar(f0), 0.1, DriftExpansion(1.0), dtau=0.01, **schedule)
+            evolve_W(to_selfsimilar(f0, default_y_grid()), 0.1, DriftExpansion(1.0), dtau=0.01,
+                     **schedule)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from bbmlab.cli import main as cli_main
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from bbmlab.pde import evolve
-from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _validate_config,
+from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _merge, _validate_config,
                              load_config, make_config, parse_config, rate_report,
                              resolved_run, run_experiment, selfsimilar_run)
 from bbmlab.rates import SPECTRAL_TAU_MIN
@@ -187,11 +187,14 @@ def _max_interior_flux_residual(path):
     return float(np.max(np.abs(residual[1:-1])))
 
 
+#: a short run at coarse steps, for the pipelines' file and summary layouts
+_SMALL = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "dt": 0.02, "tau_end": 6.0,
+          "fit.window": (3.0, 6.0)}
+
+
 def test_summary_records_flux_residual_of_each_series(tmp_path):
     # solve and selfsim in one run: both series are recorded, merged under one key
-    cfg = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "dt": 0.02, "tau_end": 6.0,
-           "fit.window": (3.0, 6.0)}
-    out = run_experiment(cfg, tmp_path / "o", ["solve", "selfsim"])
+    out = run_experiment(_SMALL, tmp_path / "o", ["solve", "selfsim"])
     flux = json.loads((out / "summary.json").read_text())["flux_identity_residual"]
     assert flux == {
         "physical": {"1.5": _max_interior_flux_residual(out / "physical_cbar1.5.csv")},
@@ -275,6 +278,62 @@ def test_richardson_partner_coarsens_the_handoff(monkeypatch):
     monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
     resolved_run(1.0, {"dx": 0.02, "dt": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
     assert calls == [(3000, 0.02), (1500, 0.04)]
+
+
+def test_resolution_block_records_the_steps_the_handoffs_take(tmp_path, monkeypatch):
+    # dt is a maximum: with dt > dx the handoff steps at dx and its partner at 2 dx
+    steps = []
+
+    def spy(f0, t_end, cfg, d):
+        steps.append(cfg.effective_dt(f0.grid))
+        return evolve(f0, t_end, cfg, d)
+
+    monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
+    out = run_experiment({**_SMALL, "dt": 0.05}, tmp_path / "o", ["selfsim"])
+    res = json.loads((out / "summary.json").read_text())["resolution"]
+    assert steps == [0.02, 0.04]
+    assert (res["dx"], res["dt"]) == (0.02, 0.02)
+    assert (res["partner"]["dx"], res["partner"]["dt"]) == (0.04, 0.04)
+
+
+def test_selfsim_pipeline_writes_the_theorem_schema(tmp_path, theorem_dir):
+    # the summary of reproduce-theorem for the one cbar of the config
+    out = run_experiment(_SMALL, tmp_path / "o", ["selfsim"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == list(json.loads((theorem_dir / "summary.json").read_text()))
+    for block in (summary["alpha0"], summary["alpha0_methods"], summary["prefactor_check"],
+                  summary["resolution"]["error"], summary["flux_identity_residual"]["selfsim"]):
+        assert list(block) == ["1.5"]
+    assert [(f["cbar"], f["observable"], f["model"]) for f in summary["fits"]] == [
+        (1.5, "mass", "power"), (1.5, "slope0", "power")]
+    # one trajectory row per series row, W's slope at 0 the series' slope0
+    traj_csv = out / "trajectory_cbar1.5.csv"
+    header = traj_csv.read_text().splitlines()[0]
+    assert header == ",".join(["tau", *(f"coef_e{n}" for n in range(8)),
+                               "W_slope0", "R_norm", "R_slope0"])
+    traj = np.loadtxt(traj_csv, delimiter=",", skiprows=1)
+    series = np.loadtxt(out / "selfsim_series_cbar1.5.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(traj[:, header.split(",").index("W_slope0")], series[:, 2])
+
+
+def test_selfsim_with_reproduce_theorem_lists_each_fit_once(tmp_path):
+    # selfsim at cbar = 0 and reproduce-theorem in one run: the cbar = 0 fits
+    # are the same deterministic fits, merged once
+    out = run_experiment({**_SMALL, "cbar": 0.0}, tmp_path / "o",
+                         ["selfsim", "reproduce-theorem"])
+    fits = json.loads((out / "summary.json").read_text())["fits"]
+    keys = [(f"{f['cbar']:.6g}", f["observable"], f["model"]) for f in fits]
+    assert len(keys) == len(set(keys)) == 8    # two power fits per cbar, two log fits at 3 sqrt(pi)
+    table = (out / "rate_table.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in table] == [[o, m] for _, o, m in keys]
+
+
+def test_merge_recurses_appends_new_list_items_and_replaces_scalars():
+    into = {"block": {"a": 1, "inner": {"b": 2}}, "items": [{"k": 0}, 1], "value": 1}
+    _merge(into, {"block": {"inner": {"c": 3}, "d": 4}, "items": [1, {"k": 0}, {"k": 1}, 2],
+                  "value": 2, "new": [5]})
+    assert into == {"block": {"a": 1, "inner": {"b": 2, "c": 3}, "d": 4},
+                    "items": [{"k": 0}, 1, {"k": 1}, 2], "value": 2, "new": [5]}
 
 
 def test_mc_pipeline_writes_result(tmp_path):
@@ -490,5 +549,5 @@ def test_config_file_roundtrip(tmp_path):
     p.write_text("cbar = 0\nt_end = 0.5\ndx = 0.02\ndt = 0.02\n")
     cfg = load_config(p)
     assert cfg["cbar"] == 0.0
-    out = run_experiment(p, tmp_path / "o", ["solve"])
+    out = run_experiment(cfg, tmp_path / "o", ["solve"])
     assert (out / "manifest.json").exists()
