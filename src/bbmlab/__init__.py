@@ -12,6 +12,6 @@ from .oscillator import (Decomposition, LossOfSupport, SelfSimilarField, Spectra
 from .specfun import (F2, GProfile, H, G_explicit, g1_coefficient, g_profile,
                       g_slope0, solve_g_spectral)
 from .mc import McConfig, PopulationCapExceeded, estimate, survival_probability
-from .rates import Alpha0Estimate, RateFit, estimate_alpha0, fit_rate, fit_remainder_decay, prefactor_check
+from .rates import estimate_alpha0, fit_rate, fit_remainder_decay, prefactor_check
 from .pipeline import (ConfigError, parse_config, rate_report, resolved_run, run_experiment,
                        selfsimilar_run)

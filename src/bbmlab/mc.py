@@ -102,10 +102,10 @@ def _sample_chunk(x0, n, stops, cfg, rng):
 
 def _run_chunks(x0, stops, cfg):
     """Yield (lo, n, positions, replicas, alive) for each chunk of replicas."""
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
-    if not stops[-1] > 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"x0 must be positive and finite, got {x0!r}")
+    if not 0.0 < stops[-1] < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {float(stops[-1])!r}")
     edges = list(range(0, cfg.n_replicas, CHUNK_SIZE)) + [cfg.n_replicas]
     children = np.random.SeedSequence(cfg.seed).spawn(len(edges) - 1)
     for lo, hi, child in zip(edges[:-1], edges[1:], children):

@@ -261,8 +261,10 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
     operator(t_half) writes the operator at the half step of each step,
     implicit-Euler or Crank-Nicolson alike, into the buffer L and returns its
     theta_step key; the march owns the StepFactors.  It raises ValueError
-    unless sample_every >= 1 and startup_steps >= 0.
+    unless t, t_end and dt are finite, sample_every >= 1 and startup_steps >= 0.
     """
+    if not np.all(np.isfinite([t, t_end, dt])):
+        raise ValueError(f"need finite t, t_end and dt, got {t!r}, {t_end!r} and {dt!r}")
     if t_end < t - 1e-14:
         raise ValueError(f"t_end = {t_end!r} is before the start time {t!r}")
     if sample_every < 1 or startup_steps < 0:

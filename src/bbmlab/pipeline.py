@@ -13,8 +13,10 @@ frame, with its rate fits), 'specfun' (series / profile tables), 'mc'
 (many-to-one validation), and the preset 'reproduce-theorem' (selfsim for
 cbar in {0, 3 sqrt(pi), 10} plus a rate table).  Both self-similar pipelines
 write one summary per resolved_run, keyed by cbar (its fits in one list), and
-the preset merges three of them.  Every series written records its
-flux-identity residual, and the manifest records the environment.
+the preset merges three of them.  rate_report makes the one regime decision:
+it names a run's decay model, which its slope extrapolation and fits use.
+Every series written records its flux-identity residual, and the manifest
+records the environment.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .oscillator import (WTrajectory, default_y_grid, evolve_W, initial_mode_ove
                          observables_from_trajectory, to_selfsimilar, write_trajectory_csv)
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve, flux_identity_residual,
                   initial_condition, write_series_csv)
-from .rates import SPECTRAL_TAU_MIN, _is_critical, estimate_alpha0, fit_rate, prefactor_check
+from .rates import SPECTRAL_TAU_MIN, estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
 
@@ -250,47 +252,36 @@ def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
                 tau_window=_DEFAULTS["fit.window"]):
     """alpha_0 estimates and the dichotomy fits for one run.
 
-    Power-law rate fits of non-critical runs use the model-matched
-    slope_extrapolation limit (rate and limit estimated jointly, the standard
-    convention when the limit is unknown); the critical run's fits and the
-    prefactor check use the spectral projection, whose error stays well below
-    the residual being measured.
+    The one regime decision: a run is critical when cbar is 3 sqrt(pi) to
+    within 1e-9, and its decay model is then 'log_over_t', else 'power'.
+    The slope extrapolation uses that model.  Power-law rate fits of
+    non-critical runs use its limit (rate and limit estimated jointly, the
+    standard convention when the limit is unknown); the critical run's fits,
+    power and log_over_t, and the prefactor check use the spectral
+    projection, whose error stays well below the residual being measured.
     """
     window = (math.expm1(tau_window[0]), math.expm1(tau_window[1]))
+    critical = abs(cbar - CBAR_CRITICAL) <= 1e-9
+    model = "log_over_t" if critical else "power"
     a_spec = estimate_alpha0(traj, "spectral_projection")
-    a_slope = estimate_alpha0(series, "slope_extrapolation", cbar=cbar, window=window)
-    critical = _is_critical(cbar)
-    alpha0 = a_spec.value
-    alpha_for_power = a_spec.value if critical else a_slope.value
-    power_source = "spectral_projection" if critical else "slope_extrapolation"
-    fits = []
-    for observable in ("mass", "slope0"):
-        fits.append({"cbar": cbar, "observable": observable, "model": "power",
-                     "alpha0_source": power_source,
-                     **_fit_dict(fit_rate(series, alpha_for_power, "power", window, observable))})
-        if critical:
-            fits.append({"cbar": cbar, "observable": observable, "model": "log_over_t",
-                         "alpha0_source": "spectral_projection",
-                         **_fit_dict(fit_rate(series, alpha0, "log_over_t", window, observable))})
-    pref = prefactor_check(series, alpha0, window)
+    a_slope = estimate_alpha0(series, "slope_extrapolation", model, window)
+    alpha0 = a_spec["value"]
+    source, a_fit = (("spectral_projection", a_spec) if critical
+                     else ("slope_extrapolation", a_slope))
+    fits = [{"cbar": cbar, "observable": observable, "model": m, "alpha0_source": source,
+             **fit_rate(series, a_fit["value"], m, window, observable)}
+            for observable in ("mass", "slope0")
+            for m in (("power", "log_over_t") if critical else ("power",))]
     return {
         "cbar": cbar,
         "alpha0": alpha0,
-        "alpha0_methods": {
-            "spectral_projection": {"value": a_spec.value, "uncertainty": a_spec.uncertainty},
-            "slope_extrapolation": {"value": a_slope.value, "uncertainty": a_slope.uncertainty},
-        },
+        "alpha0_methods": {"spectral_projection": a_spec, "slope_extrapolation": a_slope},
         "fits": fits,
         "prefactor_check": {
-            "estimate": pref,
+            "estimate": prefactor_check(series, alpha0, window),
             "predicted": alpha0 * (cbar - CBAR_CRITICAL),
         },
     }
-
-
-def _fit_dict(f):
-    return {"exponent": f.exponent, "prefactor": f.prefactor, "r2": f.r_squared,
-            "window": list(f.window), "n_samples": f.n_samples}
 
 
 # ---------------------------------------------------------------------------

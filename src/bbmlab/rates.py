@@ -6,47 +6,24 @@ The long-time behavior of both observables is
 
 so the fitted power-law exponent of |obs - alpha_0| discriminates the generic
 -1/2 regime from the critical cbar = 3 sqrt(pi) regime where the leading term
-vanishes and log t / t remains.
+vanishes and log t / t remains.  The caller names the decay model, 'power'
+or 'log_over_t' (pipeline.rate_report decides the regime), and the
+estimates return the plain records that summary.json stores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import CBAR_CRITICAL
 from .oscillator import KERNEL_NORM, WTrajectory, eigenfunction, trapezoid_weights
 from .pde import ObservableSeries
 from .specfun import g1_coefficient
 
-_CRITICAL_MATCH_TOL = 1e-9
-
 #: smallest final tau at which estimate_alpha0 reads alpha_0 by spectral
 #: projection, whose uncorrected remainder decays like tau e^{-tau}
 SPECTRAL_TAU_MIN = 6.0
-
-
-def _is_critical(cbar: float) -> bool:
-    return abs(cbar - CBAR_CRITICAL) <= _CRITICAL_MATCH_TOL
-
-
-@dataclass
-class RateFit:
-    model: str                  # 'power' or 'log_over_t'
-    exponent: float             # slope in the model's log space
-    prefactor: float
-    r_squared: float
-    window: tuple
-    n_samples: int
-
-
-@dataclass
-class Alpha0Estimate:
-    value: float
-    method: str
-    uncertainty: float
 
 
 def _lstsq_line(x, y):
@@ -62,19 +39,13 @@ def _lstsq_line(x, y):
     return coef, r2, np.sqrt(np.diag(cov))
 
 
-def default_window(times: np.ndarray) -> tuple:
-    """Last decade of available time."""
-    t_max = float(times.max())
-    return (t_max / 10.0, t_max)
+def estimate_alpha0(data, method: str, model: str | None = None,
+                    window: tuple | None = None) -> dict:
+    """Limit of the boundary slope / total mass as {"value", "uncertainty"}.
 
-
-def estimate_alpha0(data, method: str = "spectral_projection",
-                    cbar: float | None = None, window: tuple | None = None) -> Alpha0Estimate:
-    """Limit of the boundary slope / total mass.
-
-    'slope_extrapolation' fits slope0(t) = alpha_0 + b * m(t) on the late
-    window, with m = log(t)/t at the critical cbar and t^{-1/2} otherwise
-    (data: ObservableSeries; cbar required).
+    'slope_extrapolation' fits slope0(t) = alpha_0 + b * m(t) on the window
+    in t, with m = t^{-1/2} for model 'power' and log(t)/t for 'log_over_t'
+    (data: ObservableSeries; model and window required).
 
     'spectral_projection' reads the kernel-mode projection at the final tau
     and removes the e^{-tau/2} contamination of the known g direction:
@@ -85,19 +56,17 @@ def estimate_alpha0(data, method: str = "spectral_projection",
     if method == "slope_extrapolation":
         if not isinstance(data, ObservableSeries):
             raise TypeError("slope_extrapolation needs an ObservableSeries")
-        if cbar is None:
-            raise ValueError("cbar is required to pick the extrapolation model")
+        if model not in ("power", "log_over_t"):
+            raise ValueError(f"unknown model: {model!r}")
         if data.times.max() < 10.0 * max(data.times.min(), 1e-300):
             raise ValueError("series must cover at least one decade of t")
-        if window is None:
-            window = default_window(data.times)
 
         def fit_on(lo, hi):
             s = data.restricted(lo, hi)
             if len(s) < 20:
                 raise ValueError("too few samples in the fit window (need >= 20)")
             t = s.times
-            basis_fn = np.log(t) / t if _is_critical(cbar) else t ** -0.5
+            basis_fn = t ** -0.5 if model == "power" else np.log(t) / t
             coef, _, err = _lstsq_line(basis_fn, s.slope0)
             return float(coef[1]), float(err[1])
 
@@ -111,7 +80,7 @@ def estimate_alpha0(data, method: str = "spectral_projection",
             unc = stderr + 2.0 * abs(late - value)
         except ValueError:
             unc = stderr
-        return Alpha0Estimate(value, method, unc)
+        return {"value": value, "uncertainty": unc}
 
     if method == "spectral_projection":
         if not isinstance(data, WTrajectory):
@@ -132,25 +101,24 @@ def estimate_alpha0(data, method: str = "spectral_projection",
         # last unit of tau (it decays like e^{-tau})
         i_prev = int(np.argmin(np.abs(data.taus - (tau_f - 1.0))))
         unc = abs(alpha - alpha_at(i_prev)) + abs(alpha) * math.exp(-tau_f) * (1.0 + tau_f)
-        return Alpha0Estimate(alpha, method, unc)
+        return {"value": alpha, "uncertainty": unc}
 
     raise ValueError(f"unknown method: {method}")
 
 
-def fit_rate(series: ObservableSeries, alpha0: float, model: str = "power",
-             window: tuple | None = None, observable: str = "mass") -> RateFit:
+def fit_rate(series: ObservableSeries, alpha0: float, model: str, window: tuple,
+             observable: str) -> dict:
     """Fit the decay of |observable - alpha0| over the window ('mass' or 'slope0').
 
     'power': regress log|res| on log t (exponent = slope).
     'log_over_t': regress log|res| on log(log t / t); exponent ~ 1 and high
     r-squared indicate affinity to the critical rate.
     Samples where the residual underflows are dropped and the window reported
-    reflects what was used.
+    reflects what was used.  Returns {"exponent", "prefactor", "r2", "window",
+    "n_samples"}.
     """
     if observable not in ("mass", "slope0"):
         raise ValueError(f"unknown observable: {observable!r}")
-    if window is None:
-        window = default_window(series.times)
     s = series.restricted(*window)
     obs = s.mass if observable == "mass" else s.slope0
     res = np.abs(obs - alpha0)
@@ -167,22 +135,19 @@ def fit_rate(series: ObservableSeries, alpha0: float, model: str = "power",
             raise ValueError("log_over_t model needs t > 1")
         x = np.log(np.log(t) / t)
     else:
-        raise ValueError(f"unknown model: {model}")
+        raise ValueError(f"unknown model: {model!r}")
     coef, r2, _ = _lstsq_line(x, np.log(res))
-    return RateFit(model, float(coef[0]), float(math.exp(coef[1])), float(r2),
-                   (float(t.min()), float(t.max())), len(t))
+    return {"exponent": float(coef[0]), "prefactor": float(math.exp(coef[1])), "r2": float(r2),
+            "window": [float(t.min()), float(t.max())], "n_samples": len(t)}
 
 
-def prefactor_check(series: ObservableSeries, alpha0: float,
-                    window: tuple | None = None) -> float:
-    """Limit estimate of sqrt(1+t) (v_x(0,t) - alpha_0).
+def prefactor_check(series: ObservableSeries, alpha0: float, window: tuple) -> float:
+    """Limit estimate of sqrt(1+t) (v_x(0,t) - alpha_0) over the window in t.
 
     The decomposition predicts the limit alpha_0 (cbar - 3 sqrt(pi)), the
     slope of g at the origin.  The remaining contamination decays like
     tau e^{-tau/2}, so we regress on that and keep the intercept.
     """
-    if window is None:
-        window = default_window(series.times)
     s = series.restricted(*window)
     if len(s) < 20:
         raise ValueError("too few samples for the prefactor estimate")

@@ -28,6 +28,18 @@ def test_survival_trivial_and_bad_x0():
         estimate(1.0, -1.0, indicator_12, cfg)
 
 
+@pytest.mark.parametrize("x0, t_end, name", [(math.nan, 1.0, "x0"), (math.inf, 1.0, "x0"),
+                                             (1.0, math.nan, "t_end"), (1.0, math.inf, "t_end")],
+                         ids=["x0_nan", "x0_inf", "t_end_nan", "t_end_inf"])
+def test_rejects_non_finite_x0_and_t_end(x0, t_end, name):
+    # the cap keeps a sampler that ran on regardless small
+    cfg = McConfig(n_replicas=100, population_cap=10_000)
+    with pytest.raises(ValueError, match=name):
+        estimate(x0, t_end, indicator_12, cfg)
+    with pytest.raises(ValueError, match=name):
+        survival_probability(x0, t_end, cfg, checkpoints=[0.5])
+
+
 @pytest.mark.parametrize("checkpoints", [[0.5, 2.0], [0.8, 0.5], [-0.1, 0.5], [0.2, math.nan, 0.8]],
                          ids=["beyond_t_end", "unsorted", "negative", "nan_inside"])
 def test_survival_rejects_bad_checkpoints(checkpoints):

@@ -423,15 +423,20 @@ def test_march_startup_stops_at_t_end():
 
 
 @pytest.mark.parametrize("frame", ["physical", "selfsimilar"])
-@pytest.mark.parametrize("bad", [{"sample_every": 0}, {"startup_steps": -1}],
-                         ids=["sample_every_0", "startup_steps_negative"])
+@pytest.mark.parametrize("bad", [{"sample_every": 0}, {"startup_steps": -1}, {"t_end": np.nan},
+                                 {"dt": np.nan}],
+                         ids=["sample_every_0", "startup_steps_negative", "t_end_nan", "dt_nan"])
 def test_march_rejects_bad_schedule(frame, bad):
     # both frames reach march, which rejects the schedule before any step
     f0 = initial_condition("indicator", SpatialGrid(60.0, 600))
+    physical = frame == "physical"
+    a = {"t_end": 1.0 if physical else 0.1, "dt": 0.05 if physical else 0.01,
+         "sample_every": 1, "startup_steps": 4 if physical else 0, **bad}
     with pytest.raises(ValueError, match=next(iter(bad))):
-        if frame == "physical":
-            evolve(f0, 1.0, SolverConfig(dt=0.05, **bad), DriftExpansion(1.0))
+        if physical:
+            evolve(f0, a["t_end"], SolverConfig(a["dt"], a["sample_every"], a["startup_steps"]),
+                   DriftExpansion(1.0))
         else:
-            schedule = {"sample_every": 1, "startup_steps": 0, **bad}
-            evolve_W(to_selfsimilar(f0, default_y_grid()), 0.1, DriftExpansion(1.0), dtau=0.01,
-                     **schedule)
+            evolve_W(to_selfsimilar(f0, default_y_grid()), a["t_end"], DriftExpansion(1.0),
+                     dtau=a["dt"], sample_every=a["sample_every"],
+                     startup_steps=a["startup_steps"])
