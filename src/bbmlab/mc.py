@@ -9,10 +9,10 @@ cut at its next stop (a survival checkpoint or t_end), and moves exactly over
 that interval h: Y' = Y + c h + sqrt(2h) Z.  It is killed if Y' <= 0 or
 with probability exp(-Y Y'/h), the exact chance that the variance-2
 Brownian bridge between two positive endpoints touches 0 (`absorb=False`
-skips both kills).
-Otherwise it is recorded at t_end, marks its replica alive at a checkpoint
-and continues (lifetimes are memoryless, so no branch is owed), or splits in
-two.  About 20 rounds cover t_end = 3 at rate 1.
+skips both kills).  Otherwise it is recorded at t_end, marks its replica alive
+at a checkpoint and continues (lifetimes are memoryless, so no branch is
+owed), or splits in two.  About 20 rounds cover t_end = 3 at rate 1.  Every
+t_end >= 0 runs this one sampler after the x0 check; at 0 nothing moves.
 
 The expected payoff sum over particles solves the moving-frame equation with
 constant front speed c (the many-to-one formula), which is what `estimate`
@@ -64,11 +64,13 @@ def _sample_chunk(x0, n, stops, cfg, rng):
 
     Returns (positions, replicas, alive): the particles alive at stops[-1]
     with their replica index in [0, n), and alive[j, r] telling whether
-    replica r had a particle alive at stops[j].
+    replica r had a particle alive at stops[j] (all of them at a stop at 0).
     """
     alive = np.zeros((stops.size, n), dtype=bool)
     alive[stops <= 0.0] = True
     pos, rep = np.full(n, float(x0)), np.arange(n)
+    if stops[-1] <= 0.0:
+        return pos, rep, alive
     t = np.zeros(n)
     k = np.full(n, np.count_nonzero(stops <= 0.0))   # index of each particle's next stop
     last = stops.size - 1
@@ -104,8 +106,8 @@ def _run_chunks(x0, stops, cfg):
     """Yield (lo, n, positions, replicas, alive) for each chunk of replicas."""
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"x0 must be positive and finite, got {x0!r}")
-    if not 0.0 < stops[-1] < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {float(stops[-1])!r}")
+    if not 0.0 <= stops[-1] < math.inf:
+        raise ValueError(f"t_end must be >= 0 and finite, got {float(stops[-1])!r}")
     edges = list(range(0, cfg.n_replicas, CHUNK_SIZE)) + [cfg.n_replicas]
     children = np.random.SeedSequence(cfg.seed).spawn(len(edges) - 1)
     for lo, hi, child in zip(edges[:-1], edges[1:], children):
@@ -118,12 +120,9 @@ def estimate(x0: float, t_end: float, v0, cfg: McConfig):
     v0 is a vectorized payoff, called once per chunk on all of its final
     positions.
     """
-    if t_end == 0.0:
-        return float(v0(np.array([x0]))[0]), 0.0
     totals = np.zeros(cfg.n_replicas)
     for lo, n, pos, rep, _ in _run_chunks(x0, np.array([float(t_end)]), cfg):
-        if pos.size:
-            totals[lo:lo + n] = np.bincount(rep, weights=v0(pos), minlength=n)
+        totals[lo:lo + n] = np.bincount(rep, weights=v0(pos), minlength=n)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(cfg.n_replicas)) if cfg.n_replicas > 1 else 0.0
     return mean, stderr
@@ -141,12 +140,9 @@ def survival_probability(x0: float, t_end: float, cfg: McConfig, checkpoints):
         raise ValueError(f"checkpoints must be a sorted list of finite times, got {checkpoints!r}")
     if times.size and not (times[0] >= 0.0 and times[-1] <= t_end):
         raise ValueError(f"checkpoints must lie in [0, t_end={t_end}], got {checkpoints!r}")
-    if t_end == 0.0:
-        p = np.ones(times.size)
-    else:
-        stops = np.union1d(times, [t_end])
-        alive = np.zeros((stops.size, cfg.n_replicas), dtype=bool)
-        for lo, n, _, _, chunk_alive in _run_chunks(x0, stops, cfg):
-            alive[:, lo:lo + n] = chunk_alive
-        p = alive[np.searchsorted(stops, times)].mean(axis=1)
+    stops = np.union1d(times, [t_end])
+    alive = np.zeros((stops.size, cfg.n_replicas), dtype=bool)
+    for lo, n, _, _, chunk_alive in _run_chunks(x0, stops, cfg):
+        alive[:, lo:lo + n] = chunk_alive
+    p = alive[np.searchsorted(stops, times)].mean(axis=1)
     return p, np.sqrt(np.maximum(p * (1 - p), 0.0) / cfg.n_replicas)

@@ -36,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .drift import DriftExpansion, selfsimilar_forcing
-from .pde import Field, NumericalFailure, ObservableSeries, SpatialGrid, _matvec, banded, march
-
-SQRT_PI = math.sqrt(math.pi)
+from .drift import SQRT_PI, DriftExpansion, selfsimilar_forcing
+from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, _matvec, banded, march,
+                  write_csv)
 
 #: L2 norm of the unnormalized kernel mode y e^{-y^2/8} on (0, inf).
 KERNEL_NORM = math.sqrt(2.0 * SQRT_PI)
@@ -388,12 +387,8 @@ def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid):
 def write_trajectory_csv(path, traj: WTrajectory, alpha: float, g_values: np.ndarray):
     """CSV per trajectory: tau, coef_e0..coef_e7, W_slope0, R_norm, R_slope0."""
     basis = SpectralBasis(traj.y, 8)
-    header = ["tau", *(f"coef_e{n}" for n in range(8)), "W_slope0", "R_norm", "R_slope0"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(traj)):
-            Wf = traj.field(i)
-            dec = decompose(Wf, alpha, g_values)
-            row = [Wf.tau, *basis.project(Wf.values), slope_correspondence(Wf),
-                   dec.r_norm, dec.r_slope0]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    fields = [traj.field(i) for i in range(len(traj))]
+    decs = (decompose(W, alpha, g_values) for W in fields)
+    write_csv(path, ["tau", *(f"coef_e{n}" for n in range(8)), "W_slope0", "R_norm", "R_slope0"],
+              ([W.tau, *basis.project(W.values), slope_correspondence(W), d.r_norm, d.r_slope0]
+               for W, d in zip(fields, decs)))

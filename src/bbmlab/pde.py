@@ -29,6 +29,8 @@ last step) solves with them; any other step factors, keeps the factors and
 solves.  theta_step picks LAPACK's routines by the band layout: the
 tridiagonal ones (dgttrf, dgttrs) for the physical frame's (1, 1), the banded
 ones (dgbtrf, dgbtrs) for every other layout, such as the self-similar (2, 2).
+
+write_csv writes every CSV table of the package, numbers to 17 digits.
 """
 
 from __future__ import annotations
@@ -375,10 +377,15 @@ def flux_residual_series(s: ObservableSeries) -> np.ndarray:
     return dmdt - (m - sl)
 
 
-def write_series_csv(path, s: ObservableSeries):
-    """CSV with header: t, mass, slope0, flux_residual (17 significant digits)."""
-    resid = flux_residual_series(s) if len(s) >= 2 else np.zeros(len(s))
+def write_csv(path, header, rows):
+    """A header line, then one line per row: strings verbatim, numbers to 17 digits."""
     with open(path, "w") as fh:
-        fh.write("t,mass,slope0,flux_residual\n")
-        for row in zip(s.times, s.mass, s.slope0, resid):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
+def write_series_csv(path, s: ObservableSeries):
+    """CSV with header: t, mass, slope0, flux_residual."""
+    resid = flux_residual_series(s) if len(s) >= 2 else np.zeros(len(s))
+    write_csv(path, ["t", "mass", "slope0", "flux_residual"], zip(s.times, s.mass, s.slope0, resid))

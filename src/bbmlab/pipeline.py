@@ -39,7 +39,7 @@ from .mc import McConfig, estimate
 from .oscillator import (WTrajectory, default_y_grid, evolve_W, initial_mode_overlap,
                          observables_from_trajectory, to_selfsimilar, write_trajectory_csv)
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve, flux_identity_residual,
-                  initial_condition, write_series_csv)
+                  initial_condition, write_csv, write_series_csv)
 from .rates import SPECTRAL_TAU_MIN, estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
@@ -345,15 +345,14 @@ def _pipe_specfun(cfg, out: Path):
     alpha = 1.0
     zs = [0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0]
     path = out / "specfun_table.csv"
-    with open(path, "w") as fh:
-        fh.write("z,F2,H,G,g\n")
-        for z in zs:
-            row = specfun_row(z, alpha, cbar)
-            fh.write(",".join(f"{row[k]:.17g}" for k in ("z", "F2", "H", "G", "g")) + "\n")
+    cols = ["z", "F2", "H", "G", "g"]
+    write_csv(path, cols, (operator.itemgetter(*cols)(specfun_row(z, alpha, cbar)) for z in zs))
     return [path], {"specfun": {"cbar": cbar, "g_slope0_alpha1": g_slope0(alpha, cbar)}}
 
 
 def _pipe_mc(cfg, out: Path):
+    if cfg["v0.kind"] != "indicator":
+        raise ConfigError(f"v0.kind must be 'indicator' for mc, got {cfg['v0.kind']!r}")
     mcc = McConfig(drift=cfg["mc.drift"], n_replicas=cfg["mc.replicas"], seed=cfg["mc.seed"])
     a, b = cfg["v0.a"], cfg["v0.b"]
     payoff = lambda p: ((p >= a) & (p <= b)).astype(float)
@@ -374,11 +373,8 @@ def _pipe_reproduce_theorem(cfg, out: Path):
         files.append(path)
         _merge(summary, extra)
     table = out / "rate_table.csv"
-    with open(table, "w") as fh:
-        fh.write("cbar,observable,model,exponent,prefactor,r2\n")
-        for f in summary["fits"]:
-            fh.write(f"{f['cbar']:.17g},{f['observable']},{f['model']},"
-                     f"{f['exponent']:.17g},{f['prefactor']:.17g},{f['r2']:.17g}\n")
+    cols = ["cbar", "observable", "model", "exponent", "prefactor", "r2"]
+    write_csv(table, cols, map(operator.itemgetter(*cols), summary["fits"]))
     return [*files, table], summary
 
 

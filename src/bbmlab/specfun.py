@@ -52,7 +52,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
-from .oscillator import SpectralBasis, hermite_rows, trapezoid_weights
+from .oscillator import KERNEL_NORM, SpectralBasis, hermite_rows, trapezoid_weights
 
 #: G0 is summed from the series for z <= _Z0 and continued in closed form above
 _Z0 = 5.0
@@ -212,7 +212,7 @@ def kernel_projection_of_F(alpha: float, cbar: float) -> float:
     From the half-line moments of e^{-y^2/4}: int y = 2, int y^2 = 2 sqrt(pi),
     int y^3 = 8.
     """
-    return alpha * (3.0 - cbar * SQRT_PI) / math.sqrt(2.0 * SQRT_PI)
+    return alpha * (3.0 - cbar * SQRT_PI) / KERNEL_NORM
 
 
 def g1_coefficient(alpha: float, cbar: float) -> float:

@@ -40,6 +40,18 @@ def test_rejects_non_finite_x0_and_t_end(x0, t_end, name):
         survival_probability(x0, t_end, cfg, checkpoints=[0.5])
 
 
+@pytest.mark.parametrize("x0, t_end, name", [(-1.0, 0.0, "x0"), (0.0, 0.0, "x0"), (math.nan, 0.0, "x0"),
+                                             (1.0, -0.5, "t_end")],
+                         ids=["x0_negative", "x0_zero", "x0_nan", "t_end_negative"])
+def test_horizon_at_or_below_zero_checks_x0_and_t_end(x0, t_end, name):
+    # t_end = 0 runs the one sampler, so its start is checked like any other
+    cfg = McConfig(n_replicas=100)
+    with pytest.raises(ValueError, match=name):
+        estimate(x0, t_end, indicator_12, cfg)
+    with pytest.raises(ValueError, match=name):
+        survival_probability(x0, t_end, cfg, checkpoints=[])
+
+
 @pytest.mark.parametrize("checkpoints", [[0.5, 2.0], [0.8, 0.5], [-0.1, 0.5], [0.2, math.nan, 0.8]],
                          ids=["beyond_t_end", "unsorted", "negative", "nan_inside"])
 def test_survival_rejects_bad_checkpoints(checkpoints):

@@ -11,7 +11,8 @@ from bbmlab.oscillator import default_y_grid, evolve_W, to_selfsimilar
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
-                        initial_condition, march, mass, theta_step, write_series_csv)
+                        initial_condition, march, mass, theta_step, write_csv,
+                        write_series_csv)
 
 CB = CBAR_CRITICAL
 
@@ -221,6 +222,18 @@ def test_series_csv_roundtrip(tmp_path):
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     np.testing.assert_array_equal(back[:, 0], t)
     np.testing.assert_array_equal(back[:, 1], s.mass)  # 17 significant digits round-trips
+
+
+def test_write_csv_strings_verbatim_numbers_round_trip(tmp_path):
+    path = tmp_path / "t.csv"
+    values = [1.0 / 3.0, math.pi * 1e-300, -2.5e17, np.float64(0.1) + 0.2, 7]
+    write_csv(path, ["name", "a", "b", "c", "d", "e"], [["x y", *values], ["z", *values[::-1]]])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "name,a,b,c,d,e"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["x y", "z"]
+    assert [float(v) for v in lines[1].split(",")[1:]] == values
+    assert [float(v) for v in lines[2].split(",")[1:]] == values[::-1]
+    assert path.read_text().endswith("\n")
 
 
 def test_solver_config_validation():

@@ -19,7 +19,7 @@ from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from bbmlab.pde import evolve
 from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _merge, _validate_config,
                              load_config, make_config, parse_config, rate_report,
-                             resolved_run, run_experiment, selfsimilar_run)
+                             resolved_run, run_experiment, selfsimilar_run, specfun_row)
 from bbmlab.rates import SPECTRAL_TAU_MIN
 
 
@@ -247,6 +247,28 @@ def test_reproduce_theorem_summary_has_flux_residuals(theorem_dir):
         assert residual == _max_interior_flux_residual(theorem_dir / f"selfsim_series_cbar{key}.csv")
 
 
+def test_rate_table_rows_are_the_summary_fits(theorem_dir):
+    fits = json.loads((theorem_dir / "summary.json").read_text())["fits"]
+    lines = (theorem_dir / "rate_table.csv").read_text().splitlines()
+    assert lines[0] == "cbar,observable,model,exponent,prefactor,r2"
+    assert len(lines) == len(fits) + 1
+    for line, f in zip(lines[1:], fits):
+        cbar, observable, model, *numbers = line.split(",")
+        assert (float(cbar), observable, model) == (f["cbar"], f["observable"], f["model"])
+        assert [float(v) for v in numbers] == [f["exponent"], f["prefactor"], f["r2"]]
+
+
+def test_specfun_table_rows_are_specfun_rows(tmp_path):
+    out = run_experiment({"cbar": 0.0}, tmp_path / "o", ["specfun"])
+    lines = (out / "specfun_table.csv").read_text().splitlines()
+    assert lines[0] == "z,F2,H,G,g"
+    zs = [0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+    assert len(lines) == len(zs) + 1
+    for line, z in zip(lines[1:], zs):
+        row = specfun_row(z, 1.0, 0.0)
+        assert [float(v) for v in line.split(",")] == [row[k] for k in ("z", "F2", "H", "G", "g")]
+
+
 def test_fine_grid_regression_at_the_critical_cbar():
     # the resolution of the earlier defaults (dy = 0.01, dtau = 0.002) against
     # the current ones; the Richardson estimate of the current run's error is
@@ -343,6 +365,17 @@ def test_mc_pipeline_writes_result(tmp_path):
     assert "dt" not in result["config"]   # the sampler has no time step
     # e^3 int_1^2 of the killed drift-2 density from 1.5 (method of images)
     assert abs(result["mean"] - 0.0913334) <= 3.0 * result["stderr"]
+
+
+def test_cli_mc_rejects_a_payoff_other_than_the_indicator(tmp_path, capsys):
+    # mc estimates the indicator on [v0.a, v0.b]; any other v0.kind is a config error
+    cfg = tmp_path / "bump.cfg"
+    cfg.write_text("v0.kind = smooth_bump\nmc.replicas = 200\n")
+    assert cli_main(["--config", str(cfg), "mc", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "v0.kind" in captured.err and "smooth_bump" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o" / "mc_result.json").exists()
 
 
 def test_cli_specfun_json(capsys):
