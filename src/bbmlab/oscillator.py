@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import gamma, gammainc
 
 from .drift import SQRT_PI, DriftExpansion, selfsimilar_forcing
 from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, _matvec, banded, march,
@@ -42,6 +43,10 @@ from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, _matve
 
 #: L2 norm of the unnormalized kernel mode y e^{-y^2/8} on (0, inf).
 KERNEL_NORM = math.sqrt(2.0 * SQRT_PI)
+
+#: smallest final tau of a trajectory for the spectral projection of alpha_0
+#: (its remainder decays like tau e^{-tau}) and for the mass recurrence
+SPECTRAL_TAU_MIN = 6.0
 
 
 class LossOfSupport(RuntimeError):
@@ -339,49 +344,29 @@ def decompose(W: SelfSimilarField, alpha: float, g_values: np.ndarray) -> Decomp
     return Decomposition(alpha, g_part, R, r_norm, slope_at_origin(R, W.dy))
 
 
-#: samples whose spline and physical fields observables_from_trajectory
-#: builds at a time
-_MASS_CHUNK = 8
-
-
-def observables_from_trajectory(traj: WTrajectory, grid: SpatialGrid):
+def observables_from_trajectory(traj: WTrajectory):
     """ObservableSeries (t, mass, slope0) read off a self-similar trajectory.
 
-    The slope is exact in the transform (W_y(tau,0) = v_x(t,0)); the mass is
-    the trapezoid of the inverse-mapped field of from_selfsimilar on the
-    physical grid.  The samples go _MASS_CHUNK at a time: one cubic spline
-    along the uniform y grid interpolates them all, and its pieces are
-    evaluated on the physical grid at once.  The chunks bound the memory of
-    the spline and of the (samples x nodes) fields.
+    slope0 is exact in the transform (W_y(tau,0) = v_x(t,0)), and the mass
+    balance m' = m - slope0 gives m(t) = int_0^inf e^{-u} slope0(t+u) du.  On
+    piece i of S, the cubic spline of slope0 in t, that integral is
+    I_i = sum_k c[3-k] k! P(k+1, h_i), P the regularized incomplete gamma
+    function, and m_i = I_i + e^{-h_i} m_{i+1} runs backward from
+    m = S + S' + S'' + S''' at the last sample, a start that takes slope0 as
+    flat: samples pipeline.SAMPLE_DTAU apart must reach SPECTRAL_TAU_MIN.
     """
-    y, taus = traj.y, traj.taus
-    dy = float(y[1] - y[0])
-    x = grid.x
-    decay = np.exp(-x)
-    masses = np.empty(len(traj))
-    for lo in range(0, len(traj), _MASS_CHUNK):
-        rows = slice(lo, lo + _MASS_CHUNK)
-        c = CubicSpline(y, traj.states[rows], axis=1).c      # (4, intervals, chunk)
-        n_int, k = c.shape[1:]
-        tau = taus[rows, None]
-        ys = x * np.exp(-tau / 2.0)
-        yc = np.minimum(ys, y[-1])     # past the grid: W's end value, 0 up to round-off
-        j = np.minimum((yc * (1.0 / dy)).astype(np.intp), n_int - 1)
-        s = yc - y[j]
-        at = j * k + np.arange(k)[:, None]      # flat index of (piece, sample) in c[m]
-        v = np.take(c[0], at)
-        for m in range(1, 4):                   # Horner on the piece of each point
-            v *= s
-            v += np.take(c[m], at)
-        v *= np.exp(tau / 2.0 - ys * ys / 8.0)
-        v *= decay
-        v[:, 0] = v[:, -1] = 0.0
-        masses[rows] = np.trapezoid(v, dx=grid.dx, axis=1)
-    if not np.all(np.isfinite(masses)):
-        raise NumericalFailure("non-finite mass read off the self-similar trajectory")
-    times = np.array([math.expm1(t) for t in taus])
-    slopes = [slope_at_origin(row, dy) for row in traj.states]
-    return ObservableSeries(times, masses, np.array(slopes))
+    if traj.taus[-1] < SPECTRAL_TAU_MIN:
+        raise ValueError(f"mass balance wants tau >= {SPECTRAL_TAU_MIN:g}, got {traj.taus[-1]:.17g}")
+    times = np.array([math.expm1(t) for t in traj.taus])
+    slopes = np.array([slope_at_origin(row, traj.y[1] - traj.y[0]) for row in traj.states])
+    S = CubicSpline(times, slopes)
+    h = np.diff(times)
+    k = np.arange(4)[:, None]
+    pieces = np.sum(S.c[::-1] * gamma(k + 1) * gammainc(k + 1, h), axis=0)
+    masses = [sum(S(times[-1], nu) for nu in range(4))]
+    for piece, decay in zip(pieces[::-1], np.exp(-h[::-1])):
+        masses.append(piece + decay * masses[-1])
+    return ObservableSeries(times, masses[::-1], slopes)
 
 
 def write_trajectory_csv(path, traj: WTrajectory, alpha: float, g_values: np.ndarray):

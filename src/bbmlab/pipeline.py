@@ -36,11 +36,12 @@ import scipy
 from . import __version__
 from .drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from .mc import McConfig, estimate
-from .oscillator import (WTrajectory, default_y_grid, evolve_W, initial_mode_overlap,
-                         observables_from_trajectory, to_selfsimilar, write_trajectory_csv)
+from .oscillator import (SPECTRAL_TAU_MIN, WTrajectory, default_y_grid, evolve_W,
+                         initial_mode_overlap, observables_from_trajectory, to_selfsimilar,
+                         write_trajectory_csv)
 from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve, flux_identity_residual,
                   initial_condition, write_csv, write_series_csv)
-from .rates import SPECTRAL_TAU_MIN, estimate_alpha0, fit_rate, prefactor_check
+from .rates import estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
 
@@ -190,9 +191,9 @@ def _physical_run(cbar: float, cfg: dict, t_end: float, coarsen: int = 1):
 def selfsimilar_run(cbar: float, cfg: dict | None = None, coarsen: int = 1):
     """Physical solve to the handoff time, then march W to tau_end.
 
-    Returns (trajectory, ObservableSeries in physical time), the mass read on
-    the handoff's grid; coarsen multiplies dx, dt, dy and dtau.  Physical-frame
-    cost grows linearly in t; the self-similar frame compresses it to log(1+t).
+    Returns (trajectory, ObservableSeries in physical time, its mass from
+    slope0); coarsen multiplies dx, dt, dy and dtau.  Physical-frame cost
+    grows linearly in t; the self-similar frame compresses it to log(1+t).
     """
     cfg = make_config(cfg)
     _, f1, _ = _physical_run(cbar, cfg, cfg["t_handoff"], coarsen)
@@ -200,7 +201,7 @@ def selfsimilar_run(cbar: float, cfg: dict | None = None, coarsen: int = 1):
     W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], coarsen * cfg["dy"]))
     traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cbar), dtau=dtau,
                     sample_every=_sample_every(dtau))
-    return traj, observables_from_trajectory(traj, f1.grid)
+    return traj, observables_from_trajectory(traj)
 
 
 def resolved_run(cbar: float, cfg: dict | None = None):
@@ -424,22 +425,29 @@ def run_experiment(config, out_dir, pipelines=()):
     """Execute the named pipelines and persist artifacts plus a manifest.
 
     config is a dict of overrides (a whole config included), or None for the
-    defaults.  Returns the output directory path.
+    defaults.  Returns the output directory path.  A ConfigError raised while
+    out_dir is still empty removes it again if this call created it.
     """
     cfg = make_config(config)
     out = Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
     outputs = []
     timings = {}
-    for name in pipelines:
-        if name not in _PIPELINES:
-            raise ConfigError(f"unknown pipeline: {name!r}")
-        t0 = time.perf_counter()
-        files, extra = _PIPELINES[name](cfg, out)
-        timings[name] = time.perf_counter() - t0
-        outputs.extend(files)
-        _merge(summary, extra)
+    try:
+        for name in pipelines:
+            if name not in _PIPELINES:
+                raise ConfigError(f"unknown pipeline: {name!r}")
+            t0 = time.perf_counter()
+            files, extra = _PIPELINES[name](cfg, out)
+            timings[name] = time.perf_counter() - t0
+            outputs.extend(files)
+            _merge(summary, extra)
+    except ConfigError:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     if summary:
         spath = out / "summary.json"
         spath.write_text(json.dumps(summary, indent=2, default=float))

@@ -17,13 +17,10 @@ import math
 
 import numpy as np
 
-from .oscillator import KERNEL_NORM, WTrajectory, eigenfunction, trapezoid_weights
+from .oscillator import (KERNEL_NORM, SPECTRAL_TAU_MIN, WTrajectory, eigenfunction,
+                         trapezoid_weights)
 from .pde import ObservableSeries
 from .specfun import g1_coefficient
-
-#: smallest final tau at which estimate_alpha0 reads alpha_0 by spectral
-#: projection, whose uncorrected remainder decays like tau e^{-tau}
-SPECTRAL_TAU_MIN = 6.0
 
 
 def _lstsq_line(x, y):

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from bbmlab.cli import main as cli_main
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
+from bbmlab.oscillator import SPECTRAL_TAU_MIN
 from bbmlab.pde import evolve
 from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _merge, _validate_config,
                              load_config, make_config, parse_config, rate_report,
                              resolved_run, run_experiment, selfsimilar_run, specfun_row)
-from bbmlab.rates import SPECTRAL_TAU_MIN
 
 
 def test_parse_config_defaults():
@@ -158,6 +158,29 @@ def test_run_experiment_rejects_bad_values(tmp_path):
         run_experiment({"dt": -0.01}, tmp_path / "o", ["solve"])
     with pytest.raises(ConfigError):
         run_experiment({"y_max": 10.0}, tmp_path / "o", [])
+
+
+def test_config_error_in_a_pipeline_removes_the_out_dir_it_made(tmp_path):
+    # run_experiment makes out_dir before the pipelines run
+    with pytest.raises(ConfigError, match="nope"):
+        run_experiment(None, tmp_path / "e3", ["nope"])
+    assert not (tmp_path / "e3").exists()
+
+
+def test_cli_config_error_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys):
+    cfg = tmp_path / "bump.cfg"
+    cfg.write_text("v0.kind = smooth_bump\nmc.replicas = 200\n")
+    assert cli_main(["--config", str(cfg), "mc", "--out", str(tmp_path / "e2")]) == 2
+    assert "v0.kind" in capsys.readouterr().err
+    assert not (tmp_path / "e2").exists()
+
+
+def test_config_error_in_a_pipeline_keeps_an_out_dir_that_was_there(tmp_path):
+    out = tmp_path / "e4"
+    out.mkdir()
+    with pytest.raises(ConfigError, match="v0.kind"):
+        run_experiment({"v0.kind": "smooth_bump"}, out, ["mc"])
+    assert out.is_dir()
 
 
 def test_manifest_hashes_outputs(tmp_path):
