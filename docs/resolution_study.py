@@ -6,16 +6,20 @@ For cbar in {0, 3 sqrt(pi), 10} and every (dy, dtau) pair of the grid below it
 runs pipeline.selfsimilar_run and pipeline.rate_report at the default config
 otherwise, and prints alpha_0 by both methods, every fit exponent, the
 prefactor estimate and the wall time of the run (handoff, march, readout and
-fits).  alpha_0 is also given relative to the finest pair.
+fits).  alpha_0 is also given relative to the finest pair.  Then, for each
+cbar, it prints the Richardson estimates of pipeline.resolved_run at the
+defaults against the actual distance from a run that refines every step.
 """
 
 import time
 
 from bbmlab.drift import CBAR_CRITICAL
-from bbmlab.pipeline import rate_report, selfsimilar_run
+from bbmlab.pipeline import rate_report, resolved_run, selfsimilar_run
 
 DYS = (0.01, 0.025, 0.05, 0.1)
 DTAUS = (0.002, 0.005, 0.01, 0.02)
+#: the reference of the estimate table: every step of the defaults refined
+FINE = {"dx": 0.0025, "dt": 0.0025, "dy": 0.0125, "dtau": 0.0025}
 
 
 def main():
@@ -24,7 +28,7 @@ def main():
         for dy in DYS:
             for dtau in DTAUS:
                 t0 = time.perf_counter()
-                rep = rate_report(cbar, *selfsimilar_run(cbar, {"dy": dy, "dtau": dtau}))
+                rep = rate_report(*selfsimilar_run({"cbar": cbar, "dy": dy, "dtau": dtau}))
                 rows.append((dy, dtau, rep, time.perf_counter() - t0))
         finest = rows[0][2]["alpha0"]
         fits = [f"{f['observable']} {f['model']}" for f in rows[0][2]["fits"]]
@@ -39,6 +43,20 @@ def main():
                   f"{abs(rep['alpha0'] - finest) / abs(finest):.1e} | "
                   f"{methods['slope_extrapolation']['value']:.8g} | {exps} | "
                   f"{rep['prefactor_check']['estimate']:.6g} | {wall:.2f} |")
+
+    print("\n| cbar | quantity | actual | estimate |\n|---|---|---|---|")
+    for cbar in (0.0, CBAR_CRITICAL, 10.0):
+        fine = rate_report(*selfsimilar_run({"cbar": cbar, **FINE}))
+        _, _, rep, errors = resolved_run({"cbar": cbar})
+        rows = [("alpha_0", rep["alpha0"], fine["alpha0"], errors["alpha0"])]
+        for f, g in zip(rep["fits"], fine["fits"]):
+            name = f"{f['observable']}.{f['model']}"
+            rows.append((f"{name} exponent", f["exponent"], g["exponent"],
+                         errors["exponents"][name]))
+        rows.append(("prefactor", rep["prefactor_check"]["estimate"],
+                     fine["prefactor_check"]["estimate"], errors["prefactor"]))
+        for quantity, a, b, estimate in rows:
+            print(f"| {cbar:.6g} | {quantity} | {abs(a - b):.1e} | {estimate:.1e} |")
 
 
 if __name__ == "__main__":

@@ -16,10 +16,9 @@ import sys
 from pathlib import Path
 
 from .drift import CBAR_CRITICAL
-from .oscillator import LossOfSupport
 from .pde import NumericalFailure
 from .pipeline import ConfigError, load_config, make_config, run_experiment, specfun_row
-from .specfun import SeriesDiverged, g_slope0
+from .specfun import g_slope0
 
 #: flag (argparse dest) -> the config key it sets
 _FLAG_KEYS = {"cbar": "cbar", "seed": "mc.seed", "drift": "mc.drift", "x0": "mc.x0",
@@ -89,7 +88,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, LossOfSupport, SeriesDiverged) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

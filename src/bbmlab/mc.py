@@ -33,6 +33,9 @@ from .pde import NumericalFailure
 #: replicas sampled together, each chunk from its own stream of the seed
 CHUNK_SIZE = 8192
 
+#: most particles a chunk may hold at once before PopulationCapExceeded
+POPULATION_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -44,7 +47,6 @@ class McConfig:
     n_replicas: int = 10_000
     seed: int = 0
     absorb: bool = True
-    population_cap: int = 10_000_000
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -56,7 +58,7 @@ class McConfig:
 
 
 class PopulationCapExceeded(NumericalFailure):
-    """A replica chunk held more than McConfig.population_cap particles."""
+    """A replica chunk held more than POPULATION_CAP particles."""
 
 
 def _sample_chunk(x0, n, stops, cfg, rng):
@@ -97,8 +99,8 @@ def _sample_chunk(x0, n, stops, cfg, rng):
         n_final += final_pos[-1].size
         t = np.where(hit, stops[k], t + life)
         pos, rep, t, k = (np.repeat(a, count) for a in (new, rep, t, k + hit))
-        if pos.size + n_final > cfg.population_cap:
-            raise PopulationCapExceeded(f"population cap {cfg.population_cap} exceeded")
+        if pos.size + n_final > POPULATION_CAP:
+            raise PopulationCapExceeded(f"population cap {POPULATION_CAP} exceeded")
     return np.concatenate(final_pos), np.concatenate(final_rep), alive
 
 

@@ -48,8 +48,12 @@ KERNEL_NORM = math.sqrt(2.0 * SQRT_PI)
 #: (its remainder decays like tau e^{-tau}) and for the mass recurrence
 SPECTRAL_TAU_MIN = 6.0
 
+#: end of the self-similar grid, where the Gaussian weight e^{-y^2/8} of the
+#: modes is below 1e-33
+Y_MAX = 25.0
 
-class LossOfSupport(RuntimeError):
+
+class LossOfSupport(NumericalFailure):
     """Transform would need field values beyond the physical grid."""
 
 
@@ -77,10 +81,9 @@ class SelfSimilarField:
         return float(self.y[1] - self.y[0])
 
 
-def default_y_grid(y_max: float = 25.0, dy: float = 0.01) -> np.ndarray:
-    if y_max < 20.0:
-        raise ValueError("y_max must be >= 20 so the Gaussian weight is negligible at the boundary")
-    n = int(round(y_max / dy))
+def default_y_grid(dy: float = 0.01) -> np.ndarray:
+    """The nodes {0, dy, ..., Y_MAX}, to the nearest multiple of dy."""
+    n = int(round(Y_MAX / dy))
     return np.linspace(0.0, n * dy, n + 1)
 
 

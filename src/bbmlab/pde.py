@@ -44,14 +44,20 @@ from .drift import DriftExpansion, front_speed
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when a solve produces non-finite values."""
+    """A numerical method failed: a solve produced non-finite values, a
+    transform lost its support, a series did not converge or a population
+    outgrew its cap."""
+
+
+#: truncation boundary of the physical runs (see the module docstring)
+X_MAX = 60.0
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform node grid {0, dx, ..., x_max} with dx = x_max/nx."""
 
-    x_max: float = 60.0
+    x_max: float = X_MAX
     nx: int = 6000
 
     def __post_init__(self):
@@ -285,9 +291,10 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
         yield t, values
     k = 0
     while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
+        last = t_end - t <= dt * (1.0 + 1e-9)
+        h = t_end - t if last else dt
         values = theta_step(L, lu, values, t, h, 0.5, factors, operator(t + 0.5 * h))
-        t += h
+        t = t_end if last else t + h
         k += 1
         if k % sample_every == 0 or t >= t_end - 1e-12:
             yield t, values

@@ -36,11 +36,11 @@ import scipy
 from . import __version__
 from .drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from .mc import McConfig, estimate
-from .oscillator import (SPECTRAL_TAU_MIN, WTrajectory, default_y_grid, evolve_W,
+from .oscillator import (SPECTRAL_TAU_MIN, Y_MAX, WTrajectory, default_y_grid, evolve_W,
                          initial_mode_overlap, observables_from_trajectory, to_selfsimilar,
                          write_trajectory_csv)
-from .pde import (ObservableSeries, SolverConfig, SpatialGrid, evolve, flux_identity_residual,
-                  initial_condition, write_csv, write_series_csv)
+from .pde import (X_MAX, ObservableSeries, SolverConfig, SpatialGrid, evolve,
+                  flux_identity_residual, initial_condition, write_csv, write_series_csv)
 from .rates import estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
@@ -51,13 +51,10 @@ class ConfigError(ValueError):
 
 _DEFAULTS = {
     "cbar": CBAR_CRITICAL,
-    "x_max": 60.0,
     "dx": 0.01,
     "dt": 0.01,
     "t_end": 10.0,
-    "t_handoff": 1.0,
     "tau_end": 10.0,
-    "y_max": 25.0,
     "dy": 0.05,       # chosen by the refinement study in docs/resolution_study.md
     "dtau": 0.01,
     "v0.kind": "indicator",
@@ -127,18 +124,18 @@ def _validate_config(cfg: dict):
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    for key in ("x_max", "dx", "dt", "y_max", "dy", "dtau", "t_end", "tau_end", "mc.x0"):
+    for key in ("dx", "dt", "dy", "dtau", "t_end", "tau_end", "mc.x0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    for key, low in (("t_handoff", 0), ("y_max", 20), ("mc.t_end", 0), ("mc.replicas", 1),
-                     ("mc.seed", 0)):
+    for key, low in (("mc.t_end", 0), ("mc.replicas", 1), ("mc.seed", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
     # the Richardson partner of a self-similar run takes the handoff at 2 dx
-    for length, step, h in (("x_max", "2 dx", 2 * cfg["dx"]), ("y_max", "dy", cfg["dy"])):
-        cells = cfg[length] / h
+    for length, size, step, h in (("x_max", X_MAX, "2 dx", 2 * cfg["dx"]),
+                                  ("y_max", Y_MAX, "dy", cfg["dy"])):
+        cells = size / h
         if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9 * cells:
-            raise ConfigError(f"{step} = {h!r} does not divide {length} = {cfg[length]!r}")
+            raise ConfigError(f"{step} = {h!r} does not divide {length} = {size!r}")
     # pde.evolve needs |front speed| dx < 2, the positivity bound of its
     # centred startup, on every grid it runs: the partner's 2 dx included
     speed = max_front_speed(DriftExpansion(cfg["cbar"]))
@@ -151,22 +148,20 @@ def _validate_config(cfg: dict):
                           f"projection reads alpha_0")
     if cfg["v0.kind"] not in ("indicator", "smooth_bump"):
         raise ConfigError(f"unknown v0.kind: {cfg['v0.kind']!r}")
-    if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < cfg["x_max"]):
-        raise ConfigError("need 0 < v0.a < v0.b < x_max")
+    if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < X_MAX):
+        raise ConfigError(f"need 0 < v0.a < v0.b < x_max = {X_MAX!r}")
     lo, hi = cfg["fit.window"]
     if not (0.0 <= lo < hi <= cfg["tau_end"]):
         raise ConfigError("fit.window must satisfy 0 <= lo < hi <= tau_end")
     # the fits need 20 samples in the window after the handoff, on the run's
-    # sample spacing and on its partner's at 2 dtau, and a decade of t
+    # sample spacing and on its partner's at 2 dtau
     if not math.isfinite(SAMPLE_DTAU / cfg["dtau"]):
         raise ConfigError(f"dtau = {cfg['dtau']!r} is too small to space the samples")
-    tau0 = math.log1p(cfg["t_handoff"])
+    tau0 = math.log1p(T_HANDOFF)
     spacing = max(h * _sample_every(h) for h in (cfg["dtau"], 2 * cfg["dtau"]))
     if hi - max(lo, tau0) < 20 * spacing:
-        raise ConfigError(f"fit.window after the handoff at t_handoff (tau = {tau0:.6g}) "
+        raise ConfigError(f"fit.window after the handoff at tau = {tau0:.6g} "
                           f"holds fewer than 20 samples {spacing:g} apart")
-    if cfg["tau_end"] < math.log1p(10 * cfg["t_handoff"]):
-        raise ConfigError("t_handoff must leave a decade of t: e^tau_end - 1 >= 10 t_handoff")
 
 # ---------------------------------------------------------------------------
 # the core runs
@@ -175,36 +170,41 @@ def _validate_config(cfg: dict):
 #: multiple of dtau), so the fits see the same samples at every dtau
 SAMPLE_DTAU = 0.02
 
+#: physical time of the handoff to the self-similar frame, at tau = log 2;
+#: tau_end >= 6 leaves more than a decade of t after it
+T_HANDOFF = 1.0
+
 
 def _sample_every(dtau: float) -> int:
     """Steps of dtau between the samples a self-similar run keeps."""
     return max(1, round(SAMPLE_DTAU / dtau))
 
 
-def _physical_run(cbar: float, cfg: dict, t_end: float, coarsen: int = 1):
-    """(v0, field at t_end, series) under the drift of cbar at (coarsen dx, coarsen dt)."""
-    grid = SpatialGrid(cfg["x_max"], int(round(cfg["x_max"] / (coarsen * cfg["dx"]))))
+def _physical_run(cfg: dict, t_end: float, coarsen: int = 1):
+    """(v0, field at t_end, series) under the drift of cfg's cbar at (coarsen dx, coarsen dt)."""
+    grid = SpatialGrid(nx=int(round(X_MAX / (coarsen * cfg["dx"]))))
     f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    return (f0, *evolve(f0, t_end, SolverConfig(dt=coarsen * cfg["dt"]), DriftExpansion(cbar)))
+    return (f0, *evolve(f0, t_end, SolverConfig(dt=coarsen * cfg["dt"]),
+                        DriftExpansion(cfg["cbar"])))
 
 
-def selfsimilar_run(cbar: float, cfg: dict | None = None, coarsen: int = 1):
-    """Physical solve to the handoff time, then march W to tau_end.
+def selfsimilar_run(cfg: dict | None = None, coarsen: int = 1):
+    """Physical solve to T_HANDOFF, then march W to tau_end, at cfg's cbar.
 
     Returns (trajectory, ObservableSeries in physical time, its mass from
     slope0); coarsen multiplies dx, dt, dy and dtau.  Physical-frame cost
     grows linearly in t; the self-similar frame compresses it to log(1+t).
     """
     cfg = make_config(cfg)
-    _, f1, _ = _physical_run(cbar, cfg, cfg["t_handoff"], coarsen)
+    _, f1, _ = _physical_run(cfg, T_HANDOFF, coarsen)
     dtau = coarsen * cfg["dtau"]
-    W0 = to_selfsimilar(f1, default_y_grid(cfg["y_max"], coarsen * cfg["dy"]))
-    traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cbar), dtau=dtau,
+    W0 = to_selfsimilar(f1, default_y_grid(coarsen * cfg["dy"]))
+    traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cfg["cbar"]), dtau=dtau,
                     sample_every=_sample_every(dtau))
     return traj, observables_from_trajectory(traj)
 
 
-def resolved_run(cbar: float, cfg: dict | None = None):
+def resolved_run(cfg: dict | None = None):
     """selfsimilar_run and its rate_report, with a Richardson error estimate.
 
     A partner run doubles every step (selfsimilar_run at coarsen 2): its
@@ -215,9 +215,9 @@ def resolved_run(cbar: float, cfg: dict | None = None):
     estimate errs high.  Returns (trajectory, series, report, errors).
     """
     cfg = make_config(cfg)
-    traj, series = selfsimilar_run(cbar, cfg)
-    report = rate_report(cbar, traj, series, cfg["fit.window"])
-    partner = rate_report(cbar, *selfsimilar_run(cbar, cfg, coarsen=2), cfg["fit.window"])
+    traj, series = selfsimilar_run(cfg)
+    report = rate_report(traj, series, cfg["fit.window"])
+    partner = rate_report(*selfsimilar_run(cfg, coarsen=2), cfg["fit.window"])
 
     def err(a, b):
         return abs(a - b) / 3.0
@@ -249,9 +249,8 @@ def _flux_block(kind: str, key: str, series: ObservableSeries) -> dict:
     return {"flux_identity_residual": {kind: {key: residual}}}
 
 
-def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
-                tau_window=_DEFAULTS["fit.window"]):
-    """alpha_0 estimates and the dichotomy fits for one run.
+def rate_report(traj: WTrajectory, series: ObservableSeries, tau_window=_DEFAULTS["fit.window"]):
+    """alpha_0 estimates and the dichotomy fits for one run, at the trajectory's cbar.
 
     The one regime decision: a run is critical when cbar is 3 sqrt(pi) to
     within 1e-9, and its decay model is then 'log_over_t', else 'power'.
@@ -261,6 +260,7 @@ def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
     power and log_over_t, and the prefactor check use the spectral
     projection, whose error stays well below the residual being measured.
     """
+    cbar = traj.cbar
     window = (math.expm1(tau_window[0]), math.expm1(tau_window[1]))
     critical = abs(cbar - CBAR_CRITICAL) <= 1e-9
     model = "log_over_t" if critical else "power"
@@ -290,7 +290,7 @@ def rate_report(cbar: float, traj: WTrajectory, series: ObservableSeries,
 
 def _pipe_solve(cfg, out: Path):
     key = f"{cfg['cbar']:.6g}"
-    f0, _, series = _physical_run(cfg["cbar"], cfg, cfg["t_end"])
+    f0, _, series = _physical_run(cfg, cfg["t_end"])
     path = out / f"physical_cbar{key}.csv"
     write_series_csv(path, series)
     ov = initial_mode_overlap(f0)
@@ -298,11 +298,11 @@ def _pipe_solve(cfg, out: Path):
                     **_flux_block("physical", key, series)}
 
 
-def _selfsim_summary(cbar: float, cfg, out: Path):
-    """resolved_run at cbar, its series written; (trajectory, series path, summary)
+def _selfsim_summary(cfg, out: Path):
+    """resolved_run of cfg, its series written; (trajectory, series path, summary)
     with every summary block keyed by f"{cbar:.6g}" but the list of fits."""
-    traj, series, report, errors = resolved_run(cbar, cfg)
-    key = f"{cbar:.6g}"
+    traj, series, report, errors = resolved_run(cfg)
+    key = f"{cfg['cbar']:.6g}"
     path = out / f"selfsim_series_cbar{key}.csv"
     write_series_csv(path, series)
     return traj, path, {
@@ -317,7 +317,7 @@ def _selfsim_summary(cbar: float, cfg, out: Path):
 
 def _pipe_selfsim(cfg, out: Path):
     cbar = cfg["cbar"]
-    traj, series_path, summary = _selfsim_summary(cbar, cfg, out)
+    traj, series_path, summary = _selfsim_summary(cfg, out)
     (alpha0,) = summary["alpha0"].values()
     path = out / f"trajectory_cbar{cbar:.6g}.csv"
     write_trajectory_csv(path, traj, alpha0, g_profile(alpha0, cbar, traj.y).values)
@@ -369,8 +369,9 @@ def _pipe_mc(cfg, out: Path):
 
 def _pipe_reproduce_theorem(cfg, out: Path):
     files, summary = [], {}
-    for cbar in (0.0, CBAR_CRITICAL, 10.0):
-        _, path, extra = _selfsim_summary(cbar, cfg, out)
+    # every config is checked before the first run writes a file
+    for run_cfg in [make_config({"cbar": cbar}, cfg) for cbar in (0.0, CBAR_CRITICAL, 10.0)]:
+        _, path, extra = _selfsim_summary(run_cfg, out)
         files.append(path)
         _merge(summary, extra)
     table = out / "rate_table.csv"

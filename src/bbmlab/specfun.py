@@ -53,6 +53,7 @@ from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
 from .oscillator import KERNEL_NORM, SpectralBasis, hermite_rows, trapezoid_weights
+from .pde import NumericalFailure
 
 #: G0 is summed from the series for z <= _Z0 and continued in closed form above
 _Z0 = 5.0
@@ -68,7 +69,7 @@ _REL_TOL = 1e-14
 _MAX_TERMS = 500
 
 
-class SeriesDiverged(RuntimeError):
+class SeriesDiverged(NumericalFailure):
     """_MAX_TERMS hit before the truncation criterion: F2 and H above z of about 352."""
 
 

@@ -25,8 +25,8 @@ def basis12(y_grid):
 def _run(cbar):
     import time
     t0 = time.perf_counter()
-    traj, series = selfsimilar_run(cbar)
-    report = rate_report(cbar, traj, series)
+    traj, series = selfsimilar_run({"cbar": cbar})
+    report = rate_report(traj, series)
     report["wall_seconds"] = time.perf_counter() - t0
     return traj, series, report
 

@@ -31,9 +31,10 @@ def test_survival_trivial_and_bad_x0():
 @pytest.mark.parametrize("x0, t_end, name", [(math.nan, 1.0, "x0"), (math.inf, 1.0, "x0"),
                                              (1.0, math.nan, "t_end"), (1.0, math.inf, "t_end")],
                          ids=["x0_nan", "x0_inf", "t_end_nan", "t_end_inf"])
-def test_rejects_non_finite_x0_and_t_end(x0, t_end, name):
+def test_rejects_non_finite_x0_and_t_end(monkeypatch, x0, t_end, name):
     # the cap keeps a sampler that ran on regardless small
-    cfg = McConfig(n_replicas=100, population_cap=10_000)
+    monkeypatch.setattr(mc, "POPULATION_CAP", 10_000)
+    cfg = McConfig(n_replicas=100)
     with pytest.raises(ValueError, match=name):
         estimate(x0, t_end, indicator_12, cfg)
     with pytest.raises(ValueError, match=name):
@@ -59,9 +60,10 @@ def test_survival_rejects_bad_checkpoints(checkpoints):
         survival_probability(1.0, 1.0, McConfig(n_replicas=10), checkpoints=checkpoints)
 
 
-def test_population_cap_is_a_numerical_failure():
+def test_population_cap_is_a_numerical_failure(monkeypatch):
     # a driftless Yule population from x0 = 5 doubles about every 0.7 time units
-    cfg = McConfig(drift=0.0, n_replicas=40, seed=1, population_cap=50)
+    monkeypatch.setattr(mc, "POPULATION_CAP", 50)
+    cfg = McConfig(drift=0.0, n_replicas=40, seed=1)
     with pytest.raises(PopulationCapExceeded, match="population cap 50") as info:
         estimate(5.0, 2.0, indicator_12, cfg)
     assert isinstance(info.value, NumericalFailure)
@@ -179,8 +181,9 @@ def test_estimate_deterministic(monkeypatch):
     assert a == b
 
 
-def test_population_cap():
-    cfg = McConfig(drift=0.0, absorb=False, n_replicas=64, seed=71, population_cap=100)
+def test_population_cap(monkeypatch):
+    monkeypatch.setattr(mc, "POPULATION_CAP", 100)
+    cfg = McConfig(drift=0.0, absorb=False, n_replicas=64, seed=71)
     with pytest.raises(RuntimeError):
         estimate(5.0, 5.0, lambda p: np.ones_like(p), cfg)
 

@@ -181,7 +181,7 @@ def test_eigen_residuals(y_grid, weights):
 def test_eigen_residual_refines():
     errs = []
     for dy in (0.02, 0.01):
-        y = default_y_grid(25.0, dy)
+        y = default_y_grid(dy)
         w = trapezoid_weights(y.size, dy)
         e4 = eigenfunction(4, y)
         errs.append(l2(w, apply_M(e4, dy) - 4 * e4))

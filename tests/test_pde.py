@@ -7,7 +7,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from bbmlab.drift import CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed
-from bbmlab.oscillator import default_y_grid, evolve_W, to_selfsimilar
+from bbmlab.oscillator import (default_y_grid, evolve_W, observables_from_trajectory,
+                               to_selfsimilar)
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
@@ -433,6 +434,22 @@ def test_march_startup_stops_at_t_end():
     np.testing.assert_allclose(calls, [0.025, 0.06], atol=1e-15)
     np.testing.assert_allclose(samples[-1][1], np.array([0.0, 1.0, 2.0, 3.0, 0.0]) / (1.05 * 1.02),
                                rtol=1e-14)
+
+
+def test_march_ends_exactly_at_t_end():
+    # ten steps of 0.1 add up to 0.9999999999999999: the last one is cut to end at 1
+    samples, calls = _march_decay(1.0, 0.1, 0, 1)
+    assert len(calls) == 10
+    assert samples[-1][0] == 1.0
+
+
+def test_evolve_W_ends_where_the_readout_needs():
+    # 600 steps of 0.01 fall 8e-14 short of tau = 6 unless the last is cut to end there
+    f0 = initial_condition("indicator", SpatialGrid(60.0, 600))
+    traj = evolve_W(to_selfsimilar(f0, default_y_grid(0.1)), 6.0, DriftExpansion(0.0),
+                    dtau=0.01, sample_every=50)
+    assert traj.taus[-1] == 6.0
+    assert len(observables_from_trajectory(traj)) == traj.taus.size
 
 
 @pytest.mark.parametrize("frame", ["physical", "selfsimilar"])

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -16,11 +15,12 @@ from hypothesis import strategies as st
 
 from bbmlab.cli import main as cli_main
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
-from bbmlab.oscillator import SPECTRAL_TAU_MIN
-from bbmlab.pde import evolve
-from bbmlab.pipeline import (SAMPLE_DTAU, ConfigError, _DEFAULTS, _merge, _validate_config,
-                             load_config, make_config, parse_config, rate_report,
-                             resolved_run, run_experiment, selfsimilar_run, specfun_row)
+from bbmlab.oscillator import SPECTRAL_TAU_MIN, Y_MAX
+from bbmlab.pde import X_MAX, evolve
+from bbmlab.pipeline import (SAMPLE_DTAU, T_HANDOFF, ConfigError, _DEFAULTS, _merge,
+                             _validate_config, load_config, make_config, parse_config,
+                             rate_report, resolved_run, run_experiment, selfsimilar_run,
+                             specfun_row)
 
 
 def test_parse_config_defaults():
@@ -63,7 +63,7 @@ def test_make_config_coerces_values_and_text():
     for overrides, named in [({"mc.replicas": 2.5}, "mc.replicas"),
                              ({"mc.replicas": "1e5"}, "mc.replicas"),
                              ({"fit.window": "5"}, "fit.window"), ({"dx": None}, "dx"),
-                             ({"x_max": 10**400}, "x_max"), ({"dx": 5e-324}, "dx")]:
+                             ({"tau_end": 10**400}, "tau_end"), ({"dx": 5e-324}, "dx")]:
         with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
             make_config(overrides)
 
@@ -82,7 +82,7 @@ _LINE = st.one_of(
 @settings(deadline=None)
 @given(st.lists(_LINE, max_size=8).map("\n".join))
 @example("dx = 5e-324")
-@example("x_max = 1e308\ndx = 1e-308")
+@example("tau_end = 1e308\ndx = 1e-308")
 @example("mc.replicas = " + "9" * 5000)
 @example("fit.window = 1,2,3")
 @example("dtau = 5e-324")
@@ -101,25 +101,22 @@ def _valid_overrides(draw):
     fraction = st.floats(0.0, 1.0)
     cbar = draw(st.floats(-1e4, 1e4))
     # below the positivity bound 2 dx max_front_speed < 2, with 2 dx dividing x_max
-    dx = draw(st.floats(1e-3, 0.99)) / max_front_speed(DriftExpansion(cbar))
-    x_max = 2 * dx * draw(st.integers(5, 5 * 10**4))
-    dy = draw(st.floats(1e-3, 1.0))
-    y_max = dy * draw(st.integers(math.ceil(20.0 / dy) + 1, 10**5))
+    cells = 30.0 * max_front_speed(DriftExpansion(cbar)) * (1.0 + 1e-9)
+    dx = X_MAX / (2 * draw(st.integers(math.floor(cells) + 1, math.floor(cells) + 5 * 10**4)))
+    dy = Y_MAX / draw(st.integers(25, 25_000))
     tau_end = draw(st.floats(SPECTRAL_TAU_MIN, 1e3))
     lo, hi = tau_end * 0.5 * draw(fraction), tau_end * (0.6 + 0.4 * draw(fraction))
-    t_handoff = draw(fraction)
     # 20 samples in the window after the handoff: the spacing is at most
     # max(2 dtau, 4 SAMPLE_DTAU / 3), and the span at least 0.6 (tau_end >= 6)
-    span = hi - max(lo, math.log1p(t_handoff))
-    a = x_max * (1e-6 + 0.4 * draw(fraction))
+    span = hi - max(lo, math.log1p(T_HANDOFF))
+    a = X_MAX * (1e-6 + 0.4 * draw(fraction))
     return {
-        "cbar": cbar,
-        "x_max": x_max, "dx": dx, "y_max": y_max, "dy": dy,
-        "dt": draw(positive), "t_end": draw(positive), "t_handoff": t_handoff,
+        "cbar": cbar, "dx": dx, "dy": dy,
+        "dt": draw(positive), "t_end": draw(positive),
         "tau_end": tau_end, "dtau": draw(st.floats(1e-3, span / 40)),
         "fit.window": (lo, hi),
         "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
-        "v0.a": a, "v0.b": a + x_max * (0.1 + 0.4 * draw(fraction)),
+        "v0.a": a, "v0.b": a + X_MAX * (0.1 + 0.4 * draw(fraction)),
         "mc.drift": draw(st.floats(-1e3, 1e3)), "mc.x0": draw(positive),
         "mc.t_end": draw(fraction), "mc.replicas": draw(st.integers(1, 10**9)),
         "mc.seed": draw(st.integers(0, 2**64)),
@@ -156,8 +153,6 @@ def test_run_experiment_rejects_unknown_key(tmp_path):
 def test_run_experiment_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment({"dt": -0.01}, tmp_path / "o", ["solve"])
-    with pytest.raises(ConfigError):
-        run_experiment({"y_max": 10.0}, tmp_path / "o", [])
 
 
 def test_config_error_in_a_pipeline_removes_the_out_dir_it_made(tmp_path):
@@ -173,6 +168,14 @@ def test_cli_config_error_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys):
     assert cli_main(["--config", str(cfg), "mc", "--out", str(tmp_path / "e2")]) == 2
     assert "v0.kind" in capsys.readouterr().err
     assert not (tmp_path / "e2").exists()
+
+
+def test_reproduce_theorem_checks_every_cbar_before_it_runs(tmp_path):
+    # dx = 0.2 suits the config's own cbar (3 sqrt(pi)), but the partner's
+    # handoff at 2 dx breaks the positivity bound at cbar = 10
+    with pytest.raises(ConfigError, match=r"cbar = 10\.0 and dx = 0\.2"):
+        run_experiment({"dx": 0.2}, tmp_path / "X", ["reproduce-theorem"])
+    assert not (tmp_path / "X").exists()
 
 
 def test_config_error_in_a_pipeline_keeps_an_out_dir_that_was_there(tmp_path):
@@ -296,9 +299,8 @@ def test_fine_grid_regression_at_the_critical_cbar():
     # the resolution of the earlier defaults (dy = 0.01, dtau = 0.002) against
     # the current ones; the Richardson estimate of the current run's error is
     # not below a third of its actual distance from the fine run
-    fine_run = selfsimilar_run(CBAR_CRITICAL, {"dy": 0.01, "dtau": 0.002})
-    fine = rate_report(CBAR_CRITICAL, *fine_run)
-    _, _, report, errors = resolved_run(CBAR_CRITICAL)
+    fine = rate_report(*selfsimilar_run({"dy": 0.01, "dtau": 0.002}))
+    _, _, report, errors = resolved_run()
     gap = abs(report["alpha0"] - fine["alpha0"])
     assert gap <= 1e-4 * fine["alpha0"]
     assert errors["alpha0"] >= gap / 3.0
@@ -321,7 +323,7 @@ def test_richardson_partner_coarsens_the_handoff(monkeypatch):
         return evolve(f0, t_end, cfg, d)
 
     monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
-    resolved_run(1.0, {"dx": 0.02, "dt": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
+    resolved_run({"cbar": 1.0, "dx": 0.02, "dt": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
     assert calls == [(3000, 0.02), (1500, 0.04)]
 
 
@@ -492,7 +494,7 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("dy = 0.03", "dy"),
     ("mc.t_end = -1", "mc.t_end"),
     ("dx = nan", "dx"),
-    ("x_max = inf", "x_max"),
+    ("tau_end = inf", "tau_end"),
     ("mc.drift = nan", "mc.drift"),
     ("dx = abc\ndx = 0.02", "dx"),
     (None, "bad.cfg"),
@@ -503,15 +505,18 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("dx = 0.032", "2 dx"),        # divides x_max = 60, but the partner's 0.064 does not
     ("fit.window = 9.9,10", "fit.window"),      # 5 samples 0.02 apart
     ("dtau = 0.03\nfit.window = 6,7", "fit.window"),  # 34 samples, but 17 in the 2 dtau partner
-    ("tau_end = 6\nfit.window = 3,6\nt_handoff = 500\ndx = 0.05\ndt = 0.05",
-     "t_handoff"),                 # the handoff ends at tau = 6.22, past the window
-    ("t_handoff = 5000\ndx = 0.05\ndt = 0.05", "t_handoff"),   # under a decade of t to tau_end
+    ("fit.window = 0,1", "fit.window"),   # ends 0.31 after the handoff at tau = log 2
+    # method constants, not config keys
+    ("x_max = 60", "x_max"),
+    ("y_max = 25", "y_max"),
+    ("t_handoff = 1", "t_handoff"),
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
-        "mc_t_end_negative", "dx_nan", "x_max_inf", "mc_drift_nan", "dx_set_twice",
+        "mc_t_end_negative", "dx_nan", "tau_end_inf", "mc_drift_nan", "dx_set_twice",
         "missing_file", "not_utf8", "n_modes_unknown", "cbar_beyond_peclet_bound",
         "tau_end_below_spectral_floor", "partner_dx_not_dividing_x_max", "window_too_short",
-        "partner_window_too_short", "handoff_past_window", "handoff_under_a_decade"])
+        "partner_window_too_short", "handoff_past_window", "x_max_unknown", "y_max_unknown",
+        "t_handoff_unknown"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist
     if isinstance(text, bytes):
@@ -556,10 +561,7 @@ def test_cli_bad_arguments_exit_2(capsys, argv, named):
 
 
 def test_cli_mc_population_cap_exits_3(tmp_path, monkeypatch, capsys):
-    import bbmlab.pipeline as pipeline_mod
-    from bbmlab.mc import McConfig
-
-    monkeypatch.setattr(pipeline_mod, "McConfig", functools.partial(McConfig, population_cap=50))
+    monkeypatch.setattr("bbmlab.mc.POPULATION_CAP", 50)
     rc = cli_main(["mc", "--drift", "0", "--x0", "5", "--t-end", "2", "--replicas", "40",
                    "--out", str(tmp_path)])
     assert rc == 3
@@ -588,16 +590,23 @@ def test_runtime_paths_do_not_import_mpmath(tmp_path):
 
 
 def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    from bbmlab.pde import NumericalFailure
+    # every numerical failure is one type, which the CLI maps to exit code 3
     import bbmlab.cli as cli_mod
+    from bbmlab.mc import PopulationCapExceeded
+    from bbmlab.oscillator import LossOfSupport
+    from bbmlab.pde import NumericalFailure
+    from bbmlab.specfun import SeriesDiverged
 
-    def boom(*a, **k):
-        raise NumericalFailure("synthetic blow-up")
+    for failure in (NumericalFailure, LossOfSupport, SeriesDiverged, PopulationCapExceeded):
+        assert issubclass(failure, NumericalFailure)
 
-    monkeypatch.setattr(cli_mod, "run_experiment", boom)
-    rc = cli_main(["--out", str(tmp_path / "o"), "solve"])
-    assert rc == 3
-    assert "synthetic blow-up" in capsys.readouterr().err
+        def boom(*a, **k):
+            raise failure(f"synthetic {failure.__name__}")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", boom)
+        rc = cli_main(["--out", str(tmp_path / "o"), "solve"])
+        assert rc == 3
+        assert f"synthetic {failure.__name__}" in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -607,3 +616,4 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg["cbar"] == 0.0
     out = run_experiment(cfg, tmp_path / "o", ["solve"])
     assert (out / "manifest.json").exists()
+

@@ -127,8 +127,8 @@ def test_rate_report_decides_the_regime(offset, models, source):
     # within 1e-9 of 3 sqrt(pi) it fits both models against the spectral
     # alpha_0, and its slope extrapolation uses the log_over_t model
     cbar = CB + offset
-    traj, series = selfsimilar_run(cbar, {"dy": 0.1, "dtau": 0.02})
-    report = rate_report(cbar, traj, series)
+    traj, series = selfsimilar_run({"cbar": cbar, "dy": 0.1, "dtau": 0.02})
+    report = rate_report(traj, series)
     assert [(f["observable"], f["model"]) for f in report["fits"]] == [
         (observable, model) for observable in ("mass", "slope0") for model in models]
     assert {f["alpha0_source"] for f in report["fits"]} == {source}

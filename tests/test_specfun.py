@@ -304,7 +304,7 @@ def _galerkin_oracle(params, y, n_modes):
 @pytest.mark.parametrize("n_modes", [40, 1024])
 @pytest.mark.parametrize("dy", [0.01, 0.05])
 def test_spectral_split_matches_full_forcing_galerkin(dy, n_modes):
-    y = default_y_grid(25.0, dy)
+    y = default_y_grid(dy)
     basis = SpectralBasis(y, 12)
     params = [(alpha, cbar) for cbar in (0.0, 1.0, CB, 10.0) for alpha in (0.5, 1.3)]
     for (alpha, cbar), want in zip(params, _galerkin_oracle(params, y, n_modes)):
@@ -336,7 +336,7 @@ def test_spectral_result_is_a_fresh_array(basis12):
 
 
 def test_spectral_cache_keys_on_grid_and_modes():
-    grids = [default_y_grid(25.0, 0.05), np.linspace(0.0, 20.0, 501), default_y_grid(25.0, 0.1)]
+    grids = [default_y_grid(0.05), np.linspace(0.0, 20.0, 501), default_y_grid(0.1)]
     keys = [(y, n) for y in grids for n in (40, 41)]
     fresh = []
     for y, n in keys:
