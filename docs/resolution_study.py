@@ -19,7 +19,7 @@ from bbmlab.pipeline import rate_report, resolved_run, selfsimilar_run
 DYS = (0.01, 0.025, 0.05, 0.1)
 DTAUS = (0.002, 0.005, 0.01, 0.02)
 #: the reference of the estimate table: every step of the defaults refined
-FINE = {"dx": 0.0025, "dt": 0.0025, "dy": 0.0125, "dtau": 0.0025}
+FINE = {"dx": 0.0025, "dy": 0.0125, "dtau": 0.0025}
 
 
 def main():

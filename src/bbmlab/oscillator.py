@@ -235,8 +235,8 @@ def to_selfsimilar(f: Field, y_grid: np.ndarray) -> SelfSimilarField:
     """Map a physical field to the self-similar frame.
 
     Raises LossOfSupport if the map needs values beyond x_max where the field
-    is not numerically negligible; the dead tail beyond x_max is padded with
-    zeros.
+    is not numerically negligible, or if the field is not negligible beyond
+    the last x the map reads; the dead tail beyond x_max is padded with zeros.
     """
     tau = math.log1p(f.time)
     scale = math.sqrt(1.0 + f.time)
@@ -250,6 +250,9 @@ def to_selfsimilar(f: Field, y_grid: np.ndarray) -> SelfSimilarField:
             raise LossOfSupport(
                 f"need x up to {xs[-1]:.2f} > x_max={x_max:.2f} and the field "
                 f"is not negligible at the boundary")
+    elif np.abs(f.values[f.grid.x > xs[-1]]).max(initial=0.0) > 1e-13 * vmax:
+        raise LossOfSupport(f"the field is not negligible beyond x = {xs[-1]:.2f}, where the "
+                            f"self-similar grid ends (y = {y_grid[-1]:g} at t = {f.time:g})")
     spline = CubicSpline(f.grid.x, f.values)
     vals = np.where(xs <= x_max, spline(np.clip(xs, 0.0, x_max)), 0.0)
     W = np.zeros_like(vals)

@@ -51,8 +51,7 @@ class ConfigError(ValueError):
 
 _DEFAULTS = {
     "cbar": CBAR_CRITICAL,
-    "dx": 0.01,
-    "dt": 0.01,
+    "dx": 0.01,       # the physical step is dx in x and in t
     "t_end": 10.0,
     "tau_end": 10.0,
     "dy": 0.05,       # chosen by the refinement study in docs/resolution_study.md
@@ -124,25 +123,23 @@ def _validate_config(cfg: dict):
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    for key in ("dx", "dt", "dy", "dtau", "t_end", "tau_end", "mc.x0"):
+    for key in ("dx", "dy", "dtau", "t_end", "tau_end", "mc.x0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     for key, low in (("mc.t_end", 0), ("mc.replicas", 1), ("mc.seed", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
-    # the Richardson partner of a self-similar run takes the handoff at 2 dx
-    for length, size, step, h in (("x_max", X_MAX, "2 dx", 2 * cfg["dx"]),
-                                  ("y_max", Y_MAX, "dy", cfg["dy"])):
-        cells = size / h
-        if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9 * cells:
-            raise ConfigError(f"{step} = {h!r} does not divide {length} = {size!r}")
-    # pde.evolve needs |front speed| dx < 2, the positivity bound of its
-    # centred startup, on every grid it runs: the partner's 2 dx included
+    # each step divides its grid into 4 or more cells: slope_at_origin reads 5 nodes
+    for length, size, step in (("x_max", X_MAX, "dx"), ("y_max", Y_MAX, "dy")):
+        cells = size / cfg[step]
+        if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9 * cells or round(cells) < 4:
+            raise ConfigError(f"{step} = {cfg[step]!r} does not divide {length} = {size!r} "
+                              f"into 4 or more cells")
+    # pde.evolve needs |front speed| dx < 2, the positivity bound of its centred startup
     speed = max_front_speed(DriftExpansion(cfg["cbar"]))
-    if 2 * cfg["dx"] * speed >= 2.0:
+    if cfg["dx"] * speed >= 2.0:
         raise ConfigError(f"cbar = {cfg['cbar']!r} and dx = {cfg['dx']!r} break the positivity "
-                          f"bound |front speed| * 2 dx < 2 of the partner's handoff "
-                          f"(sup |front speed| = {speed:g})")
+                          f"bound |front speed| * dx < 2 (sup |front speed| = {speed:g})")
     if cfg["tau_end"] < SPECTRAL_TAU_MIN:
         raise ConfigError(f"tau_end must be >= {SPECTRAL_TAU_MIN:g}, where the spectral "
                           f"projection reads alpha_0")
@@ -153,12 +150,11 @@ def _validate_config(cfg: dict):
     lo, hi = cfg["fit.window"]
     if not (0.0 <= lo < hi <= cfg["tau_end"]):
         raise ConfigError("fit.window must satisfy 0 <= lo < hi <= tau_end")
-    # the fits need 20 samples in the window after the handoff, on the run's
-    # sample spacing and on its partner's at 2 dtau
+    # the fits need 20 samples in the window after the handoff
     if not math.isfinite(SAMPLE_DTAU / cfg["dtau"]):
         raise ConfigError(f"dtau = {cfg['dtau']!r} is too small to space the samples")
     tau0 = math.log1p(T_HANDOFF)
-    spacing = max(h * _sample_every(h) for h in (cfg["dtau"], 2 * cfg["dtau"]))
+    spacing = cfg["dtau"] * _sample_every(cfg["dtau"])
     if hi - max(lo, tau0) < 20 * spacing:
         raise ConfigError(f"fit.window after the handoff at tau = {tau0:.6g} "
                           f"holds fewer than 20 samples {spacing:g} apart")
@@ -180,44 +176,55 @@ def _sample_every(dtau: float) -> int:
     return max(1, round(SAMPLE_DTAU / dtau))
 
 
-def _physical_run(cfg: dict, t_end: float, coarsen: int = 1):
-    """(v0, field at t_end, series) under the drift of cfg's cbar at (coarsen dx, coarsen dt)."""
-    grid = SpatialGrid(nx=int(round(X_MAX / (coarsen * cfg["dx"]))))
+def _physical_run(cfg: dict, t_end: float):
+    """(v0, field at t_end, series) under the drift of cfg's cbar, stepping dx in x and t."""
+    grid = SpatialGrid(nx=int(round(X_MAX / cfg["dx"])))
     f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    return (f0, *evolve(f0, t_end, SolverConfig(dt=coarsen * cfg["dt"]),
-                        DriftExpansion(cfg["cbar"])))
+    return (f0, *evolve(f0, t_end, SolverConfig(dt=cfg["dx"]), DriftExpansion(cfg["cbar"])))
 
 
-def selfsimilar_run(cfg: dict | None = None, coarsen: int = 1):
+def selfsimilar_run(cfg: dict | None = None):
     """Physical solve to T_HANDOFF, then march W to tau_end, at cfg's cbar.
 
     Returns (trajectory, ObservableSeries in physical time, its mass from
-    slope0); coarsen multiplies dx, dt, dy and dtau.  Physical-frame cost
-    grows linearly in t; the self-similar frame compresses it to log(1+t).
+    slope0).  Physical-frame cost grows linearly in t; the self-similar
+    frame compresses it to log(1+t).
     """
     cfg = make_config(cfg)
-    _, f1, _ = _physical_run(cfg, T_HANDOFF, coarsen)
-    dtau = coarsen * cfg["dtau"]
-    W0 = to_selfsimilar(f1, default_y_grid(coarsen * cfg["dy"]))
-    traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cfg["cbar"]), dtau=dtau,
-                    sample_every=_sample_every(dtau))
+    _, f1, _ = _physical_run(cfg, T_HANDOFF)
+    W0 = to_selfsimilar(f1, default_y_grid(cfg["dy"]))
+    traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cfg["cbar"]), dtau=cfg["dtau"],
+                    sample_every=_sample_every(cfg["dtau"]))
     return traj, observables_from_trajectory(traj)
+
+
+#: the steps a run's Richardson partner doubles
+_STEPS = ("dx", "dy", "dtau")
+
+
+def _partner(cfg: dict) -> dict:
+    """The Richardson partner of a run: its config with every step doubled,
+    validated as any config is."""
+    try:
+        return make_config({k: 2 * cfg[k] for k in _STEPS}, cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"Richardson partner (every step doubled): {exc}") from exc
 
 
 def resolved_run(cfg: dict | None = None):
     """selfsimilar_run and its rate_report, with a Richardson error estimate.
 
-    A partner run doubles every step (selfsimilar_run at coarsen 2): its
-    handoff runs at (2 dx, 2 dt) and its march at (2 dy, 2 dtau).
-    |A(h) - A(2h)| / 3 estimates the error of each reported number A at the
-    run's own resolution h.  The divisor suits the second-order dx, dt and
-    dtau errors; dy enters at fourth order, so where it dominates the
-    estimate errs high.  Returns (trajectory, series, report, errors).
+    The partner run (_partner) doubles dx, dy and dtau.  |A(h) - A(2h)| / 3
+    estimates the error of each reported number A at the run's own
+    resolution h.  The divisor suits the second-order dx and dtau errors; dy
+    enters at fourth order, so where it dominates the estimate errs high.
+    Returns (trajectory, series, report, errors).
     """
     cfg = make_config(cfg)
+    partner_cfg = _partner(cfg)
     traj, series = selfsimilar_run(cfg)
     report = rate_report(traj, series, cfg["fit.window"])
-    partner = rate_report(*selfsimilar_run(cfg, coarsen=2), cfg["fit.window"])
+    partner = rate_report(*selfsimilar_run(partner_cfg), cfg["fit.window"])
 
     def err(a, b):
         return abs(a - b) / 3.0
@@ -233,12 +240,9 @@ def resolved_run(cfg: dict | None = None):
 
 
 def _resolution_block(cfg: dict, errors: dict) -> dict:
-    """summary.json's record of the Richardson estimates, errors keyed by cbar;
-    dt is the step the handoff takes, min(dt, dx) (SolverConfig.effective_dt)."""
-    steps = dict(dx=cfg["dx"], dt=min(cfg["dt"], cfg["dx"]), dy=cfg["dy"], dtau=cfg["dtau"])
-    return {**steps,
-            "partner": {k: 2 * h for k, h in steps.items()},
-            "estimate": "|A(dx, dt, dy, dtau) - A(2 dx, 2 dt, 2 dy, 2 dtau)| / 3",
+    """summary.json's record of the Richardson estimates, errors keyed by cbar."""
+    return {**{k: cfg[k] for k in _STEPS}, "partner": {k: 2 * cfg[k] for k in _STEPS},
+            "estimate": "|A(dx, dy, dtau) - A(2 dx, 2 dy, 2 dtau)| / 3",
             "error": errors}
 
 
@@ -369,8 +373,11 @@ def _pipe_mc(cfg, out: Path):
 
 def _pipe_reproduce_theorem(cfg, out: Path):
     files, summary = [], {}
-    # every config is checked before the first run writes a file
-    for run_cfg in [make_config({"cbar": cbar}, cfg) for cbar in (0.0, CBAR_CRITICAL, 10.0)]:
+    # every config and its partner are checked before the first run writes a file
+    run_cfgs = [make_config({"cbar": cbar}, cfg) for cbar in (0.0, CBAR_CRITICAL, 10.0)]
+    for run_cfg in run_cfgs:
+        _partner(run_cfg)
+    for run_cfg in run_cfgs:
         _, path, extra = _selfsim_summary(run_cfg, out)
         files.append(path)
         _merge(summary, extra)
@@ -432,7 +439,10 @@ def run_experiment(config, out_dir, pipelines=()):
     cfg = make_config(config)
     out = Path(out_dir)
     created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from exc
     summary = {}
     outputs = []
     timings = {}

@@ -98,6 +98,18 @@ def test_loss_of_support():
         to_selfsimilar(Field(grid, v, 30.0), default_y_grid())
 
 
+def test_loss_of_support_beyond_the_self_similar_grid():
+    # at t = 1 the y grid ends at x = 25 sqrt(2) = 35.36, inside x_max = 60:
+    # a field alive beyond it would be dropped from W
+    grid = SpatialGrid(60.0, 6000)
+    v = np.where(grid.x < 40.0, 1.0, 0.0)
+    v[0] = 0.0
+    with pytest.raises(LossOfSupport, match="beyond x = 35.36"):
+        to_selfsimilar(Field(grid, v, 1.0), default_y_grid())
+    v[grid.x > 35.0] = 0.0
+    to_selfsimilar(Field(grid, v, 1.0), default_y_grid())
+
+
 def test_round_trip_interpolation_accuracy():
     grid = SpatialGrid(60.0, 6000)
     t = 2.0

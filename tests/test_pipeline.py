@@ -100,19 +100,19 @@ def _valid_overrides(draw):
     positive = st.floats(1e-3, 1e3)
     fraction = st.floats(0.0, 1.0)
     cbar = draw(st.floats(-1e4, 1e4))
-    # below the positivity bound 2 dx max_front_speed < 2, with 2 dx dividing x_max
-    cells = 30.0 * max_front_speed(DriftExpansion(cbar)) * (1.0 + 1e-9)
-    dx = X_MAX / (2 * draw(st.integers(math.floor(cells) + 1, math.floor(cells) + 5 * 10**4)))
+    # below the positivity bound dx max_front_speed < 2, with dx dividing x_max
+    cells = max(30.0 * max_front_speed(DriftExpansion(cbar)) * (1.0 + 1e-9), 4.0)
+    dx = X_MAX / draw(st.integers(math.floor(cells) + 1, math.floor(cells) + 10**5))
     dy = Y_MAX / draw(st.integers(25, 25_000))
     tau_end = draw(st.floats(SPECTRAL_TAU_MIN, 1e3))
     lo, hi = tau_end * 0.5 * draw(fraction), tau_end * (0.6 + 0.4 * draw(fraction))
     # 20 samples in the window after the handoff: the spacing is at most
-    # max(2 dtau, 4 SAMPLE_DTAU / 3), and the span at least 0.6 (tau_end >= 6)
+    # max(dtau, 4 SAMPLE_DTAU / 3), and the span at least 0.6 (tau_end >= 6)
     span = hi - max(lo, math.log1p(T_HANDOFF))
     a = X_MAX * (1e-6 + 0.4 * draw(fraction))
     return {
         "cbar": cbar, "dx": dx, "dy": dy,
-        "dt": draw(positive), "t_end": draw(positive),
+        "t_end": draw(positive),
         "tau_end": tau_end, "dtau": draw(st.floats(1e-3, span / 40)),
         "fit.window": (lo, hi),
         "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
@@ -152,7 +152,7 @@ def test_run_experiment_rejects_unknown_key(tmp_path):
 
 def test_run_experiment_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
-        run_experiment({"dt": -0.01}, tmp_path / "o", ["solve"])
+        run_experiment({"dx": -0.01}, tmp_path / "o", ["solve"])
 
 
 def test_config_error_in_a_pipeline_removes_the_out_dir_it_made(tmp_path):
@@ -171,9 +171,10 @@ def test_cli_config_error_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys):
 
 
 def test_reproduce_theorem_checks_every_cbar_before_it_runs(tmp_path):
-    # dx = 0.2 suits the config's own cbar (3 sqrt(pi)), but the partner's
-    # handoff at 2 dx breaks the positivity bound at cbar = 10
-    with pytest.raises(ConfigError, match=r"cbar = 10\.0 and dx = 0\.2"):
+    # dx = 0.2 suits the config's own cbar (3 sqrt(pi)) and cbar = 10, but the
+    # partner of the cbar = 10 run, at dx = 0.4, breaks the positivity bound
+    with pytest.raises(ConfigError, match=r"Richardson partner \(every step doubled\): "
+                                          r"cbar = 10\.0 and dx = 0\.4"):
         run_experiment({"dx": 0.2}, tmp_path / "X", ["reproduce-theorem"])
     assert not (tmp_path / "X").exists()
 
@@ -214,7 +215,7 @@ def _max_interior_flux_residual(path):
 
 
 #: a short run at coarse steps, for the pipelines' file and summary layouts
-_SMALL = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "dt": 0.02, "tau_end": 6.0,
+_SMALL = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "tau_end": 6.0,
           "fit.window": (3.0, 6.0)}
 
 
@@ -234,7 +235,7 @@ def test_summary_records_flux_residual_of_each_series(tmp_path):
 
 
 def test_solve_pipeline_writes_series(tmp_path):
-    out = run_experiment({"t_end": 1.0, "dx": 0.02, "dt": 0.02}, tmp_path / "o", ["solve"])
+    out = run_experiment({"t_end": 1.0, "dx": 0.02}, tmp_path / "o", ["solve"])
     files = list(out.glob("physical_cbar*.csv"))
     assert len(files) == 1
     header = files[0].read_text().splitlines()[0]
@@ -253,8 +254,8 @@ def test_reproduce_theorem_summary_has_resolution_block(theorem_dir):
     assert set(summary) == {"alpha0", "alpha0_methods", "fits", "prefactor_check", "resolution",
                             "flux_identity_residual"}
     res = summary["resolution"]
-    assert (res["dx"], res["dt"], res["dy"], res["dtau"]) == (0.01, 0.01, 0.05, 0.01)
-    assert res["partner"] == {"dx": 0.02, "dt": 0.02, "dy": 0.1, "dtau": 0.02}
+    assert (res["dx"], res["dy"], res["dtau"]) == (0.01, 0.05, 0.01)
+    assert res["partner"] == {"dx": 0.02, "dy": 0.1, "dtau": 0.02}
     assert set(res["error"]) == set(summary["alpha0"]) == {"0", "5.31736", "10"}
     for key, err in res["error"].items():
         fits = [f for f in summary["fits"] if f"{f['cbar']:.6g}" == key]
@@ -315,7 +316,7 @@ def test_fine_grid_regression_at_the_critical_cbar():
 
 
 def test_richardson_partner_coarsens_the_handoff(monkeypatch):
-    # the run's handoff at (dx, dt), then the partner's at (2 dx, 2 dt)
+    # the run's handoff steps dx in x and t, then the partner's 2 dx
     calls = []
 
     def spy(f0, t_end, cfg, d):
@@ -323,24 +324,8 @@ def test_richardson_partner_coarsens_the_handoff(monkeypatch):
         return evolve(f0, t_end, cfg, d)
 
     monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
-    resolved_run({"cbar": 1.0, "dx": 0.02, "dt": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
+    resolved_run({"cbar": 1.0, "dx": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
     assert calls == [(3000, 0.02), (1500, 0.04)]
-
-
-def test_resolution_block_records_the_steps_the_handoffs_take(tmp_path, monkeypatch):
-    # dt is a maximum: with dt > dx the handoff steps at dx and its partner at 2 dx
-    steps = []
-
-    def spy(f0, t_end, cfg, d):
-        steps.append(cfg.effective_dt(f0.grid))
-        return evolve(f0, t_end, cfg, d)
-
-    monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
-    out = run_experiment({**_SMALL, "dt": 0.05}, tmp_path / "o", ["selfsim"])
-    res = json.loads((out / "summary.json").read_text())["resolution"]
-    assert steps == [0.02, 0.04]
-    assert (res["dx"], res["dt"]) == (0.02, 0.02)
-    assert (res["partner"]["dx"], res["partner"]["dt"]) == (0.04, 0.04)
 
 
 def test_selfsim_pipeline_writes_the_theorem_schema(tmp_path, theorem_dir):
@@ -502,30 +487,68 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("n_modes = 12", "n_modes"),   # not a key: the trajectory CSV always has 8 modes
     ("cbar = 1000", "cbar"),       # front speed 500.5 at t = 0: |speed| dx >= 2
     ("tau_end = 3\nfit.window = 1,3", "tau_end"),   # below the spectral projection's floor
-    ("dx = 0.032", "2 dx"),        # divides x_max = 60, but the partner's 0.064 does not
+    ("dx = 0.032", "partner (every step doubled): dx = 0.064"),   # 0.064 does not divide 60
     ("fit.window = 9.9,10", "fit.window"),      # 5 samples 0.02 apart
-    ("dtau = 0.03\nfit.window = 6,7", "fit.window"),  # 34 samples, but 17 in the 2 dtau partner
+    ("dtau = 0.03\nfit.window = 6,7",           # 34 samples, but 17 in the partner's
+     "partner (every step doubled): fit.window"),
     ("fit.window = 0,1", "fit.window"),   # ends 0.31 after the handoff at tau = log 2
     # method constants, not config keys
     ("x_max = 60", "x_max"),
     ("y_max = 25", "y_max"),
     ("t_handoff = 1", "t_handoff"),
+    ("dy = 12.5", "dy = 12.5 does not divide"),     # 3 nodes: slope_at_origin reads 5
+    ("dy = 5", "partner (every step doubled): dy = 10.0"),   # the partner's grid has 3 nodes
+    (f"dy = {25 / 301!r}", "partner (every step doubled): dy"),   # 25/301 divides y_max, 50/301 not
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
         "mc_t_end_negative", "dx_nan", "tau_end_inf", "mc_drift_nan", "dx_set_twice",
         "missing_file", "not_utf8", "n_modes_unknown", "cbar_beyond_peclet_bound",
         "tau_end_below_spectral_floor", "partner_dx_not_dividing_x_max", "window_too_short",
         "partner_window_too_short", "handoff_past_window", "x_max_unknown", "y_max_unknown",
-        "t_handoff_unknown"])
+        "t_handoff_unknown", "dy_under_4_cells", "partner_dy_under_4_cells",
+        "partner_dy_not_dividing_y_max"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
+    # selfsim checks the run's config, then its Richardson partner's
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist
     if isinstance(text, bytes):
         bad.write_bytes(text)
     elif text is not None:
         bad.write_text(text + "\n")
-    rc = cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "solve"])
+    rc = cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "selfsim"])
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_solve_runs_no_partner(tmp_path, capsys):
+    # dx = 0.3 keeps the positivity bound at cbar = 10, where the partner's 0.6
+    # breaks it: solve runs, selfsim exits 2
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("dx = 0.3\n")
+    assert cli_main(["--config", str(cfg), "solve", "--cbar", "10",
+                     "--out", str(tmp_path / "solve")]) == 0
+    assert (tmp_path / "solve" / "physical_cbar10.csv").exists()
+    assert cli_main(["--config", str(cfg), "selfsim", "--cbar", "10",
+                     "--out", str(tmp_path / "selfsim")]) == 2
+    assert "Richardson partner" in capsys.readouterr().err
+    assert not (tmp_path / "selfsim").exists()
+
+
+def test_cli_out_on_an_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main(["mc", "--replicas", "10", "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+def test_cli_selfsim_past_the_self_similar_grid_exits_3(tmp_path, capsys):
+    # v0.b = 40 < x_max is a valid config, but at the handoff (t = 1) a tenth of
+    # the mass lies beyond x = 25 sqrt(2), where the self-similar grid ends
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("v0.b = 40\n")
+    assert cli_main(["--config", str(cfg), "selfsim", "--out", str(tmp_path / "o")]) == 3
+    assert "beyond x = 35.36" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -611,7 +634,7 @@ def test_cli_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "exp.cfg"
-    p.write_text("cbar = 0\nt_end = 0.5\ndx = 0.02\ndt = 0.02\n")
+    p.write_text("cbar = 0\nt_end = 0.5\ndx = 0.02\n")
     cfg = load_config(p)
     assert cfg["cbar"] == 0.0
     out = run_experiment(cfg, tmp_path / "o", ["solve"])
