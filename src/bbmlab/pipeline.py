@@ -39,7 +39,7 @@ from .mc import McConfig, estimate
 from .oscillator import (SPECTRAL_TAU_MIN, Y_MAX, WTrajectory, default_y_grid, evolve_W,
                          initial_mode_overlap, observables_from_trajectory, to_selfsimilar,
                          write_trajectory_csv)
-from .pde import (X_MAX, ObservableSeries, SolverConfig, SpatialGrid, evolve,
+from .pde import (X_MAX, NumericalFailure, ObservableSeries, SolverConfig, SpatialGrid, evolve,
                   flux_identity_residual, initial_condition, write_csv, write_series_csv)
 from .rates import estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
@@ -433,8 +433,9 @@ def run_experiment(config, out_dir, pipelines=()):
     """Execute the named pipelines and persist artifacts plus a manifest.
 
     config is a dict of overrides (a whole config included), or None for the
-    defaults.  Returns the output directory path.  A ConfigError raised while
-    out_dir is still empty removes it again if this call created it.
+    defaults.  Returns the output directory path.  A ConfigError or
+    NumericalFailure raised while out_dir is still empty removes it again if
+    this call created it.
     """
     cfg = make_config(config)
     out = Path(out_dir)
@@ -455,7 +456,7 @@ def run_experiment(config, out_dir, pipelines=()):
             timings[name] = time.perf_counter() - t0
             outputs.extend(files)
             _merge(summary, extra)
-    except ConfigError:
+    except (ConfigError, NumericalFailure):
         if created and not any(out.iterdir()):
             out.rmdir()
         raise

@@ -25,7 +25,8 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
        v(s) = 3 [s + 1 + (sqrt(pi)/2) erfcx(sqrt s)/sqrt s] / (s - 1/2)^2,
 
    with w0 = (G0(z0) - 3 z0)/(z0 - 1/2) from the series (derivation in
-   docs/g_profile_tail.md).
+   docs/g_profile_tail.md).  G0 is computed once per grid (memoised); alpha
+   and cbar then enter as g = alpha e^{-z/2} (2 cbar sqrt(z) + G0).
 
 2. solve_g_spectral: project the equation on the Hermite eigenbasis, whose
    modes come from oscillator.hermite_rows.  The kernel coefficient is
@@ -96,14 +97,15 @@ def _h_terms(z):
         n += 1
 
 
-def _sum_series(gen, what):
+def _sum_series(terms, z, what):
     s = 0.0
-    for i, term in enumerate(gen):
+    for i, term in enumerate(terms(z)):
         s += term
         if abs(term) <= _REL_TOL * abs(s) and i >= 1:
             return s
         if i + 1 >= _MAX_TERMS:
-            raise SeriesDiverged(f"{what}: truncation criterion not met within {_MAX_TERMS} terms")
+            raise SeriesDiverged(f"{what}: truncation criterion not met within {_MAX_TERMS} "
+                                 f"terms at z = {z!r}")
 
 
 def _check_z(z):
@@ -120,13 +122,13 @@ def _check_finite(**params):
 def F2(z: float) -> float:
     """sqrt(pi) sum_{n>=2} z^n / (n (n-1) Gamma(n+1/2)), z >= 0."""
     _check_z(z)
-    return 0.0 if z == 0.0 else _sum_series(_f2_terms(z), "F2")
+    return 0.0 if z == 0.0 else _sum_series(_f2_terms, z, "F2")
 
 
 def H(z: float) -> float:
     """-(sqrt(z)/4) sum_{n>=0} z^n Gamma(n-1/2) / (n! Gamma(n+3/2)), z >= 0."""
     _check_z(z)
-    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms(z), "H")
+    return 0.0 if z == 0.0 else -0.25 * math.sqrt(z) * _sum_series(_h_terms, z, "H")
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +188,30 @@ class GProfile:
     slope0: float
 
 
+@functools.lru_cache(maxsize=8)
+def _g0_series(y_bytes: bytes) -> np.ndarray:
+    """Read-only G0(y^2/4) on the float64 grid y_bytes (one-dimensional)."""
+    y = np.frombuffer(y_bytes)
+    G0 = _G0(y * y / 4.0)
+    G0.flags.writeable = False
+    return G0
+
+
 def g_profile(alpha: float, cbar: float, y: np.ndarray) -> GProfile:
-    """g(y) = e^{-y^2/8} G(y^2/4) on the grid, slope at 0 taken analytically."""
+    """g(y) = e^{-y^2/8} G(y^2/4) on the grid, slope at 0 taken analytically.
+
+    G0, the cbar-free part of G/alpha, depends only on the grid and is computed
+    once per grid (_g0_series).
+    """
     _check_finite(alpha=alpha, cbar=cbar)
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y must be one-dimensional, got shape {y.shape}")
     with np.errstate(over="ignore"):
         z = y * y / 4.0
     if not np.all(np.isfinite(z)):
         raise ValueError("y must be finite at every node, and so must y^2/4")
-    values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _G0(z))
+    values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _g0_series(y.tobytes()))
     return GProfile(alpha, cbar, y, values, g_slope0(alpha, cbar))
 
 
@@ -248,12 +265,13 @@ def _g0_spectral(y_bytes: bytes, n_modes: int) -> np.ndarray:
     """
     y = np.frombuffer(y_bytes)
     yq, wF = _weighted_forcing()
-    # coefficient n pairs the odd rows h_{2n+1} on the two grids
+    # coefficient n pairs the odd row h_{2n+1} on the projection grid (the
+    # first yq.size nodes of each row) with the same row on y
     g0 = np.zeros_like(y)
-    rows = zip(hermite_rows(yq / 2.0), hermite_rows(y / 2.0))
-    for n, (hq, h) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
-        a_n = float(wF @ hq)
-        g0 += (-2.0 * a_n if n == 0 else a_n / (n - 0.5)) * h
+    rows = hermite_rows(np.concatenate((yq, y)) / 2.0)
+    for n, h in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
+        a_n = float(wF @ h[:yq.size])
+        g0 += (-2.0 * a_n if n == 0 else a_n / (n - 0.5)) * h[yq.size:]
     g0.flags.writeable = False
     return g0
 

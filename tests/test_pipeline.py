@@ -170,6 +170,20 @@ def test_cli_config_error_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "e2").exists()
 
 
+def test_cli_numerical_failure_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys):
+    # v0 reaches x = 40, past where the self-similar grid ends at the handoff
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("v0.b = 40\n")
+    out = tmp_path / "n3"
+    assert cli_main(["--config", str(cfg), "selfsim", "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+    # a directory that was there before the run stays
+    out.mkdir()
+    assert cli_main(["--config", str(cfg), "selfsim", "--out", str(out)]) == 3
+    assert out.is_dir()
+
+
 def test_reproduce_theorem_checks_every_cbar_before_it_runs(tmp_path):
     # dx = 0.2 suits the config's own cbar (3 sqrt(pi)) and cbar = 10, but the
     # partner of the cbar = 10 run, at dx = 0.4, breaks the positivity bound

@@ -7,7 +7,7 @@ from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
 from bbmlab.oscillator import SpectralBasis, default_y_grid, hermite_rows, trapezoid_weights
-from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _DYQ,
+from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _DYQ, _G0, _g0_series,
                             _g0_spectral, _tail_integrand, _weighted_forcing, forcing_F,
                             g1_coefficient, g_profile, g_slope0, kernel_projection_of_F,
                             solve_g_spectral)
@@ -76,7 +76,7 @@ def test_series_raise_past_their_term_budget():
     # the 500-term budget holds up to z ~ 352 and runs out beyond
     for series in (F2, H):
         assert math.isfinite(series(351.0))
-        with pytest.raises(SeriesDiverged, match="500 terms"):
+        with pytest.raises(SeriesDiverged, match=r"500 terms at z = 360\.0$"):
             series(360.0)
 
 
@@ -185,6 +185,10 @@ def test_g_profile_basics(y_grid):
     # scales linearly in alpha
     gp2 = g_profile(2.0, CB, y_grid)
     np.testing.assert_allclose(gp2.values, 2 * gp.values, rtol=0, atol=1e-14)
+    # y is one grid: a scalar or a 2-D array is not
+    for y in (np.float64(1.0), np.stack([y_grid, y_grid])):
+        with pytest.raises(ValueError, match="y must be one-dimensional"):
+            g_profile(1.0, CB, y)
 
 
 def test_slope_law():
@@ -325,31 +329,60 @@ def test_spectral_projections_unchanged_by_the_grid_cut():
     np.testing.assert_array_equal(a_cut, a_full)
 
 
-def test_spectral_result_is_a_fresh_array(basis12):
-    first = solve_g_spectral(1.3, CB, basis12, 40)
+def _series(alpha, cbar, y):
+    return g_profile(alpha, cbar, y).values
+
+
+def _series_uncached(alpha, cbar, y):
+    z = y * y / 4.0
+    return alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _G0(z))
+
+
+def _spectral(alpha, cbar, y, n_modes):
+    return solve_g_spectral(alpha, cbar, SpectralBasis(y, 12), n_modes)
+
+
+def _spectral_uncached(alpha, cbar, y, n_modes):
+    g0 = _g0_spectral.__wrapped__(y.tobytes(), n_modes)
+    return alpha * (g0 + cbar * y * np.exp(-y * y / 8.0))
+
+
+#: the two memoised routes: g(alpha, cbar, y, *key), the same sum without the
+#: memo, the memo, and the keys besides the grid (the spectral mode count)
+MEMOISED = {
+    "series": (_series, _series_uncached, _g0_series, [()]),
+    "spectral": (_spectral, _spectral_uncached, _g0_spectral, [(40,), (41,)]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(MEMOISED))
+def test_memo_result_is_a_fresh_array(route, y_grid):
+    g, _, memo, keys = MEMOISED[route]
+    first = g(1.3, CB, y_grid, *keys[0])
     want = first.copy()
     first[:] = 123.0
-    np.testing.assert_array_equal(solve_g_spectral(1.3, CB, basis12, 40), want)
-    cached = _g0_spectral(basis12.y.tobytes(), 40)
+    np.testing.assert_array_equal(g(1.3, CB, y_grid, *keys[0]), want)
+    cached = memo(y_grid.tobytes(), *keys[0])
     with pytest.raises(ValueError):
         cached[0] = 1.0
 
 
-def test_spectral_cache_keys_on_grid_and_modes():
+@pytest.mark.parametrize("route", sorted(MEMOISED))
+def test_memo_keys_on_grid_and_modes(route):
+    g, uncached, memo, extra = MEMOISED[route]
     grids = [default_y_grid(0.05), np.linspace(0.0, 20.0, 501), default_y_grid(0.1)]
-    keys = [(y, n) for y in grids for n in (40, 41)]
-    fresh = []
-    for y, n in keys:
-        _g0_spectral.cache_clear()
-        fresh.append(solve_g_spectral(1.0, 1.0, SpectralBasis(y, 12), n))
-    _g0_spectral.cache_clear()
-    for (y, n), want in zip(keys, fresh):
-        np.testing.assert_array_equal(solve_g_spectral(1.0, 1.0, SpectralBasis(y, 12), n), want)
-    info = _g0_spectral.cache_info()
-    assert (info.currsize, info.hits) == (len(keys), 0)
+    keys = [(y, *k) for y in grids for k in extra]
+    memo.cache_clear()
+    for key in keys:
+        want = uncached(1.3, 1.0, *key)
+        # a miss and then a hit, each bit for bit the sum without the memo
+        np.testing.assert_array_equal(g(1.3, 1.0, *key), want)
+        np.testing.assert_array_equal(g(1.3, 1.0, *key), want)
+    info = memo.cache_info()
+    assert (info.currsize, info.hits) == (len(keys), len(keys))
     # an equal grid in another array is the same entry
-    solve_g_spectral(2.0, 0.0, SpectralBasis(grids[0].copy(), 12), 40)
-    assert _g0_spectral.cache_info().hits == 1
+    g(2.0, 0.0, grids[0].copy(), *extra[0])
+    assert memo.cache_info().hits == len(keys) + 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -357,6 +390,7 @@ def test_spectral_cache_keys_on_grid_and_modes():
 @pytest.mark.parametrize("route", ["G_explicit", "g_profile", "solve_g_spectral"])
 def test_rejects_non_finite_parameters(route, name, value, basis12, y_grid):
     args = {"alpha": 1.0, "cbar": CB, name: value}
+    _g0_series.cache_clear()
     _g0_spectral.cache_clear()
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         if route == "G_explicit":
@@ -365,4 +399,4 @@ def test_rejects_non_finite_parameters(route, name, value, basis12, y_grid):
             g_profile(args["alpha"], args["cbar"], y_grid)
         else:
             solve_g_spectral(args["alpha"], args["cbar"], basis12, 40)
-    assert _g0_spectral.cache_info().currsize == 0
+    assert _g0_series.cache_info().currsize == _g0_spectral.cache_info().currsize == 0
