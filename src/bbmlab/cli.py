@@ -3,7 +3,8 @@
 Subcommands: solve, selfsim, specfun, mc, reproduce-theorem.  All but
 specfun run their pipeline through run_experiment; --config PATH (key=value
 file), --seed N and the subcommand's flags set config keys (_FLAG_KEYS), --out
-DIR takes the artifacts and mc prints its mc_result.json.  specfun prints one
+DIR takes the artifacts and mc prints its mc_result.json; reproduce-theorem
+runs cbar = 0, 3 sqrt(pi) and 10 and takes no --cbar.  specfun prints one
 pipeline.specfun_row.  Exit codes: 2 invalid config, 3 numerical failure.
 """
 
@@ -37,10 +38,12 @@ def _build_parser():
                                             "absorption: numerical laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name in ("solve", "selfsim", "reproduce-theorem"):
+    for name in ("solve", "selfsim"):
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("--cbar", default=argparse.SUPPRESS,
                         help="sets cbar, the drift correction coefficient")
+    sub.add_parser("reproduce-theorem", parents=[common],
+                   help="rate table for cbar in {0, 3 sqrt(pi), 10}")
 
     sp = sub.add_parser("specfun", help="evaluate F2, H, G, g at a point")
     sp.add_argument("--z", type=float, default=None)

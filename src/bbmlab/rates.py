@@ -110,7 +110,8 @@ def fit_rate(series: ObservableSeries, alpha0: float, model: str, window: tuple,
     'power': regress log|res| on log t (exponent = slope).
     'log_over_t': regress log|res| on log(log t / t); exponent ~ 1 and high
     r-squared indicate affinity to the critical rate.
-    Samples where the residual underflows are dropped and the window reported
+    Samples where the residual underflows are dropped, and for 'log_over_t'
+    also those at t <= 1, where log t / t is not positive; the window reported
     reflects what was used.  Returns {"exponent", "prefactor", "r2", "window",
     "n_samples"}.
     """
@@ -121,6 +122,8 @@ def fit_rate(series: ObservableSeries, alpha0: float, model: str, window: tuple,
     res = np.abs(obs - alpha0)
     scale = max(abs(alpha0), float(np.max(np.abs(obs))) if len(s) else 1.0)
     usable = res > 1e3 * np.finfo(float).eps * scale
+    if model == "log_over_t":
+        usable &= s.times > 1.0
     t = s.times[usable]
     res = res[usable]
     if len(t) < 20:
@@ -128,8 +131,6 @@ def fit_rate(series: ObservableSeries, alpha0: float, model: str, window: tuple,
     if model == "power":
         x = np.log(t)
     elif model == "log_over_t":
-        if np.any(t <= 1.0):
-            raise ValueError("log_over_t model needs t > 1")
         x = np.log(np.log(t) / t)
     else:
         raise ValueError(f"unknown model: {model!r}")

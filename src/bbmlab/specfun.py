@@ -35,8 +35,10 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
    multiple of e_0, so its solution is the closed form alpha cbar y e^{-y^2/8}
    and only the cbar-free sum g0 is projected, once per grid and mode count
    (memoised); alpha and cbar then enter as g = alpha (g0 + cbar y e^{-y^2/8}).
-   The projections use a trapezoid grid that ends where e^{-y^2/8}
-   underflows to 0 (y ~ 77.2).
+   F0 = e^{-y^2/8} ((3/4) y^2 - 3/2) is (3/4) sqrt(8 sqrt(pi)) h_2(y/2), so
+   its projections are exact: <F0, e_n> = -(3/2) sqrt(4n+2) h_{2n}(0)/(2n - 1)
+   (docs/g_forcing_projections.md).  The modes are evaluated on the output
+   grid only.
 
 The slope at the origin is alpha (cbar - 3 sqrt(pi)), read off the sqrt(z)
 coefficient of G; it vanishes exactly at the critical cbar.
@@ -53,7 +55,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
-from .oscillator import KERNEL_NORM, SpectralBasis, hermite_rows, trapezoid_weights
+from .oscillator import KERNEL_NORM, SpectralBasis, hermite_rows
 from .pde import NumericalFailure
 
 #: G0 is summed from the series for z <= _Z0 and continued in closed form above
@@ -238,22 +240,17 @@ def g1_coefficient(alpha: float, cbar: float) -> float:
     return -2.0 * kernel_projection_of_F(alpha, cbar)
 
 
-#: node spacing of the grid the forcing is projected on
-_DYQ = 0.01
+def _f0_projections(n_modes: int) -> np.ndarray:
+    """<F0, e_n> for n < n_modes in closed form, F0 = e^{-y^2/8} ((3/4) y^2 - 3/2).
 
-
-def _weighted_forcing():
-    """(yq, w F0) for the projections: the cbar-free forcing at alpha = 1,
-    F0 = e^{-y^2/8} ((3/4) y^2 - 3/2), times its trapezoid weights.
-
-    yq has spacing _DYQ and ends at the last node where w F0 is nonzero:
-    e^{-y^2/8} underflows to exactly 0 in float64 once y^2/8 > 745.2
-    (y ~ 77.2), and nodes past that add nothing to any projection.
+    a_n = -(3/2) sqrt(4n+2) h_{2n}(0) / (2n - 1), with h_0(0) = pi^{-1/4} and
+    h_{2j}(0) = -sqrt((2j-1)/(2j)) h_{2j-2}(0) (derivation in
+    docs/g_forcing_projections.md).
     """
-    yq = _DYQ * np.arange(math.ceil(math.sqrt(8.0 * 746.0) / _DYQ) + 1)
-    wF = forcing_F(1.0, 0.0, yq) * trapezoid_weights(yq.size, _DYQ)
-    keep = np.flatnonzero(wF)[-1] + 1
-    return yq[:keep], wF[:keep]
+    n = np.arange(n_modes)
+    h_even0 = np.pi ** -0.25 * np.cumprod(np.concatenate(
+        ([1.0], -np.sqrt((2.0 * n[1:] - 1.0) / (2.0 * n[1:])))))
+    return -1.5 * np.sqrt(4.0 * n + 2.0) * h_even0 / (2.0 * n - 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -264,14 +261,10 @@ def _g0_spectral(y_bytes: bytes, n_modes: int) -> np.ndarray:
     for n >= 1 (the diagonal inverse; coercive since n - 1/2 >= 1/2).
     """
     y = np.frombuffer(y_bytes)
-    yq, wF = _weighted_forcing()
-    # coefficient n pairs the odd row h_{2n+1} on the projection grid (the
-    # first yq.size nodes of each row) with the same row on y
     g0 = np.zeros_like(y)
-    rows = hermite_rows(np.concatenate((yq, y)) / 2.0)
-    for n, h in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
-        a_n = float(wF @ h[:yq.size])
-        g0 += (-2.0 * a_n if n == 0 else a_n / (n - 0.5)) * h[yq.size:]
+    rows = itertools.islice(hermite_rows(y / 2.0), 1, 2 * n_modes, 2)
+    for n, (a_n, h) in enumerate(zip(_f0_projections(n_modes), rows)):
+        g0 += (-2.0 * a_n if n == 0 else a_n / (n - 0.5)) * h
     g0.flags.writeable = False
     return g0
 
@@ -285,9 +278,9 @@ def solve_g_spectral(alpha: float, cbar: float, basis: SpectralBasis,
     Galerkin solution is alpha cbar y e^{-y^2/8} (the series route's
     2 cbar sqrt(z) in y).  Hence g = alpha (g0 + cbar y e^{-y^2/8}), where g0,
     the sum for F0, depends only on basis.y and n_modes and is computed once
-    per pair (_g0_spectral).  Its projections are trapezoid sums on a grid
-    that ends where F0 underflows to exactly 0 (_weighted_forcing); the high
-    modes reach past that point, but against a zero forcing they add nothing.
+    per pair (_g0_spectral).  F0 is (3/4) sqrt(8 sqrt(pi)) h_2(y/2), a single
+    even Hermite function, so its projections on the odd modes are exact in
+    closed form (_f0_projections), and no quadrature grid is needed.
     The forcing has a nonzero value at the origin, so the odd-mode
     coefficients decay like n^{-7/4}; n_modes ~ 1000 gives ~1e-4 in L2.
     """

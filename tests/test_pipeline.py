@@ -184,6 +184,22 @@ def test_cli_numerical_failure_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys)
     assert out.is_dir()
 
 
+def test_cli_critical_fit_window_from_tau_0(tmp_path, capsys):
+    # the window takes in the handoff sample at t = 1, where log t / t = 0: the
+    # log_over_t fits drop that one sample, and the power fits keep it
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("dx = 0.02\ntau_end = 6\nfit.window = 0,6\n")
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(cfg), "selfsim", "--out", str(out)]) == 0
+    capsys.readouterr()
+    fits = json.loads((out / "summary.json").read_text())["fits"]
+    assert [(f["observable"], f["model"]) for f in fits] == [
+        ("mass", "power"), ("mass", "log_over_t"), ("slope0", "power"), ("slope0", "log_over_t")]
+    for power, log in (fits[:2], fits[2:]):
+        assert power["window"][0] == T_HANDOFF < log["window"][0]
+        assert log["n_samples"] == power["n_samples"] - 1
+
+
 def test_reproduce_theorem_checks_every_cbar_before_it_runs(tmp_path):
     # dx = 0.2 suits the config's own cbar (3 sqrt(pi)) and cbar = 10, but the
     # partner of the cbar = 10 run, at dx = 0.4, breaks the positivity bound
@@ -428,6 +444,16 @@ def test_cli_specfun_json_valid_past_overflow(capsys):
     assert out["F2_scaled"] == pytest.approx(math.sqrt(math.pi) * 300.0**-1.5, rel=2e-2)
     assert out["H_scaled"] == pytest.approx(-0.25 * 300.0**-1.5, rel=2e-2)
     assert out["F2"] == pytest.approx(out["F2_scaled"] * math.exp(300.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["2", "1000"])
+def test_cli_reproduce_theorem_takes_no_cbar(tmp_path, capsys, value):
+    # it always runs cbar = 0, 3 sqrt(pi) and 10, so argparse rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["reproduce-theorem", "--cbar", value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--cbar" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_specfun_wants_one_of_z_y(capsys):

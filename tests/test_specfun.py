@@ -7,8 +7,8 @@ from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
 from bbmlab.oscillator import SpectralBasis, default_y_grid, hermite_rows, trapezoid_weights
-from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _DYQ, _G0, _g0_series,
-                            _g0_spectral, _tail_integrand, _weighted_forcing, forcing_F,
+from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _G0, _f0_projections,
+                            _g0_series, _g0_spectral, _tail_integrand, forcing_F,
                             g1_coefficient, g_profile, g_slope0, kernel_projection_of_F,
                             solve_g_spectral)
 
@@ -239,6 +239,32 @@ def test_kernel_projection_closed_form():
         assert g1_coefficient(1.3, cbar) == pytest.approx(-2 * quad, rel=1e-10)
 
 
+def _mp_forcing_projection(alpha, cbar, n):
+    """<F, e_n> by mpmath Gauss-Legendre quadrature of the defining integral,
+    e_n(y) = H_{2n+1}(y/2) e^{-y^2/8} / sqrt(2^{2n+1} (2n+1)! sqrt(pi)).
+
+    The integrand carries e^{-y^2/4}, so it is cut 12 past the turning point of
+    e_n; the 1 + n // 50 equal panels keep the Gauss-Legendre degree low.
+    """
+    mp = pytest.importorskip("mpmath")
+    m = 2 * n + 1
+    norm = mp.sqrt(2**m * mp.factorial(m) * mp.sqrt(mp.pi))
+    integrand = lambda y: (alpha * mp.e**(-y * y / 4) * (0.75 * y * y - 0.5 * cbar * y - 1.5)
+                           * mp.hermite(m, y / 2) / norm)
+    edge = 4.0 * math.sqrt(n + 0.75) + 12.0
+    return float(mp.quad(integrand, mp.linspace(0, edge, 2 + n // 50), method="gauss-legendre"))
+
+
+def test_forcing_projections_closed_form():
+    # independent oracle for <F0, e_n> = -(3/2) sqrt(4n+2) h_{2n}(0)/(2n - 1)
+    a = _f0_projections(1024)
+    for n in (0, 1, 2, 5, 20, 100, 400, 1023):
+        assert a[n] == pytest.approx(_mp_forcing_projection(1.0, 0.0, n), rel=1e-12), n
+    # the kernel mode agrees with the moment formula to rounding
+    k0 = kernel_projection_of_F(1.0, 0.0)
+    assert abs(a[0] - k0) <= 2 * math.ulp(k0)
+
+
 # ---------------------------------------------------------------------------
 # the spectral construction
 
@@ -262,13 +288,12 @@ def test_routes_agree(basis12, y_grid, weights):
 
 def test_spectral_projection_identity(y_grid, weights):
     # <(M - 1/2) g - F, e_n> = 0 for n <= 20, using exact mode calculus:
-    # (n - 1/2) <g, e_n> must equal <F, e_n>
+    # (n - 1/2) <g, e_n> must equal <F, e_n>, the latter from mpmath
     alpha, cbar = 1.0, CB
     basis = SpectralBasis(y_grid, 21)
     g = solve_g_spectral(alpha, cbar, basis, n_modes=1024)
-    F = forcing_F(alpha, cbar, y_grid)
     cg = basis.project(g)
-    cF = basis.project(F)
+    cF = np.array([_mp_forcing_projection(alpha, cbar, n) for n in range(21)])
     resid = (np.arange(21) - 0.5) * cg - cF
     assert np.abs(resid).max() <= 1e-8
 
@@ -285,18 +310,14 @@ def test_series_route_equation_residual(y_grid, weights):
     assert rn <= 1e-4
 
 
-def _full_grid(n_modes):
-    """The quadrature grid out to the highest mode's turning point plus 12."""
-    y_big = 4.0 * math.sqrt(n_modes + 0.75) + 12.0
-    nq = int(round(y_big / _DYQ))
-    return np.linspace(0.0, nq * _DYQ, nq + 1)
-
-
 def _galerkin_oracle(params, y, n_modes):
     """Galerkin solutions of (M - 1/2) g = F for each (alpha, cbar) in params, with
-    the whole forcing projected on the turning-point grid (no split, no cut)."""
-    yq = _full_grid(n_modes)
-    wF = np.array([forcing_F(a, c, yq) for a, c in params]) * trapezoid_weights(yq.size, _DYQ)
+    the whole forcing projected (no split) by composite Gauss-Legendre: 800
+    panels of 20 nodes on [0, 80], past which e^{-y^2/8} underflows."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 80.0 / 800 / 2.0
+    yq = (((2 * np.arange(800) + 1) * half)[:, None] + half * x).ravel()
+    wF = np.array([forcing_F(a, c, yq) for a, c in params]) * np.tile(half * w, 800)
     g = np.zeros((len(params), y.size))
     rows = zip(hermite_rows(yq / 2.0), hermite_rows(y / 2.0))
     for n, (hq, h) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
@@ -314,19 +335,6 @@ def test_spectral_split_matches_full_forcing_galerkin(dy, n_modes):
     for (alpha, cbar), want in zip(params, _galerkin_oracle(params, y, n_modes)):
         got = solve_g_spectral(alpha, cbar, basis, n_modes)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (alpha, cbar)
-
-
-def test_spectral_projections_unchanged_by_the_grid_cut():
-    yq, wF = _weighted_forcing()
-    assert wF[-1] != 0.0 and forcing_F(1.0, 0.0, yq[-1] + _DYQ) == 0.0
-    full = _full_grid(1024)
-    assert full[-1] > yq[-1] and np.array_equal(full[:yq.size], yq)
-    wF_full = forcing_F(1.0, 0.0, full) * trapezoid_weights(full.size, _DYQ)
-    cut_rows = itertools.islice(hermite_rows(yq / 2.0), 1, 2048, 2)
-    full_rows = itertools.islice(hermite_rows(full / 2.0), 1, 2048, 2)
-    a_cut = np.array([wF @ h for h in cut_rows])
-    a_full = np.array([wF_full @ h for h in full_rows])
-    np.testing.assert_array_equal(a_cut, a_full)
 
 
 def _series(alpha, cbar, y):
