@@ -6,9 +6,12 @@ For cbar in {0, 3 sqrt(pi), 10} and every (dy, dtau) pair of the grid below it
 runs pipeline.selfsimilar_run and pipeline.rate_report at the default config
 otherwise, and prints alpha_0 by both methods, every fit exponent, the
 prefactor estimate and the wall time of the run (handoff, march, readout and
-fits).  alpha_0 is also given relative to the finest pair.  Then, for each
-cbar, it prints the Richardson estimates of pipeline.resolved_run at the
-defaults against the actual distance from a run that refines every step.
+fits).  alpha_0 is also given relative to the finest pair.  That grid holds dx
+at its default, so for each cbar it then prints the errors of alpha_0 and the
+prefactor, against a run that refines every step, at the defaults, with dx
+alone refined and with dy and dtau alone refined.  Last, for each cbar, it
+prints the Richardson estimates of pipeline.resolved_run at the defaults
+against the actual distance from that run.
 """
 
 import time
@@ -18,8 +21,11 @@ from bbmlab.pipeline import rate_report, resolved_run, selfsimilar_run
 
 DYS = (0.01, 0.025, 0.05, 0.1)
 DTAUS = (0.002, 0.005, 0.01, 0.02)
-#: the reference of the estimate table: every step of the defaults refined
+#: the reference of the last two tables: every step of the defaults refined fourfold
 FINE = {"dx": 0.0025, "dy": 0.0125, "dtau": 0.0025}
+#: the runs of the step table: the defaults, dx alone refined, dy and dtau alone refined
+PARTIAL = {"defaults": {}, "dx refined": {"dx": FINE["dx"]},
+           "dy, dtau refined": {"dy": FINE["dy"], "dtau": FINE["dtau"]}}
 
 
 def main():
@@ -44,9 +50,20 @@ def main():
                   f"{methods['slope_extrapolation']['value']:.8g} | {exps} | "
                   f"{rep['prefactor_check']['estimate']:.6g} | {wall:.2f} |")
 
+    fines = {cbar: rate_report(*selfsimilar_run({"cbar": cbar, **FINE}))
+             for cbar in (0.0, CBAR_CRITICAL, 10.0)}
+    print("\n| cbar | run | alpha_0 rel. error | prefactor | prefactor error |\n"
+          "|---|---|---|---|---|")
+    for cbar, fine in fines.items():
+        for name, steps in PARTIAL.items():
+            rep = rate_report(*selfsimilar_run({"cbar": cbar, **steps}))
+            pre, fine_pre = rep["prefactor_check"]["estimate"], fine["prefactor_check"]["estimate"]
+            print(f"| {cbar:.6g} | {name} | "
+                  f"{abs(rep['alpha0'] - fine['alpha0']) / abs(fine['alpha0']):.2e} | "
+                  f"{pre:.6g} | {abs(pre - fine_pre):.1e} |")
+
     print("\n| cbar | quantity | actual | estimate |\n|---|---|---|---|")
-    for cbar in (0.0, CBAR_CRITICAL, 10.0):
-        fine = rate_report(*selfsimilar_run({"cbar": cbar, **FINE}))
+    for cbar, fine in fines.items():
         _, _, rep, errors = resolved_run({"cbar": cbar})
         rows = [("alpha_0", rep["alpha0"], fine["alpha0"], errors["alpha0"])]
         for f, g in zip(rep["fits"], fine["fits"]):

@@ -234,30 +234,19 @@ def slope_correspondence(W: SelfSimilarField) -> float:
 def to_selfsimilar(f: Field, y_grid: np.ndarray) -> SelfSimilarField:
     """Map a physical field to the self-similar frame.
 
-    Raises LossOfSupport if the map needs values beyond x_max where the field
-    is not numerically negligible, or if the field is not negligible beyond
-    the last x the map reads; the dead tail beyond x_max is padded with zeros.
+    Raises LossOfSupport if the map would read past x_max, as it does on the
+    default y grid after t = (x_max / Y_MAX)^2 - 1, or if the field is not
+    negligible beyond the last x the map reads.
     """
     tau = math.log1p(f.time)
-    scale = math.sqrt(1.0 + f.time)
-    xs = y_grid * scale
-    x_max = f.grid.x_max
-    vmax = np.abs(f.values).max()
-    if xs[-1] > x_max:
-        # acceptable only if the field has genuinely died before the boundary
-        edge = np.abs(f.values[-20:]).max()
-        if vmax > 0 and edge > 1e-13 * vmax:
-            raise LossOfSupport(
-                f"need x up to {xs[-1]:.2f} > x_max={x_max:.2f} and the field "
-                f"is not negligible at the boundary")
-    elif np.abs(f.values[f.grid.x > xs[-1]]).max(initial=0.0) > 1e-13 * vmax:
+    xs = y_grid * math.sqrt(1.0 + f.time)
+    if xs[-1] > f.grid.x_max:
+        raise LossOfSupport(f"need x up to {xs[-1]:.2f} > x_max = {f.grid.x_max:g} "
+                            f"(y = {y_grid[-1]:g} at t = {f.time:g})")
+    if np.abs(f.values[f.grid.x > xs[-1]]).max(initial=0.0) > 1e-13 * np.abs(f.values).max():
         raise LossOfSupport(f"the field is not negligible beyond x = {xs[-1]:.2f}, where the "
                             f"self-similar grid ends (y = {y_grid[-1]:g} at t = {f.time:g})")
-    spline = CubicSpline(f.grid.x, f.values)
-    vals = np.where(xs <= x_max, spline(np.clip(xs, 0.0, x_max)), 0.0)
-    W = np.zeros_like(vals)
-    nz = vals != 0.0
-    W[nz] = np.exp(-tau / 2.0 + y_grid[nz] ** 2 / 8.0 + xs[nz]) * vals[nz]
+    W = np.exp(-tau / 2.0 + y_grid ** 2 / 8.0 + xs) * CubicSpline(f.grid.x, f.values)(xs)
     W[0] = W[-1] = 0.0
     return SelfSimilarField(tau, y_grid, W)
 

@@ -53,7 +53,6 @@ _DEFAULTS = {
     "cbar": CBAR_CRITICAL,
     "dx": 0.01,       # the physical step is dx in x and in t
     "t_end": 10.0,
-    "tau_end": 10.0,
     "dy": 0.05,       # chosen by the refinement study in docs/resolution_study.md
     "dtau": 0.01,
     "v0.kind": "indicator",
@@ -123,7 +122,7 @@ def _validate_config(cfg: dict):
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    for key in ("dx", "dy", "dtau", "t_end", "tau_end", "mc.x0"):
+    for key in ("dx", "dy", "dtau", "t_end", "mc.x0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     for key, low in (("mc.t_end", 0), ("mc.replicas", 1), ("mc.seed", 0)):
@@ -140,16 +139,15 @@ def _validate_config(cfg: dict):
     if cfg["dx"] * speed >= 2.0:
         raise ConfigError(f"cbar = {cfg['cbar']!r} and dx = {cfg['dx']!r} break the positivity "
                           f"bound |front speed| * dx < 2 (sup |front speed| = {speed:g})")
-    if cfg["tau_end"] < SPECTRAL_TAU_MIN:
-        raise ConfigError(f"tau_end must be >= {SPECTRAL_TAU_MIN:g}, where the spectral "
-                          f"projection reads alpha_0")
     if cfg["v0.kind"] not in ("indicator", "smooth_bump"):
         raise ConfigError(f"unknown v0.kind: {cfg['v0.kind']!r}")
     if not (0.0 < cfg["v0.a"] < cfg["v0.b"] < X_MAX):
         raise ConfigError(f"need 0 < v0.a < v0.b < x_max = {X_MAX!r}")
+    # a self-similar run ends where its fit window does
     lo, hi = cfg["fit.window"]
-    if not (0.0 <= lo < hi <= cfg["tau_end"]):
-        raise ConfigError("fit.window must satisfy 0 <= lo < hi <= tau_end")
+    if not (0.0 <= lo and SPECTRAL_TAU_MIN <= hi < math.inf):
+        raise ConfigError(f"fit.window must start at tau >= 0 and end at a finite tau >= "
+                          f"{SPECTRAL_TAU_MIN:g}, where the spectral projection reads alpha_0")
     # the fits need 20 samples in the window after the handoff
     if not math.isfinite(SAMPLE_DTAU / cfg["dtau"]):
         raise ConfigError(f"dtau = {cfg['dtau']!r} is too small to space the samples")
@@ -167,7 +165,7 @@ def _validate_config(cfg: dict):
 SAMPLE_DTAU = 0.02
 
 #: physical time of the handoff to the self-similar frame, at tau = log 2;
-#: tau_end >= 6 leaves more than a decade of t after it
+#: a fit window ending at tau >= 6 leaves more than a decade of t after it
 T_HANDOFF = 1.0
 
 
@@ -184,7 +182,7 @@ def _physical_run(cfg: dict, t_end: float):
 
 
 def selfsimilar_run(cfg: dict | None = None):
-    """Physical solve to T_HANDOFF, then march W to tau_end, at cfg's cbar.
+    """Physical solve to T_HANDOFF, then march W to the end of fit.window, at cfg's cbar.
 
     Returns (trajectory, ObservableSeries in physical time, its mass from
     slope0).  Physical-frame cost grows linearly in t; the self-similar
@@ -193,7 +191,7 @@ def selfsimilar_run(cfg: dict | None = None):
     cfg = make_config(cfg)
     _, f1, _ = _physical_run(cfg, T_HANDOFF)
     W0 = to_selfsimilar(f1, default_y_grid(cfg["dy"]))
-    traj = evolve_W(W0, cfg["tau_end"], DriftExpansion(cfg["cbar"]), dtau=cfg["dtau"],
+    traj = evolve_W(W0, cfg["fit.window"][1], DriftExpansion(cfg["cbar"]), dtau=cfg["dtau"],
                     sample_every=_sample_every(cfg["dtau"]))
     return traj, observables_from_trajectory(traj)
 

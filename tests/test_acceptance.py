@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 The rate criteria share the three session-scoped self-similar runs
-(v0 = indicator(1,2), handoff at t=1, tau_end = 10); the Monte Carlo
-criterion runs at its stated size and is the slow one.
+(v0 = indicator(1,2), handoff at t=1, run to tau = 10, where the fit window
+ends); the Monte Carlo criterion runs at its stated size and is the slow one.
 """
 
 import math

@@ -102,3 +102,9 @@ def test_rejects_negative_time():
 def test_rejects_non_finite_cbar():
     with pytest.raises(ValueError):
         DriftExpansion(math.inf)
+
+
+@pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf])
+def test_constant_drift_rejects_non_finite_speed(speed):
+    with pytest.raises(ValueError, match="speed must be finite"):
+        ConstantDrift(speed)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
-from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField,
+from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField, SpectralBasis,
                                apply_M, decompose, default_y_grid,
                                eigenfunction, evolve_W,
                                from_selfsimilar, initial_mode_overlap,
                                observables_from_trajectory, quadratic_form_Q,
                                slope_correspondence, to_selfsimilar, trapezoid_weights)
-from bbmlab.pde import (Field, SolverConfig, SpatialGrid, boundary_slope,
+from bbmlab.pde import (Field, NumericalFailure, SolverConfig, SpatialGrid, boundary_slope,
                         evolve, initial_condition, mass)
 
 CB = CBAR_CRITICAL
@@ -85,17 +85,21 @@ def test_manufactured_gaussian_maps_to_kernel_mode():
 
 def test_zero_maps_to_zero():
     grid = SpatialGrid(60.0, 6000)
-    W = to_selfsimilar(Field(grid, np.zeros(grid.nx + 1), 5.0), default_y_grid())
+    W = to_selfsimilar(Field(grid, np.zeros(grid.nx + 1), 1.0), default_y_grid())
     assert np.all(W.values == 0.0)
 
 
 def test_loss_of_support():
+    # at t = 30 the y grid would end at x = 25 sqrt(31) = 139.19, past x_max = 60
     grid = SpatialGrid(60.0, 6000)
     x = grid.x
-    v = np.exp(-x / 30.0)    # fat tail, alive at x_max
+    v = np.exp(-x / 30.0)
     v[0] = v[-1] = 0.0
-    with pytest.raises(LossOfSupport):
+    with pytest.raises(LossOfSupport, match="139.19 > x_max = 60"):
         to_selfsimilar(Field(grid, v, 30.0), default_y_grid())
+    # a field that is zero everywhere too: the map reads nothing past x_max
+    with pytest.raises(LossOfSupport, match="61.24 > x_max = 60"):
+        to_selfsimilar(Field(grid, np.zeros(grid.nx + 1), 5.0), default_y_grid())
 
 
 def test_loss_of_support_beyond_the_self_similar_grid():
@@ -138,7 +142,8 @@ def test_slope_correspondence_cross_module():
     f = initial_condition("indicator", grid)
     d = DriftExpansion(CB)
     f1, _ = evolve(f, 10.0, SolverConfig(dt=0.01, sample_every=10**9), d)
-    ws = slope_correspondence(to_selfsimilar(f1, default_y_grid()))
+    # at t = 10 the map reads x = y sqrt(11): y up to 18 stays inside x_max = 60
+    ws = slope_correspondence(to_selfsimilar(f1, default_y_grid()[:1801]))
     bs = boundary_slope(f1)
     assert ws == pytest.approx(bs, rel=5e-4)
 
@@ -207,6 +212,17 @@ def test_apply_M_on_quadratic(y_grid):
     expect = 2.0 + (y_grid**2 / 16 - 0.75) * phi
     inner = slice(1, -1)
     np.testing.assert_allclose(out[inner], expect[inner], rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda y: SelfSimilarField(0.0, y, y[:-1]), ValueError, "same shape"),
+    (lambda y: SelfSimilarField(0.0, y, np.full_like(y, np.nan)), NumericalFailure, "non-finite"),
+    (lambda y: eigenfunction(-1, y), ValueError, "n must be >= 0"),
+    (lambda y: SpectralBasis(y, 0), ValueError, "n_modes must be >= 1"),
+], ids=["field_shape_mismatch", "field_not_finite", "eigenfunction_negative_n", "basis_no_modes"])
+def test_self_similar_types_reject_bad_input(y_grid, build, error, match):
+    with pytest.raises(error, match=match):
+        build(y_grid)
 
 
 def test_apply_M_rejects_nonvanishing_ends(y_grid):
@@ -301,8 +317,11 @@ def test_two_route_consistency():
     traj = evolve_W(W0, tau_end, d, dtau=0.001, sample_every=10**9)
     W_ss = traj.states[-1]
 
+    # at t = 20 the map reads x = y sqrt(21): y up to 13 stays inside x_max = 60,
+    # and W_ss is below 2e-10 beyond it
     f20, _ = evolve(f1, 20.0, cfg, d)
-    W_phys = to_selfsimilar(f20, default_y_grid()).values
+    W_phys = to_selfsimilar(f20, default_y_grid()[:1301]).values
+    W_ss = W_ss[:W_phys.size]
 
     w = trapezoid_weights(W_ss.size, 0.01)
     diff = l2(w, W_ss - W_phys)

@@ -48,6 +48,17 @@ def test_initial_condition_rejects_bad_support(grid):
         initial_condition("indicator", grid, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: SpatialGrid(60.0, 2), "nx >= 3"),
+    (lambda: SpatialGrid(0.0, 600), "x_max > 0"),
+    (lambda: Field(SpatialGrid(60.0, 600), np.zeros(600)), r"length nx\+1"),
+    (lambda: initial_condition("gaussian", SpatialGrid(60.0, 600)), "unknown initial condition"),
+], ids=["grid_under_3_cells", "grid_x_max_0", "field_length", "initial_condition_kind"])
+def test_grid_field_and_initial_condition_reject_bad_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_field_invariants(grid):
     with pytest.raises(ValueError):
         Field(grid, np.ones(grid.nx + 1))          # nonzero ends
@@ -454,8 +465,9 @@ def test_evolve_W_ends_where_the_readout_needs():
 
 @pytest.mark.parametrize("frame", ["physical", "selfsimilar"])
 @pytest.mark.parametrize("bad", [{"sample_every": 0}, {"startup_steps": -1}, {"t_end": np.nan},
-                                 {"dt": np.nan}],
-                         ids=["sample_every_0", "startup_steps_negative", "t_end_nan", "dt_nan"])
+                                 {"dt": np.nan}, {"t_end": -1.0}],
+                         ids=["sample_every_0", "startup_steps_negative", "t_end_nan", "dt_nan",
+                              "t_end_before_start"])
 def test_march_rejects_bad_schedule(frame, bad):
     # both frames reach march, which rejects the schedule before any step
     f0 = initial_condition("indicator", SpatialGrid(60.0, 600))

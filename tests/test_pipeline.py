@@ -63,7 +63,7 @@ def test_make_config_coerces_values_and_text():
     for overrides, named in [({"mc.replicas": 2.5}, "mc.replicas"),
                              ({"mc.replicas": "1e5"}, "mc.replicas"),
                              ({"fit.window": "5"}, "fit.window"), ({"dx": None}, "dx"),
-                             ({"tau_end": 10**400}, "tau_end"), ({"dx": 5e-324}, "dx")]:
+                             ({"dtau": 10**400}, "dtau"), ({"dx": 5e-324}, "dx")]:
         with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
             make_config(overrides)
 
@@ -82,7 +82,7 @@ _LINE = st.one_of(
 @settings(deadline=None)
 @given(st.lists(_LINE, max_size=8).map("\n".join))
 @example("dx = 5e-324")
-@example("tau_end = 1e308\ndx = 1e-308")
+@example("fit.window = 6,1e308\ndx = 1e-308")
 @example("mc.replicas = " + "9" * 5000)
 @example("fit.window = 1,2,3")
 @example("dtau = 5e-324")
@@ -104,16 +104,16 @@ def _valid_overrides(draw):
     cells = max(30.0 * max_front_speed(DriftExpansion(cbar)) * (1.0 + 1e-9), 4.0)
     dx = X_MAX / draw(st.integers(math.floor(cells) + 1, math.floor(cells) + 10**5))
     dy = Y_MAX / draw(st.integers(25, 25_000))
-    tau_end = draw(st.floats(SPECTRAL_TAU_MIN, 1e3))
-    lo, hi = tau_end * 0.5 * draw(fraction), tau_end * (0.6 + 0.4 * draw(fraction))
+    hi = draw(st.floats(SPECTRAL_TAU_MIN, 1e3))
+    lo = hi * 0.5 * draw(fraction)
     # 20 samples in the window after the handoff: the spacing is at most
-    # max(dtau, 4 SAMPLE_DTAU / 3), and the span at least 0.6 (tau_end >= 6)
+    # max(dtau, 4 SAMPLE_DTAU / 3), and the span at least hi / 2 >= 3
     span = hi - max(lo, math.log1p(T_HANDOFF))
     a = X_MAX * (1e-6 + 0.4 * draw(fraction))
     return {
         "cbar": cbar, "dx": dx, "dy": dy,
         "t_end": draw(positive),
-        "tau_end": tau_end, "dtau": draw(st.floats(1e-3, span / 40)),
+        "dtau": draw(st.floats(1e-3, span / 40)),
         "fit.window": (lo, hi),
         "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
         "v0.a": a, "v0.b": a + X_MAX * (0.1 + 0.4 * draw(fraction)),
@@ -188,7 +188,7 @@ def test_cli_critical_fit_window_from_tau_0(tmp_path, capsys):
     # the window takes in the handoff sample at t = 1, where log t / t = 0: the
     # log_over_t fits drop that one sample, and the power fits keep it
     cfg = tmp_path / "w.cfg"
-    cfg.write_text("dx = 0.02\ntau_end = 6\nfit.window = 0,6\n")
+    cfg.write_text("dx = 0.02\nfit.window = 0,6\n")
     out = tmp_path / "o"
     assert cli_main(["--config", str(cfg), "selfsim", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -245,8 +245,7 @@ def _max_interior_flux_residual(path):
 
 
 #: a short run at coarse steps, for the pipelines' file and summary layouts
-_SMALL = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "tau_end": 6.0,
-          "fit.window": (3.0, 6.0)}
+_SMALL = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "fit.window": (3.0, 6.0)}
 
 
 def test_summary_records_flux_residual_of_each_series(tmp_path):
@@ -327,10 +326,10 @@ def test_specfun_table_rows_are_specfun_rows(tmp_path):
 
 
 def test_fine_grid_regression_at_the_critical_cbar():
-    # the resolution of the earlier defaults (dy = 0.01, dtau = 0.002) against
-    # the current ones; the Richardson estimate of the current run's error is
-    # not below a third of its actual distance from the fine run
-    fine = rate_report(*selfsimilar_run({"dy": 0.01, "dtau": 0.002}))
+    # a run fourfold finer in dx and fivefold in dy and dtau against the
+    # defaults; the Richardson estimate of the default run's error is not
+    # below a third of its actual distance from the fine run
+    fine = rate_report(*selfsimilar_run({"dx": 0.0025, "dy": 0.01, "dtau": 0.002}))
     _, _, report, errors = resolved_run()
     gap = abs(report["alpha0"] - fine["alpha0"])
     assert gap <= 1e-4 * fine["alpha0"]
@@ -354,7 +353,7 @@ def test_richardson_partner_coarsens_the_handoff(monkeypatch):
         return evolve(f0, t_end, cfg, d)
 
     monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
-    resolved_run({"cbar": 1.0, "dx": 0.02, "tau_end": 6.0, "fit.window": (3.0, 6.0)})
+    resolved_run({"cbar": 1.0, "dx": 0.02, "fit.window": (3.0, 6.0)})
     assert calls == [(3000, 0.02), (1500, 0.04)]
 
 
@@ -512,21 +511,20 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("mc.replicas = 1e5", "mc.replicas"),
     ("dx = abc", "dx"),
     ("cbar = nan", "cbar"),
-    ("fit.window = 11,12", "fit.window"),
     ("mc.x0 = -1", "mc.x0"),
     ("mc.x0 = 0", "mc.x0"),
     ("dx = 0.07", "dx"),
     ("dy = 0.03", "dy"),
     ("mc.t_end = -1", "mc.t_end"),
     ("dx = nan", "dx"),
-    ("tau_end = inf", "tau_end"),
+    ("tau_end = 10", "tau_end"),   # not a key: a self-similar run ends where fit.window does
     ("mc.drift = nan", "mc.drift"),
     ("dx = abc\ndx = 0.02", "dx"),
     (None, "bad.cfg"),
     (b"cbar = 1\n# \xff\xfe\n", "bad.cfg"),
     ("n_modes = 12", "n_modes"),   # not a key: the trajectory CSV always has 8 modes
     ("cbar = 1000", "cbar"),       # front speed 500.5 at t = 0: |speed| dx >= 2
-    ("tau_end = 3\nfit.window = 1,3", "tau_end"),   # below the spectral projection's floor
+    ("fit.window = 1,3", "fit.window"),   # ends below the spectral projection's floor
     ("dx = 0.032", "partner (every step doubled): dx = 0.064"),   # 0.064 does not divide 60
     ("fit.window = 9.9,10", "fit.window"),      # 5 samples 0.02 apart
     ("dtau = 0.03\nfit.window = 6,7",           # 34 samples, but 17 in the partner's
@@ -539,14 +537,16 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     ("dy = 12.5", "dy = 12.5 does not divide"),     # 3 nodes: slope_at_origin reads 5
     ("dy = 5", "partner (every step doubled): dy = 10.0"),   # the partner's grid has 3 nodes
     (f"dy = {25 / 301!r}", "partner (every step doubled): dy"),   # 25/301 divides y_max, 50/301 not
-], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan", "window_beyond_tau_end",
+    ("v0.kind = foo", "v0.kind"),
+    ("fit.window = 6,inf", "fit.window"),   # the run would march W forever
+], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
-        "mc_t_end_negative", "dx_nan", "tau_end_inf", "mc_drift_nan", "dx_set_twice",
+        "mc_t_end_negative", "dx_nan", "tau_end_unknown", "mc_drift_nan", "dx_set_twice",
         "missing_file", "not_utf8", "n_modes_unknown", "cbar_beyond_peclet_bound",
-        "tau_end_below_spectral_floor", "partner_dx_not_dividing_x_max", "window_too_short",
+        "window_below_spectral_floor", "partner_dx_not_dividing_x_max", "window_too_short",
         "partner_window_too_short", "handoff_past_window", "x_max_unknown", "y_max_unknown",
         "t_handoff_unknown", "dy_under_4_cells", "partner_dy_under_4_cells",
-        "partner_dy_not_dividing_y_max"])
+        "partner_dy_not_dividing_y_max", "v0_kind_unknown", "window_end_inf"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     # selfsim checks the run's config, then its Richardson partner's
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab.drift import CBAR_CRITICAL
+from bbmlab.oscillator import WTrajectory, default_y_grid
 from bbmlab.pde import ObservableSeries
 from bbmlab.pipeline import rate_report, selfsimilar_run
 from bbmlab.rates import (estimate_alpha0, fit_rate, fit_remainder_decay,
@@ -135,6 +136,30 @@ def test_rate_report_decides_the_regime(offset, models, source):
     window = (math.expm1(6.0), math.expm1(10.0))
     assert report["alpha0_methods"]["slope_extrapolation"] == estimate_alpha0(
         series, "slope_extrapolation", models[-1], window)
+
+
+def _short_trajectory():
+    """A WTrajectory that ends at tau = 5, short of the spectral projection's floor."""
+    y = default_y_grid(0.1)
+    return WTrajectory(y, np.array([4.0, 5.0]), np.zeros((2, y.size)), CB)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda s: estimate_alpha0(_short_trajectory(), "slope_extrapolation", "power", LATE),
+     TypeError, "needs an ObservableSeries"),
+    (lambda s: estimate_alpha0(s, "spectral_projection"), TypeError, "needs a WTrajectory"),
+    (lambda s: estimate_alpha0(_short_trajectory(), "spectral_projection"), ValueError,
+     "wants tau >= 6"),
+    (lambda s: estimate_alpha0(s, "least_squares"), ValueError, "unknown method"),
+    (lambda s: prefactor_check(s, 5.0, (1.0, 1.1)), ValueError, "too few samples"),
+    (lambda s: fit_remainder_decay(np.arange(5.0, 14.0), np.ones(9), (5.0, 13.0)), ValueError,
+     "too few samples"),
+], ids=["slope_extrapolation_of_a_trajectory", "spectral_projection_of_a_series",
+        "spectral_projection_before_tau_6", "unknown_method", "prefactor_window_too_short",
+        "remainder_window_too_short"])
+def test_rates_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call(synthetic_series(lambda t: 5.0 + 2.0 * t**-0.5))
 
 
 def test_prefactor_check_synthetic():
