@@ -17,7 +17,7 @@ against the actual distance from that run.
 import time
 
 from bbmlab.drift import CBAR_CRITICAL
-from bbmlab.pipeline import rate_report, resolved_run, selfsimilar_run
+from bbmlab.pipeline import make_config, rate_report, resolved_run, selfsimilar_run
 
 DYS = (0.01, 0.025, 0.05, 0.1)
 DTAUS = (0.002, 0.005, 0.01, 0.02)
@@ -28,13 +28,19 @@ PARTIAL = {"defaults": {}, "dx refined": {"dx": FINE["dx"]},
            "dy, dtau refined": {"dy": FINE["dy"], "dtau": FINE["dtau"]}}
 
 
+def report(overrides):
+    """rate_report of the selfsimilar_run of the defaults plus overrides, over its fit window."""
+    cfg = make_config(overrides)
+    return rate_report(*selfsimilar_run(cfg), cfg["fit.window"])
+
+
 def main():
     for cbar in (0.0, CBAR_CRITICAL, 10.0):
         rows = []
         for dy in DYS:
             for dtau in DTAUS:
                 t0 = time.perf_counter()
-                rep = rate_report(*selfsimilar_run({"cbar": cbar, "dy": dy, "dtau": dtau}))
+                rep = report({"cbar": cbar, "dy": dy, "dtau": dtau})
                 rows.append((dy, dtau, rep, time.perf_counter() - t0))
         finest = rows[0][2]["alpha0"]
         fits = [f"{f['observable']} {f['model']}" for f in rows[0][2]["fits"]]
@@ -50,13 +56,13 @@ def main():
                   f"{methods['slope_extrapolation']['value']:.8g} | {exps} | "
                   f"{rep['prefactor_check']['estimate']:.6g} | {wall:.2f} |")
 
-    fines = {cbar: rate_report(*selfsimilar_run({"cbar": cbar, **FINE}))
+    fines = {cbar: report({"cbar": cbar, **FINE})
              for cbar in (0.0, CBAR_CRITICAL, 10.0)}
     print("\n| cbar | run | alpha_0 rel. error | prefactor | prefactor error |\n"
           "|---|---|---|---|---|")
     for cbar, fine in fines.items():
         for name, steps in PARTIAL.items():
-            rep = rate_report(*selfsimilar_run({"cbar": cbar, **steps}))
+            rep = report({"cbar": cbar, **steps})
             pre, fine_pre = rep["prefactor_check"]["estimate"], fine["prefactor_check"]["estimate"]
             print(f"| {cbar:.6g} | {name} | "
                   f"{abs(rep['alpha0'] - fine['alpha0']) / abs(fine['alpha0']):.2e} | "

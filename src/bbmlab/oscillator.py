@@ -301,24 +301,15 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion, dtau: floa
     """Crank-Nicolson march of the forced oscillator equation on the y grid.
 
     The equation is W_tau = L W with L = L0 + a L1 + b I, where L0 = -M_h and
-    L1 = D1 - y/4.  _operator_parts assembles them once per run in banded form; every
-    step of pde.march combines them in place in one band buffer, with the
-    forcing coefficients at the half step.  The samples are those of
-    pde.march: the initial state, the state after the startup_steps
-    implicit-Euler half steps, every sample_every-th step and the final state.
+    L1 = D1 - y/4.  _operator_parts assembles them once per run in banded
+    form, and pde.march combines them with the forcing coefficients a and b
+    at each step's half time.  The samples are those of pde.march: the
+    initial state, the state after the startup_steps implicit-Euler half
+    steps, every sample_every-th step and the final state.
     """
-    L0, L1 = _operator_parts(W0.y, W0.dy)
-    L = np.empty_like(L0)
-
-    def operator(tau_half):
-        a, b = selfsimilar_forcing(tau_half, d)
-        np.multiply(L1, a, out=L)
-        np.add(L, L0, out=L)
-        L[sum(_BANDS), 1:-1] += b       # b I, whose end rows are zero like every part's
-        return a, b
-
-    taus, states = zip(*march(L, _BANDS, W0.values, W0.tau, tau_end, dtau, startup_steps,
-                              sample_every, operator))
+    taus, states = zip(*march(_operator_parts(W0.y, W0.dy), _BANDS, W0.values, W0.tau, tau_end,
+                              dtau, startup_steps, sample_every,
+                              lambda tau_half: selfsimilar_forcing(tau_half, d)))
     return WTrajectory(W0.y, np.array(taus), np.array(states), d.cbar)
 
 

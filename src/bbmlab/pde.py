@@ -17,14 +17,14 @@ it.
 
 Both frames advance through march, a loop around theta_step, the one banded
 theta-stepper.  march takes the startup half steps and the Crank-Nicolson
-steps and yields the samples; each frame passes it a callback that writes the
-step's operator from fixed parts assembled once per run (here A0 + speed * A1,
-in the self-similar frame L0 + a L1 + b I), combined in place in one band
-buffer, and each step applies one banded mat-vec.  The step matrix
-I - theta h L is factored once per distinct matrix.  The callback names the
-operator by a key, the coefficients it was assembled with (here the speed, in
-the self-similar frame a and b).  A step whose key, h and theta equal those of
-the run's stored LU factors (a constant drift, away from the startup and the
+steps and yields the samples.  Each frame hands it two fixed banded parts
+(P0, P1), assembled once per run, and a function of the half-step time that
+returns the coefficients (c1, c2) of the step's operator L = P0 + c1 P1 + c2 I
+(here the speed and 0, in the self-similar frame a and b).  march writes L
+in its one band buffer when the coefficients change, and each step applies
+one banded mat-vec.  The step matrix I - theta h L is factored once per
+distinct matrix: a step whose coefficients, h and theta equal those of the
+run's stored LU factors (a constant drift, away from the startup and the
 last step) solves with them; any other step factors, keeps the factors and
 solves.  theta_step picks LAPACK's routines by the band layout: the
 tridiagonal ones (dgttrf, dgttrs) for the physical frame's (1, 1), the banded
@@ -203,10 +203,10 @@ class StepFactors:
     """The LU factors of the last theta-step matrix I - theta h L, and what they factor.
 
     march keeps one per run for its operator buffer L and hands it to each
-    theta_step with a key: the values that fix L among the run's operators,
-    such as the drift speed.  A step whose key, h and theta equal the stored
-    ones reuses the factors: the pivots piv with ab, dgbtrf's factors, or for
-    a tridiagonal L with tri, dgttrf's (dl, d, du, du2).
+    theta_step with a key: the coefficients that built L from the run's
+    parts.  A step whose key, h and theta equal the stored ones reuses the
+    factors: the pivots piv with ab, dgbtrf's factors, or for a tridiagonal
+    L with tri, dgttrf's (dl, d, du, du2).
     """
 
     def __init__(self, L):
@@ -259,17 +259,18 @@ def theta_step(L, lu, values, t, h, theta, factors, key):
     return out
 
 
-def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
+def march(parts, lu, values, t, t_end, dt, startup_steps, sample_every, coefficients):
     """Advance values from t to t_end with theta_step; yield (t, values) at each sample.
 
     startup_steps implicit-Euler half steps (Rannacher startup, stopped at
     t_end) precede Crank-Nicolson steps of dt, the last one cut short to end
     at t_end.  The samples are the state handed in, the state after the
     startup, every sample_every-th Crank-Nicolson step and the state at t_end.
-    operator(t_half) writes the operator at the half step of each step,
-    implicit-Euler or Crank-Nicolson alike, into the buffer L and returns its
-    theta_step key; the march owns the StepFactors.  It raises ValueError
-    unless t, t_end and dt are finite, sample_every >= 1 and startup_steps >= 0.
+    Every step has the operator L = P0 + c1 P1 + c2 I of the banded parts
+    (P0, P1) = parts, with (c1, c2) = coefficients(t_half) at its half time
+    as its theta_step key; the march owns L and the StepFactors.  It raises
+    ValueError unless t, t_end and dt are finite, sample_every >= 1 and
+    startup_steps >= 0.
     """
     if not np.all(np.isfinite([t, t_end, dt])):
         raise ValueError(f"need finite t, t_end and dt, got {t!r}, {t_end!r} and {dt!r}")
@@ -278,14 +279,28 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
     if sample_every < 1 or startup_steps < 0:
         raise ValueError(f"need sample_every >= 1 and startup_steps >= 0, got "
                          f"{sample_every!r} and {startup_steps!r}")
+    P0, P1 = parts
+    L = np.empty_like(P0)
     factors = StepFactors(L)    # of the last step matrix, reused while it repeats
+    held = None                 # the coefficients L holds
+
+    def key(t_half):            # the coefficients at t_half, which L then holds
+        nonlocal held
+        c = coefficients(t_half)
+        if c != held:
+            np.multiply(P1, c[0], out=L)
+            np.add(L, P0, out=L)
+            L[sum(lu), 1:-1] += c[1]    # c2 I, whose end rows are zero like every part's
+            held = c
+        return c
+
     t0 = t
     yield t, values
     for _ in range(startup_steps):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        values = theta_step(L, lu, values, t, h, 1.0, factors, operator(t + 0.5 * h))
+        values = theta_step(L, lu, values, t, h, 1.0, factors, key(t + 0.5 * h))
         t += h
     if t > t0:
         yield t, values
@@ -293,7 +308,7 @@ def march(L, lu, values, t, t_end, dt, startup_steps, sample_every, operator):
     while t < t_end - 1e-12:
         last = t_end - t <= dt * (1.0 + 1e-9)
         h = t_end - t if last else dt
-        values = theta_step(L, lu, values, t, h, 0.5, factors, operator(t + 0.5 * h))
+        values = theta_step(L, lu, values, t, h, 0.5, factors, key(t + 0.5 * h))
         t = t_end if last else t + h
         k += 1
         if k % sample_every == 0 or t >= t_end - 1e-12:
@@ -332,31 +347,23 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
 
     Returns (final field, ObservableSeries) over march's samples.  Every step
     uses the centred operator A0 + speed * A1 with the drift speed at its half
-    step, rewritten only when the speed changes.  The implicit-Euler startup
-    keeps positivity while |speed| dx < 2, so a step whose speed breaks that
-    raises ValueError; drift.max_front_speed bounds the speed of a whole run.
+    step.  The implicit-Euler startup keeps positivity while |speed| dx < 2,
+    so a step whose speed breaks that raises ValueError; drift.max_front_speed
+    bounds the speed of a whole run.
     """
     grid = f0.grid
-    A0, A1 = _operator_parts(grid)
-    L = np.empty_like(A0)
-    written = None      # the speed L holds
 
-    def operator(t_half):
-        nonlocal written
+    def coefficients(t_half):
         speed = front_speed(t_half, d)
-        if speed != written:
-            if abs(speed) * grid.dx >= 2.0:
-                raise ValueError(f"front speed {speed:.6g} at t = {t_half:.6g} with dx = "
-                                 f"{grid.dx:.6g} breaks |speed| dx < 2, the positivity bound "
-                                 f"of the centred startup")
-            np.multiply(A1, speed, out=L)
-            np.add(L, A0, out=L)
-            written = speed
-        return speed
+        if abs(speed) * grid.dx >= 2.0:
+            raise ValueError(f"front speed {speed:.6g} at t = {t_half:.6g} with dx = "
+                             f"{grid.dx:.6g} breaks |speed| dx < 2, the positivity bound "
+                             f"of the centred startup")
+        return speed, 0.0
 
     times, masses, slopes = [], [], []
-    for t, vals in march(L, _BANDS, f0.values.copy(), f0.time, t_end, cfg.effective_dt(grid),
-                         cfg.startup_steps, cfg.sample_every, operator):
+    for t, vals in march(_operator_parts(grid), _BANDS, f0.values.copy(), f0.time, t_end,
+                         cfg.effective_dt(grid), cfg.startup_steps, cfg.sample_every, coefficients):
         f = Field(grid, vals, t)
         times.append(t)
         masses.append(mass(f))

@@ -145,13 +145,15 @@ def _validate_config(cfg: dict):
         raise ConfigError(f"need 0 < v0.a < v0.b < x_max = {X_MAX!r}")
     # a self-similar run ends where its fit window does
     lo, hi = cfg["fit.window"]
-    if not (0.0 <= lo and SPECTRAL_TAU_MIN <= hi < math.inf):
-        raise ConfigError(f"fit.window must start at tau >= 0 and end at a finite tau >= "
+    if not (0.0 <= lo and SPECTRAL_TAU_MIN <= hi):
+        raise ConfigError(f"fit.window must start at tau >= 0 and end at tau >= "
                           f"{SPECTRAL_TAU_MIN:g}, where the spectral projection reads alpha_0")
-    # the fits need 20 samples in the window after the handoff
-    if not math.isfinite(SAMPLE_DTAU / cfg["dtau"]):
-        raise ConfigError(f"dtau = {cfg['dtau']!r} is too small to space the samples")
     tau0 = math.log1p(T_HANDOFF)
+    node_steps = (hi - tau0) / cfg["dtau"] * (Y_MAX / cfg["dy"] + 1.0)
+    if not node_steps <= MAX_NODE_STEPS:
+        raise ConfigError(f"fit.window to tau = {hi!r}, dy = {cfg['dy']!r} and dtau = "
+                          f"{cfg['dtau']!r}: {node_steps:.3g} node steps, over {MAX_NODE_STEPS:g}")
+    # the fits need 20 samples in the window after the handoff
     spacing = cfg["dtau"] * _sample_every(cfg["dtau"])
     if hi - max(lo, tau0) < 20 * spacing:
         raise ConfigError(f"fit.window after the handoff at tau = {tau0:.6g} "
@@ -167,6 +169,11 @@ SAMPLE_DTAU = 0.02
 #: physical time of the handoff to the self-similar frame, at tau = log 2;
 #: a fit window ending at tau >= 6 leaves more than a decade of t after it
 T_HANDOFF = 1.0
+
+#: most node steps (nodes times steps) a self-similar march from the handoff
+#: to the end of fit.window may take: about 25 s at the 255 ns per node step
+#: measured on a 2-core x86_64 host
+MAX_NODE_STEPS = 1e8
 
 
 def _sample_every(dtau: float) -> int:
@@ -251,8 +258,9 @@ def _flux_block(kind: str, key: str, series: ObservableSeries) -> dict:
     return {"flux_identity_residual": {kind: {key: residual}}}
 
 
-def rate_report(traj: WTrajectory, series: ObservableSeries, tau_window=_DEFAULTS["fit.window"]):
-    """alpha_0 estimates and the dichotomy fits for one run, at the trajectory's cbar.
+def rate_report(traj: WTrajectory, series: ObservableSeries, tau_window: tuple):
+    """alpha_0 estimates and the dichotomy fits for one run, at the trajectory's cbar,
+    over tau_window, the fit.window of the run's config.
 
     The one regime decision: a run is critical when cbar is 3 sqrt(pi) to
     within 1e-9, and its decay model is then 'log_over_t', else 'power'.
@@ -282,7 +290,7 @@ def rate_report(traj: WTrajectory, series: ObservableSeries, tau_window=_DEFAULT
         "fits": fits,
         "prefactor_check": {
             "estimate": prefactor_check(series, alpha0, window),
-            "predicted": alpha0 * (cbar - CBAR_CRITICAL),
+            "predicted": g_slope0(alpha0, cbar),
         },
     }
 

@@ -4,7 +4,7 @@ import pytest
 
 from bbmlab.drift import CBAR_CRITICAL
 from bbmlab.oscillator import SpectralBasis, default_y_grid, trapezoid_weights
-from bbmlab.pipeline import rate_report, selfsimilar_run
+from bbmlab.pipeline import make_config, rate_report, selfsimilar_run
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +25,9 @@ def basis12(y_grid):
 def _run(cbar):
     import time
     t0 = time.perf_counter()
-    traj, series = selfsimilar_run({"cbar": cbar})
-    report = rate_report(traj, series)
+    cfg = make_config({"cbar": cbar})
+    traj, series = selfsimilar_run(cfg)
+    report = rate_report(traj, series, cfg["fit.window"])
     report["wall_seconds"] = time.perf_counter() - t0
     return traj, series, report
 

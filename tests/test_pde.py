@@ -6,9 +6,11 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from bbmlab.drift import CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed
-from bbmlab.oscillator import (default_y_grid, evolve_W, observables_from_trajectory,
-                               to_selfsimilar)
+from bbmlab import oscillator
+from bbmlab.drift import (CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed,
+                          selfsimilar_forcing)
+from bbmlab.oscillator import (SelfSimilarField, default_y_grid, evolve_W,
+                               observables_from_trajectory, to_selfsimilar)
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
@@ -408,16 +410,60 @@ def test_evolve_matches_per_step_factorization_bit_for_bit(d):
     np.testing.assert_array_equal(series.slope0, slopes)
 
 
+@pytest.mark.parametrize("startup_steps", [0, 2])
+@pytest.mark.parametrize("cbar", [0.0, 10.0, -3.0])
+def test_evolve_W_matches_per_step_factorization_bit_for_bit(cbar, startup_steps):
+    # the self-similar twin of the test above: every step's L0 + a L1 + b I is
+    # built here from the parts and factored by solve_banded, with a short
+    # last step (1.03 = 20 x 0.05 + 0.03, or 2 x 0.025 + 19 x 0.05 + 0.03)
+    lu = oscillator._BANDS
+    y = default_y_grid(0.5)
+    w0 = y * np.exp(-(y - 3.0) ** 2)
+    w0[0] = w0[-1] = 0.0
+    tau0, dtau = math.log(2.0), 0.05
+    tau_end = tau0 + 1.03
+    d = DriftExpansion(cbar)
+    traj = evolve_W(SelfSimilarField(tau0, y, w0), tau_end, d, dtau=dtau, sample_every=1,
+                    startup_steps=startup_steps)
+    L0, L1 = oscillator._operator_parts(y, 0.5)
+    eye = banded(lu, y.size, {0: 1.0})
+
+    def step(tau, v, h, theta):
+        a, b = selfsimilar_forcing(tau + 0.5 * h, d)
+        return _solve_banded_step(L0 + a * L1 + b * eye, lu, v, h, theta)
+
+    tau, v = tau0, w0
+    taus, states = [tau], [v]
+    for _ in range(startup_steps):
+        v = step(tau, v, dtau / 2.0, 1.0)
+        tau += dtau / 2.0
+    if startup_steps:
+        taus.append(tau)
+        states.append(v)
+    while tau < tau_end - 1e-12:
+        h = min(dtau, tau_end - tau)
+        v = step(tau, v, h, 0.5)
+        tau += h
+        taus.append(tau)
+        states.append(v)
+    np.testing.assert_array_equal(traj.taus, taus)
+    np.testing.assert_array_equal(traj.states, states)
+
+
 def _march_decay(t_end, dt, startup_steps, sample_every):
-    """march of v' = -v on 5 nodes from t = 0: (samples, half-step times)."""
-    L = banded((1, 1), 5, {0: -1.0})
+    """march of v' = -v on 5 nodes from t = 0: (samples, half-step times).
+
+    The parts are -I and 0, and every step's coefficients are (0, 0).
+    """
+    parts = banded((1, 1), 5, {0: -1.0}), banded((1, 1), 5, {})
     calls = []
 
-    def operator(t_half):
+    def coefficients(t_half):
         calls.append(t_half)
-        return 0
+        return 0.0, 0.0
     v0 = np.array([0.0, 1.0, 2.0, 3.0, 0.0])
-    return list(march(L, (1, 1), v0, 0.0, t_end, dt, startup_steps, sample_every, operator)), calls
+    return (list(march(parts, (1, 1), v0, 0.0, t_end, dt, startup_steps, sample_every,
+                       coefficients)), calls)
 
 
 def test_march_sample_schedule():

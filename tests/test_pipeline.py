@@ -17,8 +17,8 @@ from bbmlab.cli import main as cli_main
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from bbmlab.oscillator import SPECTRAL_TAU_MIN, Y_MAX
 from bbmlab.pde import X_MAX, evolve
-from bbmlab.pipeline import (SAMPLE_DTAU, T_HANDOFF, ConfigError, _DEFAULTS, _merge,
-                             _validate_config, load_config, make_config, parse_config,
+from bbmlab.pipeline import (MAX_NODE_STEPS, SAMPLE_DTAU, T_HANDOFF, ConfigError, _DEFAULTS,
+                             _merge, _validate_config, load_config, make_config, parse_config,
                              rate_report, resolved_run, run_experiment, selfsimilar_run,
                              specfun_row)
 
@@ -109,11 +109,14 @@ def _valid_overrides(draw):
     # 20 samples in the window after the handoff: the spacing is at most
     # max(dtau, 4 SAMPLE_DTAU / 3), and the span at least hi / 2 >= 3
     span = hi - max(lo, math.log1p(T_HANDOFF))
+    # within the node-step budget: dtau >= budget, which is below hi / 3000
+    # (dy >= 0.001) and so below span / 40
+    budget = (hi - math.log1p(T_HANDOFF)) * (Y_MAX / dy + 1.0) / MAX_NODE_STEPS
     a = X_MAX * (1e-6 + 0.4 * draw(fraction))
     return {
         "cbar": cbar, "dx": dx, "dy": dy,
         "t_end": draw(positive),
-        "dtau": draw(st.floats(1e-3, span / 40)),
+        "dtau": draw(st.floats(max(1e-3, budget * (1.0 + 1e-9)), span / 40)),
         "fit.window": (lo, hi),
         "v0.kind": draw(st.sampled_from(["indicator", "smooth_bump"])),
         "v0.a": a, "v0.b": a + X_MAX * (0.1 + 0.4 * draw(fraction)),
@@ -329,7 +332,8 @@ def test_fine_grid_regression_at_the_critical_cbar():
     # a run fourfold finer in dx and fivefold in dy and dtau against the
     # defaults; the Richardson estimate of the default run's error is not
     # below a third of its actual distance from the fine run
-    fine = rate_report(*selfsimilar_run({"dx": 0.0025, "dy": 0.01, "dtau": 0.002}))
+    fine_cfg = make_config({"dx": 0.0025, "dy": 0.01, "dtau": 0.002})
+    fine = rate_report(*selfsimilar_run(fine_cfg), fine_cfg["fit.window"])
     _, _, report, errors = resolved_run()
     gap = abs(report["alpha0"] - fine["alpha0"])
     assert gap <= 1e-4 * fine["alpha0"]
@@ -539,6 +543,8 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
     (f"dy = {25 / 301!r}", "partner (every step doubled): dy"),   # 25/301 divides y_max, 50/301 not
     ("v0.kind = foo", "v0.kind"),
     ("fit.window = 6,inf", "fit.window"),   # the run would march W forever
+    ("fit.window = 6,1e308", "fit.window"),     # beyond the node-step budget
+    ("dtau = 1e-7", "dtau"),                    # 4.7e10 node steps, about 3 hours
 ], ids=["unknown_key", "replicas_float", "dx_text", "cbar_nan",
         "mc_x0_negative", "mc_x0_zero", "dx_not_dividing_x_max", "dy_not_dividing_y_max",
         "mc_t_end_negative", "dx_nan", "tau_end_unknown", "mc_drift_nan", "dx_set_twice",
@@ -546,7 +552,8 @@ def test_cli_global_seed_reaches_mc(tmp_path, capsys):
         "window_below_spectral_floor", "partner_dx_not_dividing_x_max", "window_too_short",
         "partner_window_too_short", "handoff_past_window", "x_max_unknown", "y_max_unknown",
         "t_handoff_unknown", "dy_under_4_cells", "partner_dy_under_4_cells",
-        "partner_dy_not_dividing_y_max", "v0_kind_unknown", "window_end_inf"])
+        "partner_dy_not_dividing_y_max", "v0_kind_unknown", "window_end_inf",
+        "window_end_beyond_budget", "dtau_beyond_budget"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text, named):
     # selfsim checks the run's config, then its Richardson partner's
     bad = tmp_path / "bad.cfg"      # text None: the file does not exist

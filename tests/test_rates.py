@@ -6,7 +6,7 @@ import pytest
 from bbmlab.drift import CBAR_CRITICAL
 from bbmlab.oscillator import WTrajectory, default_y_grid
 from bbmlab.pde import ObservableSeries
-from bbmlab.pipeline import rate_report, selfsimilar_run
+from bbmlab.pipeline import make_config, rate_report, selfsimilar_run
 from bbmlab.rates import (estimate_alpha0, fit_rate, fit_remainder_decay,
                           prefactor_check)
 
@@ -128,8 +128,9 @@ def test_rate_report_decides_the_regime(offset, models, source):
     # within 1e-9 of 3 sqrt(pi) it fits both models against the spectral
     # alpha_0, and its slope extrapolation uses the log_over_t model
     cbar = CB + offset
-    traj, series = selfsimilar_run({"cbar": cbar, "dy": 0.1, "dtau": 0.02})
-    report = rate_report(traj, series)
+    cfg = make_config({"cbar": cbar, "dy": 0.1, "dtau": 0.02})
+    traj, series = selfsimilar_run(cfg)
+    report = rate_report(traj, series, cfg["fit.window"])
     assert [(f["observable"], f["model"]) for f in report["fits"]] == [
         (observable, model) for observable in ("mass", "slope0") for model in models]
     assert {f["alpha0_source"] for f in report["fits"]} == {source}
