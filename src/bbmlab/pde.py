@@ -21,20 +21,35 @@ steps and yields the samples.  Each frame hands it two fixed banded parts
 (P0, P1), assembled once per run, and a function of the half-step time that
 returns the coefficients (c1, c2) of the step's operator L = P0 + c1 P1 + c2 I
 (here the speed and 0, in the self-similar frame a and b).  march writes L
-in its one band buffer when the coefficients change, and each step applies
-one banded mat-vec.  The step matrix I - theta h L is factored once per
-distinct matrix: a step whose coefficients, h and theta equal those of the
-run's stored LU factors (a constant drift, away from the startup and the
-last step) solves with them; any other step factors, keeps the factors and
-solves.  theta_step picks LAPACK's routines by the band layout: the
-tridiagonal ones (dgttrf, dgttrs) for the physical frame's (1, 1), the banded
-ones (dgbtrf, dgbtrs) for every other layout, such as the self-similar (2, 2).
+in its one band buffer when the coefficients change.  The step matrix
+I - theta h L is factored once per distinct matrix: a step whose
+coefficients, h and theta equal those of the run's stored LU factors (a
+constant drift, away from the startup and the last step) solves with them;
+any other step factors, keeps the factors and solves.  Each step is one solve, u = (I - theta h L)^{-1} v, and returns
+u/theta - ((1 - theta)/theta) v (2u - v for Crank-Nicolson), which equals
+(I - theta h L)^{-1} (I + (1 - theta) h L) v: no mat-vec with L.  The band
+layout picks LAPACK's routines: the tridiagonal ones (dgttrf, dgttrs) for the
+physical frame's (1, 1), the banded ones (dgbtrf, dgbtrs) for every other
+layout, such as the self-similar (2, 2).
+
+A physical solution underflows to exact zeros ahead of a front that takes
+hundreds of steps to cross the grid (435 of criterion 8's 1202).  Past that
+front a whole-grid dgttrs carries the smallest subnormal, 4.9e-324, through
+every node: each multiplier is about -0.87, and the product rounds back to
+4.9e-324, so every one of those operations is subnormal.  On a 2-core x86_64
+host at n = 12001 that made a solve cost 793 us for the indicator against
+167 us for a right-hand side that does not underflow.  So a tridiagonal solve
+covers only the nodes up to the state's last nonzero one plus PREFIX_MARGIN,
+and is redone over the whole grid unless the result is provably the
+whole-grid one (_prefix_exact): the margin changes the speed, never a value.
+The self-similar W never underflows, so its banded solve is whole-grid.
 
 write_csv writes every CSV table of the package, numbers to 17 digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +214,12 @@ def _matvec(ab, lu, v):
     return out
 
 
+#: zero nodes past the state's last nonzero one that a tridiagonal step also
+#: solves over; the underflow front of the physical runs advances up to about
+#: 30 nodes a step, so a wider margin only costs time (see _solve)
+PREFIX_MARGIN = 64
+
+
 class StepFactors:
     """The LU factors of the last theta-step matrix I - theta h L, and what they factor.
 
@@ -206,12 +227,62 @@ class StepFactors:
     theta_step with a key: the coefficients that built L from the run's
     parts.  A step whose key, h and theta equal the stored ones reuses the
     factors: the pivots piv with ab, dgbtrf's factors, or for a tridiagonal
-    L with tri, dgttrf's (dl, d, du, du2).
+    L with tri, dgttrf's (dl, d, du, du2) and tail, what _prefix_exact reads
+    of them.
     """
 
     def __init__(self, L):
         self.ab = np.empty(L.shape, order="F")  # I - theta h L in band storage
-        self.tri = self.piv = self.made_for = None
+        self.tri = self.piv = self.made_for = self.tail = None
+
+
+def _prefix_exact(factors, p):
+    """Whether a tridiagonal solve over rows < p whose last value is 0 is the whole solve.
+
+    Take b zero from row p on.  Rows p - 1 on, dgttrs's forward sweep then
+    computes y[i] = -dl[i-1] y[i-1]: dgttrf's partial pivoting keeps every
+    multiplier |dl| <= 1, so with no row interchange from step p - 1 on,
+    |y[i]| <= |y[p-1]|.  A last value x[p-1] = y[p-1]/d[p-1] that rounds to
+    0 bounds |y[p-1]| by k 2^-1074 with k <= |d[p-1]|/2 (every double is a
+    multiple of 2^-1074), so each x[i] = y[i]/d[i] behind it rounds to 0 as
+    well when 2 floor(|d[p-1]|/2) <= |d[i]|.  The last row is exempt when
+    its multiplier is 0 (a Dirichlet row): its y is exactly 0.  The whole
+    back-substitution then meets zeros past the cut and gives the prefix's
+    values before it.  The factors keep, per factorization, the first step
+    with no interchange from it on, |d| and the minima of |d| from each row on.
+    """
+    if factors.tail is None:
+        dl, d = factors.tri[:2]
+        swapped = np.flatnonzero(factors.piv[:-1] != np.arange(1, d.size))
+        abs_d = np.abs(d[:-1] if dl[-1] == 0.0 else d)
+        factors.tail = (swapped[-1] + 1 if swapped.size else 0, abs_d,
+                        np.append(np.minimum.accumulate(abs_d[::-1])[::-1], np.inf))
+    first, abs_d, min_from = factors.tail
+    return p - 1 >= first and 2.0 * math.floor(abs_d[p - 1] / 2.0) <= min_from[p]
+
+
+def _solve(factors, lu, values):
+    """(I - theta h L)^{-1} values on the rows it reaches, and LAPACK's info.
+
+    A banded solve covers the whole grid.  While the state is zero at the
+    far end, a tridiagonal one covers the nodes up to its last nonzero value
+    plus PREFIX_MARGIN, when _prefix_exact allows that cut and the last
+    covered value comes out exactly 0; otherwise it is redone over the whole
+    grid.  Past the cut the whole-grid solve gives exact zeros, so the
+    margin sets the speed, never a value.
+    """
+    if lu != (1, 1):
+        return dgbtrs(factors.ab, *lu, values, factors.piv)
+    dl, d, du, du2 = factors.tri
+    n = values.size
+    if values[-2] == 0.0:
+        p = n - int(np.argmax(values[::-1] != 0.0)) + PREFIX_MARGIN
+        if p < n and _prefix_exact(factors, p):
+            x, info = dgttrs(dl[:p - 1], d[:p], du[:p - 1], du2[:p - 2], factors.piv[:p],
+                             values[:p])
+            if x[-1] == 0.0:
+                return x, info
+    return dgttrs(dl, d, du, du2, factors.piv, values)
 
 
 def theta_step(L, lu, values, t, h, theta, factors, key):
@@ -223,38 +294,42 @@ def theta_step(L, lu, values, t, h, theta, factors, key):
     theta, the step solves with them; otherwise it factors and stores the
     factors, then solves.  A tridiagonal L, lu = (1, 1), factors with dgttrf
     and solves with dgttrs; any other layout factors with dgbtrf and solves
-    with dgbtrs.  scipy.linalg.solve_banded's
-    LAPACK drivers run the same elimination on each layout (its tridiagonal
-    driver is dgttrf's and dgttrs's, its banded one dgbtrf then dgbtrs), so
-    every path gives solve_banded's values bit for bit.  A nonzero LAPACK
-    info or a non-finite value raises NumericalFailure.  The zero end rows
-    of L make the end rows of the system the identity; pivoting in the solve
-    can still leave round-off there, so the ends are set to exactly 0.
+    with dgbtrs.  The step is one solve, u = (I - theta h L)^{-1} v, and
+    returns u/theta - ((1 - theta)/theta) v, 2u - v for Crank-Nicolson,
+    which equals (I - theta h L)^{-1} (I + (1 - theta) h L) v: no mat-vec
+    with L.  A tridiagonal solve covers the active prefix of _solve.  u is
+    scipy.linalg.solve_banded's bit for bit: its LAPACK drivers run the same
+    eliminations (dgtsv as dgttrf then dgttrs, dgbsv as dgbtrf then dgbtrs).
+    A non-finite or singular matrix, a nonzero LAPACK info or a non-finite
+    value raises NumericalFailure.  The zero end rows of L make the end rows
+    of the system the identity; pivoting in the solve can still leave
+    round-off there, so the ends are set to exactly 0.
     """
     l, u = lu
     made_for = (key, h, theta)
-    rhs = values.copy()
-    if theta < 1.0:
-        rhs += (1.0 - theta) * h * _matvec(L, lu, values)
-    tridiagonal = lu == (1, 1)
     if made_for != factors.made_for:
-        factors.made_for = None
+        factors.made_for = factors.tail = None
         ab = factors.ab
         np.multiply(L, -theta * h, out=ab)
         ab[l + u] += 1.0
-        if tridiagonal:     # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
+        if not np.all(np.isfinite(ab[l:])):     # a cut solve need not reach a bad row
+            raise NumericalFailure(f"non-finite theta step matrix from {t:.6g} to {t + h:.6g}")
+        if lu == (1, 1):    # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
             *factors.tri, factors.piv, info = dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
         else:
             factors.ab, factors.piv, info = dgbtrf(ab, l, u, overwrite_ab=True)
         if info != 0:
             raise NumericalFailure(f"singular theta step from {t:.6g} to {t + h:.6g}")
-    if tridiagonal:
-        out, info = dgttrs(*factors.tri, factors.piv, rhs, overwrite_b=True)
-    else:
-        out, info = dgbtrs(factors.ab, l, u, rhs, factors.piv, overwrite_b=True)
+        factors.made_for = made_for
+    out, info = _solve(factors, lu, values)
+    p = out.size
+    if theta < 1.0:
+        out /= theta
+        out -= (1.0 - theta) / theta * values[:p]
     if info != 0 or not np.all(np.isfinite(out)):
         raise NumericalFailure(f"singular or non-finite theta step from {t:.6g} to {t + h:.6g}")
-    factors.made_for = made_for
+    if p < values.size:
+        out = np.concatenate((out, np.zeros(values.size - p)))
     out[0] = out[-1] = 0.0
     return out
 
@@ -268,8 +343,9 @@ def march(parts, lu, values, t, t_end, dt, startup_steps, sample_every, coeffici
     startup, every sample_every-th Crank-Nicolson step and the state at t_end.
     Every step has the operator L = P0 + c1 P1 + c2 I of the banded parts
     (P0, P1) = parts, with (c1, c2) = coefficients(t_half) at its half time
-    as its theta_step key; the march owns L and the StepFactors.  It raises
-    ValueError unless t, t_end and dt are finite, sample_every >= 1 and
+    as its theta_step key; the march owns L and the StepFactors, and
+    rewrites L only when the coefficients change.  It raises ValueError
+    unless t, t_end and dt are finite, sample_every >= 1 and
     startup_steps >= 0.
     """
     if not np.all(np.isfinite([t, t_end, dt])):

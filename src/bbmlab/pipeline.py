@@ -27,6 +27,7 @@ import math
 import operator
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -172,7 +173,8 @@ T_HANDOFF = 1.0
 
 #: most node steps (nodes times steps) a self-similar march from the handoff
 #: to the end of fit.window may take: about 25 s at the 255 ns per node step
-#: measured on a 2-core x86_64 host
+#: measured on a 2-core x86_64 host; solve checks its physical march to t_end
+#: against it as well
 MAX_NODE_STEPS = 1e8
 
 
@@ -181,11 +183,13 @@ def _sample_every(dtau: float) -> int:
     return max(1, round(SAMPLE_DTAU / dtau))
 
 
-def _physical_run(cfg: dict, t_end: float):
-    """(v0, field at t_end, series) under the drift of cfg's cbar, stepping dx in x and t."""
+def _physical_run(cfg: dict, t_end: float, sample_every: int):
+    """(v0, field at t_end, series) under the drift of cfg's cbar, stepping dx in x and t,
+    the series sampled every sample_every steps."""
     grid = SpatialGrid(nx=int(round(X_MAX / cfg["dx"])))
     f0 = initial_condition(cfg["v0.kind"], grid, cfg["v0.a"], cfg["v0.b"])
-    return (f0, *evolve(f0, t_end, SolverConfig(dt=cfg["dx"]), DriftExpansion(cfg["cbar"])))
+    return (f0, *evolve(f0, t_end, SolverConfig(dt=cfg["dx"], sample_every=sample_every),
+                        DriftExpansion(cfg["cbar"])))
 
 
 def selfsimilar_run(cfg: dict | None = None):
@@ -196,7 +200,7 @@ def selfsimilar_run(cfg: dict | None = None):
     frame compresses it to log(1+t).
     """
     cfg = make_config(cfg)
-    _, f1, _ = _physical_run(cfg, T_HANDOFF)
+    _, f1, _ = _physical_run(cfg, T_HANDOFF, sys.maxsize)   # the field alone: no samples between
     W0 = to_selfsimilar(f1, default_y_grid(cfg["dy"]))
     traj = evolve_W(W0, cfg["fit.window"][1], DriftExpansion(cfg["cbar"]), dtau=cfg["dtau"],
                     sample_every=_sample_every(cfg["dtau"]))
@@ -299,8 +303,13 @@ def rate_report(traj: WTrajectory, series: ObservableSeries, tau_window: tuple):
 # pipelines
 
 def _pipe_solve(cfg, out: Path):
+    # a bound of solve's own: a self-similar config never marches to t_end
+    node_steps = cfg["t_end"] / cfg["dx"] * (X_MAX / cfg["dx"] + 1.0)
+    if not node_steps <= MAX_NODE_STEPS:
+        raise ConfigError(f"t_end = {cfg['t_end']!r} and dx = {cfg['dx']!r}: {node_steps:.3g} "
+                          f"physical node steps, over {MAX_NODE_STEPS:g}")
     key = f"{cfg['cbar']:.6g}"
-    f0, _, series = _physical_run(cfg, cfg["t_end"])
+    f0, _, series = _physical_run(cfg, cfg["t_end"], 1)
     path = out / f"physical_cbar{key}.csv"
     write_series_csv(path, series)
     ov = initial_mode_overlap(f0)

@@ -6,13 +6,13 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from bbmlab import oscillator
+from bbmlab import oscillator, pde
 from bbmlab.drift import (CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_speed,
                           selfsimilar_forcing)
 from bbmlab.oscillator import (SelfSimilarField, default_y_grid, evolve_W,
                                observables_from_trajectory, to_selfsimilar)
 from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
-                        SpatialGrid, StepFactors, _matvec, _operator_parts, banded,
+                        SpatialGrid, StepFactors, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
                         initial_condition, march, mass, theta_step, write_csv,
                         write_series_csv)
@@ -285,6 +285,19 @@ def test_theta_step_non_finite_raises():
         theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5, StepFactors(L), 0)
 
 
+def _solve_banded_step(L, lu, v, h, theta):
+    """A theta step factored afresh by solve_banded, in the one-solve form:
+    u = (I - theta h L)^{-1} v, then u/theta - ((1 - theta)/theta) v."""
+    l, u = lu
+    A = -theta * h * L[l:]
+    A[u] += 1.0
+    out = solve_banded(lu, A, v)
+    if theta < 1.0:
+        out = out / theta - (1.0 - theta) / theta * v
+    out[0] = out[-1] = 0.0
+    return out
+
+
 @pytest.mark.parametrize("lu", [(1, 2), (2, 2), (1, 1)])
 def test_theta_step_matches_solve_banded_bit_for_bit(lu):
     # random diagonally dominant systems, several steps through one buffer
@@ -300,27 +313,12 @@ def test_theta_step_matches_solve_banded_bit_for_bit(lu):
         diags = {k: rng.uniform(-50.0, 50.0, n) for k in range(-l, u + 1) if k}
         diags[0] = -(sum(np.abs(c) for c in diags.values()) + rng.uniform(0.0, 5.0, n))
         L = banded(lu, n, diags)
-        rhs = v + (1.0 - theta) * h * _matvec(L, lu, v) if theta < 1.0 else v.copy()
-        A = -theta * h * L[l:]
-        A[u] += 1.0
-        want = solve_banded(lu, A, rhs)
-        want[0] = want[-1] = 0.0
+        want = _solve_banded_step(L, lu, v, h, theta)
         ab[l:] = L[l:]
         got = theta_step(ab, lu, v, 0.0, h, theta, StepFactors(ab), 0)
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, v)
         v = got
-
-
-def _solve_banded_step(L, lu, v, h, theta):
-    """A theta step factored afresh by solve_banded, as in the test above."""
-    l, u = lu
-    rhs = v + (1.0 - theta) * h * _matvec(L, lu, v) if theta < 1.0 else v.copy()
-    A = -theta * h * L[l:]
-    A[u] += 1.0
-    out = solve_banded(lu, A, rhs)
-    out[0] = out[-1] = 0.0
-    return out
 
 
 def test_step_factors_reused_only_for_the_same_matrix():
@@ -370,7 +368,8 @@ def test_theta_step_singular_raises(lu):
 
 
 def _reference_evolve(f0, t_end, cfg, d):
-    """pde.evolve with sample_every = 1, every step factored by solve_banded."""
+    """pde.evolve with sample_every = 1, every step factored by solve_banded
+    over the whole grid."""
     grid = f0.grid
     A0, A1 = _operator_parts(grid)
     dt = cfg.effective_dt(grid)
@@ -385,9 +384,10 @@ def _reference_evolve(f0, t_end, cfg, d):
     if cfg.startup_steps:
         samples.append((t, v))
     while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
+        last = t_end - t <= dt * (1.0 + 1e-9)   # the last step ends exactly at t_end
+        h = t_end - t if last else dt
         v = _solve_banded_step(A0 + front_speed(t + 0.5 * h, d) * A1, _BANDS, v, h, 0.5)
-        t += h
+        t = t_end if last else t + h
         samples.append((t, v))
     fields = [Field(grid, vs, ts) for ts, vs in samples]
     return (v, np.array([f.time for f in fields]), np.array([mass(f) for f in fields]),
@@ -408,6 +408,82 @@ def test_evolve_matches_per_step_factorization_bit_for_bit(d):
     np.testing.assert_array_equal(series.times, times)
     np.testing.assert_array_equal(series.mass, masses)
     np.testing.assert_array_equal(series.slope0, slopes)
+
+
+def _solved_rows(monkeypatch):
+    """The length of every right-hand side pde's dgttrs solves, in call order."""
+    rows = []
+
+    def dgttrs(*args):
+        rows.append(args[5].size)
+        return pde_dgttrs(*args)
+    pde_dgttrs = pde.dgttrs
+    monkeypatch.setattr(pde, "dgttrs", dgttrs)
+    return rows
+
+
+def _assert_evolve_matches_reference(f0, t_end, cfg, d):
+    fT, series = evolve(f0, t_end, cfg, d)
+    v, times, masses, slopes = _reference_evolve(f0, t_end, cfg, d)
+    np.testing.assert_array_equal(fT.values, v)
+    np.testing.assert_array_equal(series.times, times)
+    np.testing.assert_array_equal(series.mass, masses)
+    np.testing.assert_array_equal(series.slope0, slopes)
+
+
+def test_active_prefix_matches_whole_grid_many_to_one_reference(monkeypatch):
+    # criterion 8's reference solve: the underflow front leaves the grid after
+    # about 435 of 1202 steps, and until then each step solves a prefix
+    rows = _solved_rows(monkeypatch)
+    grid = SpatialGrid(60.0, 12000)
+    _assert_evolve_matches_reference(initial_condition("indicator", grid), 3.0,
+                                     SolverConfig(dt=0.0025, sample_every=1), ConstantDrift(2.0))
+    prefixes = [r for r in rows if r < grid.nx + 1]
+    assert len(prefixes) > 400 and len(rows) - len(prefixes) < 800
+
+
+@pytest.mark.parametrize("cbar", [0.0, 10.0])
+def test_active_prefix_matches_whole_grid_handoff(monkeypatch, cbar):
+    # the handoff of a self-similar run: its drift expansion factors every
+    # step afresh, and the front leaves the grid within about 20 steps
+    rows = _solved_rows(monkeypatch)
+    f0 = initial_condition("indicator", SpatialGrid(60.0, 6000))
+    _assert_evolve_matches_reference(f0, 1.0, SolverConfig(dt=0.01), DriftExpansion(cbar))
+    assert any(r < 6001 for r in rows)
+
+
+def test_active_prefix_falls_back_to_the_whole_grid(monkeypatch):
+    # a margin of one node is less than the front advances in a step: the last
+    # covered value is not 0, and each of the 202 steps ends in a whole-grid solve
+    monkeypatch.setattr(pde, "PREFIX_MARGIN", 1)
+    rows = _solved_rows(monkeypatch)
+    grid = SpatialGrid(60.0, 12000)
+    _assert_evolve_matches_reference(initial_condition("indicator", grid), 0.5,
+                                     SolverConfig(dt=0.0025, sample_every=1), ConstantDrift(2.0))
+    n = grid.nx + 1
+    assert rows.count(n) == 202 and len(rows) > 202
+
+
+def test_prefix_exact_needs_a_regular_tail():
+    # criterion 8's step matrix interchanges rows only near the origin, so any
+    # later cut may stand; a row interchange or a small pivot at or past a cut
+    # forbids it
+    A0, A1 = _operator_parts(SpatialGrid(60.0, 12000))
+    L = A0 + 2.0 * A1
+    factors = StepFactors(L)
+    v = np.zeros(12001)
+    v[200:401] = 1.0
+    theta_step(L, _BANDS, v, 0.0, 0.0025, 0.5, factors, 0)
+    def exact(p):
+        factors.tail = None     # what _prefix_exact keeps of the factors it reads
+        return pde._prefix_exact(factors, p)
+
+    assert exact(100) and exact(11000)
+    d = factors.tri[1]
+    factors.piv[5000] = 5002    # step 5000 interchanges rows 5000 and 5001
+    assert not exact(5001) and exact(5002)
+    d[9000] = 40.0              # below 2 floor(57.6/2) = 56, the bound from the usual pivot
+    assert not exact(9000) and exact(9001)
 
 
 @pytest.mark.parametrize("startup_steps", [0, 2])

@@ -298,6 +298,47 @@ def test_reproduce_theorem_summary_has_resolution_block(theorem_dir):
         assert all(f["n_samples"] == round(4.0 / SAMPLE_DTAU) + 1 for f in fits)
 
 
+#: the default reproduce-theorem's numbers, recorded when each theta step
+#: still applied I + (1 - theta) h L before its solve: the one-solve form moves
+#: them by round-off alone.  cbar key: alpha_0 by spectral projection and by
+#: slope extrapolation, the prefactor estimate
+_PINNED_RUNS = {
+    "0": (9.373895777534312, 9.3132891084205, -51.22123135680838),
+    "5.31736": (0.01128110419991697, 0.011265044514835672, -0.0017072279152814777),
+    "10": (1.2624057838865741e-05, 1.2258311126517265e-05, 5.135977938916538e-05),
+}
+
+#: (cbar key, observable, model): exponent, prefactor and r^2 of each fit, as above
+_PINNED_FITS = {
+    ("0", "mass", "power"): (-0.5139251334959118, 48.95409093769371, 0.9987054723751588),
+    ("0", "slope0", "power"): (-0.5141452251006347, 49.05459618137097, 0.9987198677029704),
+    ("5.31736", "mass", "power"): (-1.0306329235886609, 0.2936173525951511, 0.9979772234554103),
+    ("5.31736", "mass", "log_over_t"): (1.180148626575757, 0.08452175197078461,
+                                        0.9986678355831944),
+    ("5.31736", "slope0", "power"): (-1.0310885792075148, 0.2948645278831198,
+                                     0.9979946793410549),
+    ("5.31736", "slope0", "log_over_t"): (1.1806677889174377, 0.08483274157836254,
+                                          0.9986809117875994),
+    ("10", "mass", "power"): (-0.46567714186697523, 7.324987690780572e-05, 0.9908035148965584),
+    ("10", "slope0", "power"): (-0.4659790850397283, 7.345227766786273e-05, 0.9907501203430109),
+}
+
+
+def test_reproduce_theorem_numbers_are_pinned(theorem_dir):
+    summary = json.loads((theorem_dir / "summary.json").read_text())
+    for key, (spectral, slope, prefactor) in _PINNED_RUNS.items():
+        methods = summary["alpha0_methods"][key]
+        assert summary["alpha0"][key] == pytest.approx(spectral, rel=1e-9)
+        assert methods["spectral_projection"]["value"] == pytest.approx(spectral, rel=1e-9)
+        assert methods["slope_extrapolation"]["value"] == pytest.approx(slope, rel=1e-9)
+        assert summary["prefactor_check"][key]["estimate"] == pytest.approx(prefactor, rel=1e-9)
+    fits = {(f"{f['cbar']:.6g}", f["observable"], f["model"]):
+            (f["exponent"], f["prefactor"], f["r2"]) for f in summary["fits"]}
+    assert fits.keys() == _PINNED_FITS.keys()
+    for key, pinned in _PINNED_FITS.items():
+        assert fits[key] == pytest.approx(pinned, rel=1e-9), key
+
+
 def test_reproduce_theorem_summary_has_flux_residuals(theorem_dir):
     summary = json.loads((theorem_dir / "summary.json").read_text())
     flux = summary["flux_identity_residual"]["selfsim"]
@@ -579,6 +620,19 @@ def test_cli_solve_runs_no_partner(tmp_path, capsys):
                      "--out", str(tmp_path / "selfsim")]) == 2
     assert "Richardson partner" in capsys.readouterr().err
     assert not (tmp_path / "selfsim").exists()
+
+
+@pytest.mark.parametrize("text", ["t_end = 1e308", "dx = 0.001"],
+                         ids=["t_end_beyond_budget", "dx_beyond_budget"])
+def test_cli_solve_beyond_the_node_step_budget_exits_2(tmp_path, capsys, text):
+    # (t_end/dx)(x_max/dx + 1) physical node steps: 1e310 and 6e8, over 1e8
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text + "\n")
+    assert cli_main(["--config", str(cfg), "solve", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "t_end" in err and "dx" in err and "node steps" in err
+    assert not (tmp_path / "o").exists()
+    make_config({"t_end": 1e308})     # the budget is solve's alone: the config is valid
 
 
 def test_cli_out_on_an_existing_file_exits_2(tmp_path, capsys):
