@@ -23,8 +23,10 @@ repeats it with sympy).  Two consequences used throughout:
 Eigenfunctions on the half-line with a Dirichlet condition at 0 are the odd
 Hermite modes e_n(y) = H_{2n+1}(y/2) e^{-y^2/8} / sqrt(2^{2n+1} (2n+1)! sqrt(pi)),
 with eigenvalue exactly n.  Every mode comes from one recurrence, the
-generator hermite_rows.  The discrete M_h is assembled in one place,
-_operator_parts: evolve_W steps with it and apply_M applies it.
+generator hermite_rows, whose row n is e_n at u = y/2: it steps the odd
+Hermite functions alone, by the two-step form of the three-term recurrence.
+The discrete M_h is assembled in one place, _operator_parts: evolve_W steps
+with it and apply_M applies it.
 """
 
 from __future__ import annotations
@@ -88,16 +90,33 @@ def default_y_grid(dy: float = 0.01) -> np.ndarray:
 
 
 def hermite_rows(u: np.ndarray):
-    """Full-line orthonormal Hermite functions h_0, h_1, ... at nodes u, one row at a time.
+    """Odd orthonormal Hermite functions h_1, h_3, h_5, ... at nodes u, one row at a time.
 
-    h_k(u) = H_k(u) e^{-u^2/2} / sqrt(2^k k! sqrt(pi)), generated by the
-    weight-inside recurrence, which is overflow-free for any k.  The generator
-    is endless and keeps two rows.
+    h_k(u) = H_k(u) e^{-u^2/2} / sqrt(2^k k! sqrt(pi)).  Row n is h_{2n+1}(u),
+    so row n at u = y/2 is the eigenfunction e_n(y).  The rows come from the
+    two-step form of the weight-inside three-term recurrence, which is
+    overflow-free for any k and skips the even functions:
+
+        h_{k+2} = ((2u^2 - 2k - 1) h_k - sqrt(k (k-1)) h_{k-2}) / sqrt((k+1)(k+2)),
+
+    k odd, from h_1 = sqrt(2) u pi^{-1/4} e^{-u^2/2} (h_{-1} never enters).  So
+    n rows cost n steps instead of 2n.  The price is accuracy in high rows near
+    u = 0, where the two-step recurrence has a double root: against mpmath,
+    row n is within 16 (2n+1) eps absolute (7.3e-12 at n = 1023; measured
+    2.25e-12 there, at y = 0.08), where the three-term form stays below 5e-15.
+    The generator is endless and keeps two rows.
     """
-    h_prev, h = 0.0, np.pi ** -0.25 * np.exp(-0.5 * u * u)
-    for k in itertools.count():
+    v = 2.0 * u * u
+    h_prev, h = 0.0, math.sqrt(2.0) * u * (np.pi ** -0.25 * np.exp(-0.5 * u * u))
+    for k in itertools.count(1, 2):
         yield h
-        h_prev, h = h, math.sqrt(2.0 / (k + 1)) * u * h - math.sqrt(k / (k + 1)) * h_prev
+        # in place, one fresh array a row (the caller may keep it), and a
+        # multiply by the reciprocal, cheaper than an array division
+        h_next = v - (2 * k + 1)
+        h_next *= h
+        h_next -= math.sqrt(k * (k - 1)) * h_prev
+        h_next *= 1.0 / math.sqrt((k + 1) * (k + 2))
+        h_prev, h = h, h_next
 
 
 def eigenfunction(n: int, y: np.ndarray) -> np.ndarray:
@@ -105,7 +124,18 @@ def eigenfunction(n: int, y: np.ndarray) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     y = np.asarray(y, dtype=float)
-    return next(itertools.islice(hermite_rows(y / 2.0), 2 * n + 1, None))
+    return next(itertools.islice(hermite_rows(y / 2.0), n, None))
+
+
+def _check_half_line(y: np.ndarray):
+    """Raise ValueError naming the first negative node of y.
+
+    The modes and g live on y >= 0; at a negative node the odd modes would
+    silently give g's odd extension and the series route its even one.
+    """
+    neg = np.flatnonzero(y < 0.0)
+    if neg.size:
+        raise ValueError(f"y must be >= 0 at every node, got y[{neg[0]}] = {float(y[neg[0]])!r}")
 
 
 def trapezoid_weights(n: int, dy: float) -> np.ndarray:
@@ -124,11 +154,11 @@ class SpectralBasis:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
+        _check_half_line(self.y)
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         self.weights = trapezoid_weights(self.y.size, self.y[1] - self.y[0])
-        rows = itertools.islice(hermite_rows(self.y / 2.0), 1, 2 * self.n_modes, 2)
-        self.modes = np.array(list(rows))
+        self.modes = np.array(list(itertools.islice(hermite_rows(self.y / 2.0), self.n_modes)))
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <values, e_n> for n < n_modes."""

@@ -319,14 +319,22 @@ def _pipe_solve(cfg, out: Path):
 
 def _selfsim_summary(cfg, out: Path):
     """resolved_run of cfg, its series written; (trajectory, series path, summary)
-    with every summary block keyed by f"{cbar:.6g}" but the list of fits."""
+    with every summary block keyed by f"{cbar:.6g}" but the list of fits.
+
+    alpha0_gap is |slope_extrapolation - spectral_projection| / |spectral_projection|,
+    the relative gap between the two alpha_0 methods.
+    """
     traj, series, report, errors = resolved_run(cfg)
     key = f"{cfg['cbar']:.6g}"
     path = out / f"selfsim_series_cbar{key}.csv"
     write_series_csv(path, series)
+    methods = report["alpha0_methods"]
+    spectral = methods["spectral_projection"]["value"]
     return traj, path, {
         "alpha0": {key: report["alpha0"]},
-        "alpha0_methods": {key: report["alpha0_methods"]},
+        "alpha0_methods": {key: methods},
+        "alpha0_gap": {key: abs(methods["slope_extrapolation"]["value"] - spectral)
+                       / abs(spectral)},
         "fits": report["fits"],
         "prefactor_check": {key: report["prefactor_check"]},
         "resolution": _resolution_block(cfg, {key: errors}),

@@ -29,7 +29,8 @@ g solves (M - 1/2) g = F with forcing F(y) = alpha e^{-y^2/8} [(3/4) y^2
    and cbar then enter as g = alpha e^{-z/2} (2 cbar sqrt(z) + G0).
 
 2. solve_g_spectral: project the equation on the Hermite eigenbasis, whose
-   modes come from oscillator.hermite_rows.  The kernel coefficient is
+   modes come from oscillator.hermite_rows, one odd-row recurrence step per
+   mode (within 16 (2n+1) eps of e_n absolute).  The kernel coefficient is
    forced by projecting on e_0 (g1 = -2 <F, e_0>); all other coefficients
    follow from the diagonal inverse 1/(n - 1/2).  The cbar part of F is a
    multiple of e_0, so its solution is the closed form alpha cbar y e^{-y^2/8}
@@ -47,7 +48,6 @@ coefficient of G; it vanishes exactly at the critical cbar.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +55,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .drift import CBAR_CRITICAL, SQRT_PI
-from .oscillator import KERNEL_NORM, SpectralBasis, hermite_rows
+from .oscillator import KERNEL_NORM, SpectralBasis, _check_half_line, hermite_rows
 from .pde import NumericalFailure
 
 #: G0 is summed from the series for z <= _Z0 and continued in closed form above
@@ -213,6 +213,7 @@ def g_profile(alpha: float, cbar: float, y: np.ndarray) -> GProfile:
         z = y * y / 4.0
     if not np.all(np.isfinite(z)):
         raise ValueError("y must be finite at every node, and so must y^2/4")
+    _check_half_line(y)
     values = alpha * np.exp(-z / 2.0) * (2.0 * cbar * np.sqrt(z) + _g0_series(y.tobytes()))
     return GProfile(alpha, cbar, y, values, g_slope0(alpha, cbar))
 
@@ -258,12 +259,15 @@ def _g0_spectral(y_bytes: bytes, n_modes: int) -> np.ndarray:
     """Read-only Galerkin sum g0 of the cbar-free forcing F0 on the float64 grid y_bytes.
 
     Coefficients: c_0 = -2 <F0, e_0> (kernel projection), c_n = <F0, e_n>/(n - 1/2)
-    for n >= 1 (the diagonal inverse; coercive since n - 1/2 >= 1/2).
+    for n >= 1 (the diagonal inverse; coercive since n - 1/2 >= 1/2).  e_n is
+    row n of oscillator.hermite_rows(y/2), so n_modes modes cost n_modes
+    recurrence steps.  Row n is within 16 (2n+1) eps of e_n absolute; with
+    1024 modes on the grids of dy = 0.01, 0.05 and 0.1, g0 lies within 6.3e-15
+    of the sum over three-term rows, far inside its ~1e-4 truncation error.
     """
     y = np.frombuffer(y_bytes)
     g0 = np.zeros_like(y)
-    rows = itertools.islice(hermite_rows(y / 2.0), 1, 2 * n_modes, 2)
-    for n, (a_n, h) in enumerate(zip(_f0_projections(n_modes), rows)):
+    for n, (a_n, h) in enumerate(zip(_f0_projections(n_modes), hermite_rows(y / 2.0))):
         g0 += (-2.0 * a_n if n == 0 else a_n / (n - 0.5)) * h
     g0.flags.writeable = False
     return g0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
 from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField, SpectralBasis,
                                apply_M, decompose, default_y_grid,
-                               eigenfunction, evolve_W,
+                               eigenfunction, evolve_W, hermite_rows,
                                from_selfsimilar, initial_mode_overlap,
                                observables_from_trajectory, quadratic_form_Q,
                                slope_correspondence, to_selfsimilar, trapezoid_weights)
@@ -167,6 +168,26 @@ def test_eigenfunction_e0_value():
                                 rel=1e-13)
 
 
+def test_hermite_rows_match_mpmath(y_grid):
+    # row n is h_{2n+1}(y/2); the two-step recurrence loses accuracy in high rows
+    # near u = 0, where it has a double root, bounded beforehand by 16 eps per
+    # Hermite index: 16 (2n+1) eps absolute
+    mp = pytest.importorskip("mpmath")
+    u = np.array([0.01, 0.05, 0.08, 0.5, 2.0, 10.0, 25.0]) / 2.0
+    rows = list(itertools.islice(hermite_rows(u), 1024))
+    for n in (0, 1, 10, 100, 511, 1023):
+        k = 2 * n + 1
+        with mp.workdps(40):
+            norm = mp.sqrt(2**k * mp.factorial(k) * mp.sqrt(mp.pi))
+            want = np.array([float(mp.hermite(k, x) * mp.exp(-mp.mpf(x) ** 2 / 2) / norm)
+                             for x in u])
+        assert np.max(np.abs(rows[n] - want)) <= 16 * k * np.finfo(float).eps, n
+    # e_0 is h_1 = sqrt(2) u h_0 bit for bit, as the three-term recurrence's first step
+    u = y_grid / 2.0
+    np.testing.assert_array_equal(eigenfunction(0, y_grid),
+                                  math.sqrt(2.0) * u * (np.pi ** -0.25 * np.exp(-0.5 * u * u)))
+
+
 def test_eigenfunction_e0_normalization(y_grid, weights):
     e0 = eigenfunction(0, y_grid)
     assert np.sum(weights * e0 * e0) == pytest.approx(1.0, abs=1e-12)
@@ -219,7 +240,10 @@ def test_apply_M_on_quadratic(y_grid):
     (lambda y: SelfSimilarField(0.0, y, np.full_like(y, np.nan)), NumericalFailure, "non-finite"),
     (lambda y: eigenfunction(-1, y), ValueError, "n must be >= 0"),
     (lambda y: SpectralBasis(y, 0), ValueError, "n_modes must be >= 1"),
-], ids=["field_shape_mismatch", "field_not_finite", "eigenfunction_negative_n", "basis_no_modes"])
+    (lambda y: SpectralBasis(np.linspace(-2.0, 2.0, 9), 12), ValueError,
+     r"y must be >= 0 at every node, got y\[0\] = -2\.0$"),
+], ids=["field_shape_mismatch", "field_not_finite", "eigenfunction_negative_n", "basis_no_modes",
+        "basis_negative_node"])
 def test_self_similar_types_reject_bad_input(y_grid, build, error, match):
     with pytest.raises(error, match=match):
         build(y_grid)

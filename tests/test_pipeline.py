@@ -283,8 +283,8 @@ def theorem_dir(tmp_path_factory):
 
 def test_reproduce_theorem_summary_has_resolution_block(theorem_dir):
     summary = json.loads((theorem_dir / "summary.json").read_text())
-    assert set(summary) == {"alpha0", "alpha0_methods", "fits", "prefactor_check", "resolution",
-                            "flux_identity_residual"}
+    assert set(summary) == {"alpha0", "alpha0_methods", "alpha0_gap", "fits", "prefactor_check",
+                            "resolution", "flux_identity_residual"}
     res = summary["resolution"]
     assert (res["dx"], res["dy"], res["dtau"]) == (0.01, 0.05, 0.01)
     assert res["partner"] == {"dx": 0.02, "dy": 0.1, "dtau": 0.02}
@@ -337,6 +337,17 @@ def test_reproduce_theorem_numbers_are_pinned(theorem_dir):
     assert fits.keys() == _PINNED_FITS.keys()
     for key, pinned in _PINNED_FITS.items():
         assert fits[key] == pytest.approx(pinned, rel=1e-9), key
+
+
+def test_reproduce_theorem_summary_has_alpha0_gap(theorem_dir):
+    summary = json.loads((theorem_dir / "summary.json").read_text())
+    gap = summary["alpha0_gap"]
+    assert list(gap) == list(summary["alpha0"])
+    for key, methods in summary["alpha0_methods"].items():
+        spectral = methods["spectral_projection"]["value"]
+        slope = methods["slope_extrapolation"]["value"]
+        assert gap[key] == abs(slope - spectral) / abs(spectral), key
+        assert 0.0 < gap[key] < 0.05, key
 
 
 def test_reproduce_theorem_summary_has_flux_residuals(theorem_dir):
@@ -407,8 +418,9 @@ def test_selfsim_pipeline_writes_the_theorem_schema(tmp_path, theorem_dir):
     out = run_experiment(_SMALL, tmp_path / "o", ["selfsim"])
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary) == list(json.loads((theorem_dir / "summary.json").read_text()))
-    for block in (summary["alpha0"], summary["alpha0_methods"], summary["prefactor_check"],
-                  summary["resolution"]["error"], summary["flux_identity_residual"]["selfsim"]):
+    for block in (summary["alpha0"], summary["alpha0_methods"], summary["alpha0_gap"],
+                  summary["prefactor_check"], summary["resolution"]["error"],
+                  summary["flux_identity_residual"]["selfsim"]):
         assert list(block) == ["1.5"]
     assert [(f["cbar"], f["observable"], f["model"]) for f in summary["fits"]] == [
         (1.5, "mass", "power"), (1.5, "slope0", "power")]

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import dawsn
 
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
-from bbmlab.oscillator import SpectralBasis, default_y_grid, hermite_rows, trapezoid_weights
+from bbmlab.oscillator import SpectralBasis, default_y_grid, trapezoid_weights
 from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _G0, _f0_projections,
                             _g0_series, _g0_spectral, _tail_integrand, forcing_F,
                             g1_coefficient, g_profile, g_slope0, kernel_projection_of_F,
@@ -89,6 +89,10 @@ def test_rejects_negative_z():
     for y in (math.inf, math.nan, 1e200):
         with pytest.raises(ValueError, match="y must be"):
             g_profile(1.0, 0.0, np.array([0.0, 1.0, y]))
+    # g lives on y >= 0: a negative node would give the even extension, where the
+    # spectral route gives the odd one
+    with pytest.raises(ValueError, match=r"y must be >= 0 at every node, got y\[0\] = -2\.0$"):
+        g_profile(1.0, 0.0, np.linspace(-2.0, 2.0, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +314,30 @@ def test_series_route_equation_residual(y_grid, weights):
     assert rn <= 1e-4
 
 
+def _hermite_rows_three_term(u):
+    """h_0, h_1, h_2, ... at nodes u by the weight-inside three-term recurrence
+    h_{k+1} = sqrt(2/(k+1)) u h_k - sqrt(k/(k+1)) h_{k-1}, one row at a time.
+
+    The oracle's own generator, independent of the two-step form that
+    oscillator.hermite_rows steps (and more accurate near u = 0).
+    """
+    h_prev, h = 0.0, np.pi ** -0.25 * np.exp(-0.5 * u * u)
+    for k in itertools.count():
+        yield h
+        h_prev, h = h, math.sqrt(2.0 / (k + 1)) * u * h - math.sqrt(k / (k + 1)) * h_prev
+
+
 def _galerkin_oracle(params, y, n_modes):
     """Galerkin solutions of (M - 1/2) g = F for each (alpha, cbar) in params, with
     the whole forcing projected (no split) by composite Gauss-Legendre: 800
-    panels of 20 nodes on [0, 80], past which e^{-y^2/8} underflows."""
+    panels of 20 nodes on [0, 80], past which e^{-y^2/8} underflows, and the
+    modes from the three-term recurrence."""
     x, w = np.polynomial.legendre.leggauss(20)
     half = 80.0 / 800 / 2.0
     yq = (((2 * np.arange(800) + 1) * half)[:, None] + half * x).ravel()
     wF = np.array([forcing_F(a, c, yq) for a, c in params]) * np.tile(half * w, 800)
     g = np.zeros((len(params), y.size))
-    rows = zip(hermite_rows(yq / 2.0), hermite_rows(y / 2.0))
+    rows = zip(_hermite_rows_three_term(yq / 2.0), _hermite_rows_three_term(y / 2.0))
     for n, (hq, h) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
         a_n = wF @ hq
         g += np.outer(-2.0 * a_n if n == 0 else a_n / (n - 0.5), h)
