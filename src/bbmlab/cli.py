@@ -70,8 +70,10 @@ def main(argv=None) -> int:
                 value = getattr(args, flag)
                 if value is not None and not math.isfinite(value):
                     raise ConfigError(f"--{flag} must be finite, got {value!r}")
-            if args.z is not None and args.z < 0:
-                raise ConfigError(f"specfun: --z must be >= 0, got {args.z!r}")
+            for flag in ("z", "y"):
+                value = getattr(args, flag)
+                if value is not None and value < 0:
+                    raise ConfigError(f"specfun: --{flag} must be >= 0, got {value!r}")
             z = args.z if args.z is not None else args.y * args.y / 4.0
             if not math.isfinite(z):
                 raise ConfigError(f"specfun: y^2/4 overflows float64 at --y {args.y!r}")

@@ -45,14 +45,6 @@ class ConstantDrift:
             raise ValueError("speed must be finite")
 
 
-def front_position(t: float, d: DriftExpansion) -> float:
-    """X(t) = 2(t+1) - (3/2) log(t+1) - cbar (t+1)^{-1/2}, for t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    tp = t + 1.0
-    return 2.0 * tp - 1.5 * math.log(tp) - d.cbar / math.sqrt(tp)
-
-
 def front_speed(t: float, d: DriftExpansion | ConstantDrift) -> float:
     """dX/dt = 2 - (3/2)(t+1)^{-1} + (cbar/2)(t+1)^{-3/2}, for t >= 0."""
     if t < 0:

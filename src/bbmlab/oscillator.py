@@ -25,8 +25,8 @@ Hermite modes e_n(y) = H_{2n+1}(y/2) e^{-y^2/8} / sqrt(2^{2n+1} (2n+1)! sqrt(pi)
 with eigenvalue exactly n.  Every mode comes from one recurrence, the
 generator hermite_rows, whose row n is e_n at u = y/2: it steps the odd
 Hermite functions alone, by the two-step form of the three-term recurrence.
-The discrete M_h is assembled in one place, _operator_parts: evolve_W steps
-with it and apply_M applies it.
+The discrete M_h is assembled in one place, _operator_parts, which evolve_W
+steps with.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma, gammainc
 
 from .drift import SQRT_PI, DriftExpansion, selfsimilar_forcing
-from .pde import (Field, NumericalFailure, ObservableSeries, SpatialGrid, _matvec, banded, march,
-                  write_csv)
+from .pde import Field, NumericalFailure, ObservableSeries, banded, march, write_csv
 
 #: L2 norm of the unnormalized kernel mode y e^{-y^2/8} on (0, inf).
 KERNEL_NORM = math.sqrt(2.0 * SQRT_PI)
@@ -164,9 +163,6 @@ class SpectralBasis:
         """Coefficients <values, e_n> for n < n_modes."""
         return self.modes @ (self.weights * values)
 
-    def gram(self) -> np.ndarray:
-        return (self.modes * self.weights) @ self.modes.T
-
 
 @dataclass
 class Decomposition:
@@ -211,42 +207,6 @@ def _operator_parts(y: np.ndarray, dy: float):
     return banded(_BANDS, n, lap), banded(_BANDS, n, d1)
 
 
-def apply_M(phi: np.ndarray, dy: float) -> np.ndarray:
-    """M_h phi for phi vanishing at both ends: the operator evolve_W steps with.
-
-    M_h = -L0 of _operator_parts; the result is zero at both ends.
-    """
-    phi = np.asarray(phi, dtype=float)
-    scale = np.abs(phi).max()
-    if scale > 0 and max(abs(phi[0]), abs(phi[-1])) > 1e-8 * scale:
-        raise ValueError("phi must vanish at both ends")
-    L0, _ = _operator_parts(np.arange(phi.size) * dy, dy)
-    return -_matvec(L0, _BANDS, phi)
-
-
-def _derivative(phi: np.ndarray, dy: float) -> np.ndarray:
-    """First derivative: 6th order inside, lower order near and at the ends."""
-    phi = np.asarray(phi, dtype=float)
-    d = np.empty_like(phi)
-    d[3:-3] = (-phi[:-6] + 9 * phi[1:-5] - 45 * phi[2:-4]
-               + 45 * phi[4:-2] - 9 * phi[5:-1] + phi[6:]) / (60 * dy)
-    d[1] = (-3 * phi[0] - 10 * phi[1] + 18 * phi[2] - 6 * phi[3] + phi[4]) / (12 * dy)
-    d[2] = (phi[0] - 8 * phi[1] + 8 * phi[3] - phi[4]) / (12 * dy)
-    d[-3] = (phi[-5] - 8 * phi[-4] + 8 * phi[-2] - phi[-1]) / (12 * dy)
-    d[-2] = (3 * phi[-1] + 10 * phi[-2] - 18 * phi[-3] + 6 * phi[-4] - phi[-5]) / (12 * dy)
-    d[0] = slope_at_origin(phi, dy)
-    d[-1] = -slope_at_origin(phi[::-1], dy)
-    return d
-
-
-def quadratic_form_Q(phi: np.ndarray, dy: float) -> float:
-    """Q(phi) = int (phi')^2 + (y^2/16 - 3/4) phi^2 dy by trapezoid quadrature."""
-    phi = np.asarray(phi, dtype=float)
-    y = np.arange(phi.size) * dy
-    integrand = _derivative(phi, dy) ** 2 + _potential(y) * phi * phi
-    return float(np.sum(trapezoid_weights(phi.size, dy) * integrand))
-
-
 def slope_at_origin(values: np.ndarray, dy: float) -> float:
     """One-sided 4th-order first derivative at the first node."""
     v = values
@@ -279,19 +239,6 @@ def to_selfsimilar(f: Field, y_grid: np.ndarray) -> SelfSimilarField:
     W = np.exp(-tau / 2.0 + y_grid ** 2 / 8.0 + xs) * CubicSpline(f.grid.x, f.values)(xs)
     W[0] = W[-1] = 0.0
     return SelfSimilarField(tau, y_grid, W)
-
-
-def from_selfsimilar(W: SelfSimilarField, grid: SpatialGrid) -> Field:
-    """Inverse map onto a physical grid at t = e^tau - 1."""
-    t = math.expm1(W.tau)
-    scale = math.exp(-W.tau / 2.0)
-    x = grid.x
-    ys = x * scale
-    spline = CubicSpline(W.y, W.values)
-    wvals = np.where(ys <= W.y[-1], spline(np.clip(ys, 0.0, W.y[-1])), 0.0)
-    v = np.exp(W.tau / 2.0) * np.exp(-ys * ys / 8.0) * np.exp(-x) * wvals
-    v[0] = v[-1] = 0.0
-    return Field(grid, v, t)
 
 
 def initial_mode_overlap(f: Field):

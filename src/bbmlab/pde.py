@@ -203,17 +203,6 @@ def banded(lu, n: int, diagonals: dict) -> np.ndarray:
     return ab
 
 
-def _matvec(ab, lu, v):
-    """A v for a banded() operator ab, summed from the lowest band to the highest."""
-    l, u = lu
-    n = v.size
-    out = np.zeros_like(v)
-    for k in range(-l, u + 1):
-        lo, hi = max(0, -k), min(n, n - k)
-        out[lo:hi] += ab[l + u - k, lo + k:hi + k] * v[lo + k:hi + k]
-    return out
-
-
 #: zero nodes past the state's last nonzero one that a tridiagonal step also
 #: solves over; the underflow front of the physical runs advances up to about
 #: 30 nodes a step, so a wider margin only costs time (see _solve)

@@ -155,36 +155,3 @@ def prefactor_check(series: ObservableSeries, alpha0: float, window: tuple) -> f
     coef, _, _ = _lstsq_line(tau * np.exp(-tau / 2.0), m)
     return float(coef[1])
 
-
-def fit_remainder_decay(taus: np.ndarray, r_norms: np.ndarray,
-                        window: tuple = (4.0, 9.0)):
-    """Decay exponent of ||R(tau)|| in e-units, with an (a + b tau) prefactor.
-
-    Fits log||R|| = c + log(1 + r tau) - lambda tau, which nests the
-    pure-exponential (r = 0) and tau-linear-prefactor (r -> inf) shapes.
-    For fixed r the model is linear in (c, lambda), so r is profiled over a
-    log grid and solved exactly; returns (lambda, diagnostics).  Data
-    consistent with the theory gives lambda = 1 up to the window resolution.
-    """
-    taus = np.asarray(taus, dtype=float)
-    r_norms = np.asarray(r_norms, dtype=float)
-    sel = (taus >= window[0]) & (taus <= window[1]) & (r_norms > 0)
-    tau = taus[sel]
-    logr = np.log(r_norms[sel])
-    if len(tau) < 10:
-        raise ValueError("too few samples in the remainder window")
-
-    coef, r2, _ = _lstsq_line(tau, logr)
-    lam0 = -float(coef[0])
-
-    best = (np.inf, lam0, 0.0)
-    for r in np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 91)]):
-        y = logr - np.log1p(r * tau)
-        c, _, _ = _lstsq_line(tau, y)
-        ssr = float(np.sum((y - (c[0] * tau + c[1])) ** 2))
-        if ssr < best[0]:
-            best = (ssr, -float(c[0]), float(r))
-    lam = best[1]
-    return lam, {"loglinear_slope": -lam0, "r_squared_loglinear": r2,
-                 "prefactor_ratio": best[2],
-                 "window": (float(tau.min()), float(tau.max())), "n": len(tau)}

@@ -221,12 +221,6 @@ def g_profile(alpha: float, cbar: float, y: np.ndarray) -> GProfile:
 # ---------------------------------------------------------------------------
 # spectral construction
 
-def forcing_F(alpha: float, cbar: float, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the g equation: alpha e^{-y^2/8} [(3/4) y^2 - (cbar/2) y - 3/2]."""
-    y = np.asarray(y, dtype=float)
-    return alpha * np.exp(-y * y / 8.0) * (0.75 * y * y - 0.5 * cbar * y - 1.5)
-
-
 def kernel_projection_of_F(alpha: float, cbar: float) -> float:
     """<F, e_0> in closed form: alpha (3 - cbar sqrt(pi)) / sqrt(2 sqrt(pi)).
 

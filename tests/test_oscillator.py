@@ -6,13 +6,12 @@ import pytest
 
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion
 from bbmlab.oscillator import (KERNEL_NORM, LossOfSupport, SelfSimilarField, SpectralBasis,
-                               apply_M, decompose, default_y_grid,
-                               eigenfunction, evolve_W, hermite_rows,
-                               from_selfsimilar, initial_mode_overlap,
-                               observables_from_trajectory, quadratic_form_Q,
+                               decompose, default_y_grid, eigenfunction, evolve_W, hermite_rows,
+                               initial_mode_overlap, observables_from_trajectory,
                                slope_correspondence, to_selfsimilar, trapezoid_weights)
 from bbmlab.pde import (Field, NumericalFailure, SolverConfig, SpatialGrid, boundary_slope,
                         evolve, initial_condition, mass)
+from oracles import M_h, from_selfsimilar, quadratic_form_Q
 
 CB = CBAR_CRITICAL
 DY = 0.01
@@ -204,15 +203,16 @@ def test_eigenfunction_e1_formula(y_grid):
 
 
 def test_orthonormality(basis12):
-    G = basis12.gram()
+    G = (basis12.modes * basis12.weights) @ basis12.modes.T
     off = G - np.eye(12)
     assert np.abs(off).max() <= 1e-10
 
 
 def test_eigen_residuals(y_grid, weights):
+    M = M_h(y_grid, DY)
     for n in range(9):
         en = eigenfunction(n, y_grid)
-        r = apply_M(en, DY) - n * en
+        r = M @ en - n * en
         assert l2(weights, r) <= 1e-4, f"mode {n}"
 
 
@@ -222,14 +222,14 @@ def test_eigen_residual_refines():
         y = default_y_grid(dy)
         w = trapezoid_weights(y.size, dy)
         e4 = eigenfunction(4, y)
-        errs.append(l2(w, apply_M(e4, dy) - 4 * e4))
+        errs.append(l2(w, M_h(y, dy) @ e4 - 4 * e4))
     assert errs[0] / errs[1] > 3.9   # 4th-order stencil refines at least this fast
 
 
 def test_apply_M_on_quadratic(y_grid):
     Y = y_grid[-1]
     phi = y_grid * (Y - y_grid)
-    out = apply_M(phi, DY)
+    out = M_h(y_grid, DY) @ phi
     expect = 2.0 + (y_grid**2 / 16 - 0.75) * phi
     inner = slice(1, -1)
     np.testing.assert_allclose(out[inner], expect[inner], rtol=1e-9, atol=1e-9)
@@ -247,11 +247,6 @@ def test_apply_M_on_quadratic(y_grid):
 def test_self_similar_types_reject_bad_input(y_grid, build, error, match):
     with pytest.raises(error, match=match):
         build(y_grid)
-
-
-def test_apply_M_rejects_nonvanishing_ends(y_grid):
-    with pytest.raises(ValueError):
-        apply_M(np.ones_like(y_grid), DY)
 
 
 def test_Q_eigen_values(y_grid):
@@ -282,10 +277,11 @@ def _random_smooth(y_grid, rng, n_bumps=4):
 
 def test_form_consistency_random(y_grid, weights):
     rng = np.random.default_rng(7)
+    M = M_h(y_grid, DY)
     for _ in range(10):
         phi = _random_smooth(y_grid, rng)
         q = quadratic_form_Q(phi, DY)
-        inner = float(np.sum(weights * phi * apply_M(phi, DY)))
+        inner = float(np.sum(weights * phi * (M @ phi)))
         assert abs(q - inner) <= 1e-8
 
 

@@ -670,6 +670,7 @@ def test_cli_selfsim_past_the_self_similar_grid_exits_3(tmp_path, capsys):
     (["specfun", "--z", "nan"], "--z"),
     (["specfun", "--y", "inf"], "--y"),
     (["specfun", "--z", "-1"], "--z"),
+    (["specfun", "--y", "-1"], "--y"),
     (["specfun", "--y", "1e200"], "--y"),
     (["mc", "--replicas", "0"], "mc.replicas"),
     (["mc", "--x0", "-1"], "mc.x0"),
@@ -682,9 +683,10 @@ def test_cli_selfsim_past_the_self_similar_grid_exits_3(tmp_path, capsys):
     (["solve", "--cbar", "nan"], "cbar"),
     (["fit"], "'fit'"),   # selfsim writes the rate fits: no fit subcommand
 ], ids=["specfun_cbar_nan", "specfun_alpha_inf", "specfun_z_nan", "specfun_y_inf",
-        "specfun_z_negative", "specfun_y_overflows", "mc_replicas_0", "mc_x0_negative", "mc_dt_0",
-        "mc_drift_nan", "mc_empty_payoff_support", "mc_replicas_float", "mc_seed_negative",
-        "seed_text", "solve_cbar_nan", "no_fit_subcommand"])
+        "specfun_z_negative", "specfun_y_negative", "specfun_y_overflows", "mc_replicas_0",
+        "mc_x0_negative", "mc_dt_0", "mc_drift_nan", "mc_empty_payoff_support",
+        "mc_replicas_float", "mc_seed_negative", "seed_text", "solve_cbar_nan",
+        "no_fit_subcommand"])
 def test_cli_bad_arguments_exit_2(capsys, argv, named):
     try:
         rc = cli_main(argv)

@@ -7,8 +7,8 @@ from bbmlab.drift import CBAR_CRITICAL
 from bbmlab.oscillator import WTrajectory, default_y_grid
 from bbmlab.pde import ObservableSeries
 from bbmlab.pipeline import make_config, rate_report, selfsimilar_run
-from bbmlab.rates import (estimate_alpha0, fit_rate, fit_remainder_decay,
-                          prefactor_check)
+from bbmlab.rates import estimate_alpha0, fit_rate, prefactor_check
+from oracles import fit_remainder_decay
 
 CB = CBAR_CRITICAL
 #: the last decade of the synthetic series' t

@@ -8,9 +8,9 @@ from scipy.special import dawsn
 from bbmlab.drift import CBAR_CRITICAL, SQRT_PI
 from bbmlab.oscillator import SpectralBasis, default_y_grid, trapezoid_weights
 from bbmlab.specfun import (F2, H, G_explicit, SeriesDiverged, _G0, _f0_projections,
-                            _g0_series, _g0_spectral, _tail_integrand, forcing_F,
-                            g1_coefficient, g_profile, g_slope0, kernel_projection_of_F,
-                            solve_g_spectral)
+                            _g0_series, _g0_spectral, _tail_integrand, g1_coefficient,
+                            g_profile, g_slope0, kernel_projection_of_F, solve_g_spectral)
+from oracles import M_h
 
 CB = CBAR_CRITICAL
 
@@ -302,13 +302,18 @@ def test_spectral_projection_identity(y_grid, weights):
     assert np.abs(resid).max() <= 1e-8
 
 
+def _forcing(alpha, cbar, y):
+    """The right-hand side of the g equation,
+    F(y) = alpha e^{-y^2/8} [(3/4) y^2 - (cbar/2) y - 3/2]."""
+    return alpha * np.exp(-y * y / 8.0) * (0.75 * y * y - 0.5 * cbar * y - 1.5)
+
+
 def test_series_route_equation_residual(y_grid, weights):
     # the explicit profile satisfies (M - 1/2) g = F up to the stencil error
-    from bbmlab.oscillator import apply_M
     alpha, cbar = 1.0, CB
     g = g_profile(alpha, cbar, y_grid).values
-    F = forcing_F(alpha, cbar, y_grid)
-    r = apply_M(g, 0.01) - 0.5 * g - F
+    F = _forcing(alpha, cbar, y_grid)
+    r = M_h(y_grid, 0.01) @ g - 0.5 * g - F
     inner = slice(1, -1)
     rn = math.sqrt(np.sum(weights[inner] * r[inner] ** 2))
     assert rn <= 1e-4
@@ -335,7 +340,7 @@ def _galerkin_oracle(params, y, n_modes):
     x, w = np.polynomial.legendre.leggauss(20)
     half = 80.0 / 800 / 2.0
     yq = (((2 * np.arange(800) + 1) * half)[:, None] + half * x).ravel()
-    wF = np.array([forcing_F(a, c, yq) for a, c in params]) * np.tile(half * w, 800)
+    wF = np.array([_forcing(a, c, yq) for a, c in params]) * np.tile(half * w, 800)
     g = np.zeros((len(params), y.size))
     rows = zip(_hermite_rows_three_term(yq / 2.0), _hermite_rows_three_term(y / 2.0))
     for n, (hq, h) in enumerate(itertools.islice(rows, 1, 2 * n_modes, 2)):
