@@ -5,7 +5,8 @@ specfun run their pipeline through run_experiment; --config PATH (key=value
 file), --seed N and the subcommand's flags set config keys (_FLAG_KEYS), --out
 DIR takes the artifacts and mc prints its mc_result.json; reproduce-theorem
 runs cbar = 0, 3 sqrt(pi) and 10 and takes no --cbar.  specfun prints one
-pipeline.specfun_row.  Exit codes: 2 invalid config, 3 numerical failure.
+pipeline.specfun_row and takes none of the global flags.  Exit codes: 2
+invalid config, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
     out_dir = getattr(args, "out", "bbmlab_out")
     try:
         if args.command == "specfun":
+            for flag in ("config", "out", "seed"):  # given before the subcommand
+                if hasattr(args, flag):
+                    raise ConfigError(f"specfun takes no --{flag}")
             if (args.z is None) == (args.y is None):
                 raise ConfigError("specfun: give exactly one of --z or --y")
             for flag in ("z", "y", "alpha", "cbar"):
@@ -79,6 +83,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"specfun: y^2/4 overflows float64 at --y {args.y!r}")
             out = {**specfun_row(z, args.alpha, args.cbar),
                    "g_slope0": g_slope0(args.alpha, args.cbar)}
+            bad = [f"{k} = {v!r}" for k, v in out.items() if v is not None and not math.isfinite(v)]
+            if bad:
+                raise NumericalFailure(f"specfun: non-finite {', '.join(bad)} at z = {z!r}, "
+                                       f"alpha = {args.alpha!r}, cbar = {args.cbar!r}")
             print(json.dumps(out, indent=2, allow_nan=False))
             return 0
 

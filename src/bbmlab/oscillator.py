@@ -182,12 +182,8 @@ def _potential(y: np.ndarray) -> np.ndarray:
     return y * y / 16.0 - 0.75
 
 
-#: band layout of the self-similar operators: two bands on each side
-_BANDS = (2, 2)
-
-
 def _operator_parts(y: np.ndarray, dy: float):
-    """(L0, L1) = (-M_h, D1 - y/4) in banded form on the grid y of spacing dy.
+    """(L0, L1) = (-M_h, D1 - y/4) in banded form (half-width 2) on the grid y of spacing dy.
 
     Fourth-order 5-point stencils for d^2/dy^2 and d/dy inside, 3-point ones
     on the nodes next to the ends (where the wider stencil would leave the
@@ -204,7 +200,7 @@ def _operator_parts(y: np.ndarray, dy: float):
     d1 = stencil(np.array([1, -8, 0, 8, -1]) / (12 * dy), np.array([0, -1, 0, 1, 0]) / (2 * dy))
     lap[0] = lap[0] - _potential(y)
     d1[0] = d1[0] - y / 4.0
-    return banded(_BANDS, n, lap), banded(_BANDS, n, d1)
+    return banded(2, n, lap), banded(2, n, d1)
 
 
 def slope_at_origin(values: np.ndarray, dy: float) -> float:
@@ -284,7 +280,7 @@ def evolve_W(W0: SelfSimilarField, tau_end: float, d: DriftExpansion, dtau: floa
     initial state, the state after the startup_steps implicit-Euler half
     steps, every sample_every-th step and the final state.
     """
-    taus, states = zip(*march(_operator_parts(W0.y, W0.dy), _BANDS, W0.values, W0.tau, tau_end,
+    taus, states = zip(*march(_operator_parts(W0.y, W0.dy), W0.values, W0.tau, tau_end,
                               dtau, startup_steps, sample_every,
                               lambda tau_half: selfsimilar_forcing(tau_half, d)))
     return WTrajectory(W0.y, np.array(taus), np.array(states), d.cbar)

@@ -20,17 +20,17 @@ theta-stepper.  march takes the startup half steps and the Crank-Nicolson
 steps and yields the samples.  Each frame hands it two fixed banded parts
 (P0, P1), assembled once per run, and a function of the half-step time that
 returns the coefficients (c1, c2) of the step's operator L = P0 + c1 P1 + c2 I
-(here the speed and 0, in the self-similar frame a and b).  march writes L
-in its one band buffer when the coefficients change.  The step matrix
-I - theta h L is factored once per distinct matrix: a step whose
-coefficients, h and theta equal those of the run's stored LU factors (a
-constant drift, away from the startup and the last step) solves with them;
-any other step factors, keeps the factors and solves.  Each step is one solve, u = (I - theta h L)^{-1} v, and returns
-u/theta - ((1 - theta)/theta) v (2u - v for Crank-Nicolson), which equals
-(I - theta h L)^{-1} (I + (1 - theta) h L) v: no mat-vec with L.  The band
-layout picks LAPACK's routines: the tridiagonal ones (dgttrf, dgttrs) for the
-physical frame's (1, 1), the banded ones (dgbtrf, dgbtrs) for every other
-layout, such as the self-similar (2, 2).
+(here the speed and 0, in the self-similar frame a and b).  theta_step
+writes I - theta h L from the parts and coefficients into the run's one
+StepFactors and factors it, unless the coefficients, h and theta equal
+those of the stored factors (a constant drift, away from the startup and
+the last step).  Each step is one solve, u = (I - theta h L)^{-1} v, and
+returns u/theta - ((1 - theta)/theta) v (2u - v for Crank-Nicolson), which
+equals (I - theta h L)^{-1} (I + (1 - theta) h L) v: no mat-vec with L.
+Both operators have k bands on each side of the diagonal, and k, read off
+the parts' shape, picks LAPACK's routines: the tridiagonal ones (dgttrf,
+dgttrs) for the physical k = 1, the banded ones (dgbtrf, dgbtrs) for the
+self-similar k = 2.
 
 A physical solution underflows to exact zeros ahead of a front that takes
 hundreds of steps to cross the grid (435 of criterion 8's 1202).  Past that
@@ -178,28 +178,27 @@ def initial_condition(kind: str, grid: SpatialGrid, a: float = 1.0, b: float = 2
     return Field(grid, v, 0.0)
 
 
-def banded(lu, n: int, diagonals: dict) -> np.ndarray:
-    """An n x n operator in LAPACK band storage, with zero first and last rows.
+def banded(k: int, n: int, diagonals: dict) -> np.ndarray:
+    """An n x n operator of half-width k in LAPACK band storage, with zero first and last rows.
 
-    The result is a (2l+u+1) x n Fortran-order array: rows l: hold A[i, j] at
-    [l + u + i - j, j], the solve_banded layout, and the first l rows are the
-    room dgbtrf needs for the fill-in of its LU factors, which theta_step
-    makes in an array of this shape.  Fortran order lets LAPACK factor that
-    array in place, and lets operators of one layout be combined with
-    whole-array operations.  diagonals maps an offset k to the
-    entries A[i, i+k] (a scalar or one value per row i).  The end rows are
-    left zero, so a theta step with this operator keeps homogeneous Dirichlet
-    values by construction.
+    The result is a (3k+1) x n Fortran-order array: rows k: hold A[i, j] at
+    [2k + i - j, j], the solve_banded layout for (k, k), and the first k rows
+    are the room dgbtrf needs for the fill-in of its LU factors, which
+    theta_step makes in an array of this shape.  Fortran order lets LAPACK
+    factor that array in place, and lets operators of one half-width be
+    combined with whole-array operations.  diagonals maps an offset j,
+    |j| <= k, to the entries A[i, i+j] (a scalar or one value per row i).
+    The end rows are left zero, so a theta step with this operator keeps
+    homogeneous Dirichlet values by construction.
     """
-    l, u = lu
-    ab = np.zeros((2 * l + u + 1, n), order="F")
-    for k, c in diagonals.items():
+    ab = np.zeros((3 * k + 1, n), order="F")
+    for j, c in diagonals.items():
         c = np.array(np.broadcast_to(c, n), dtype=float)
         c[0] = c[-1] = 0.0
-        if k >= 0:
-            ab[l + u - k, k:] = c[:n - k]
+        if j >= 0:
+            ab[2 * k - j, j:] = c[:n - j]
         else:
-            ab[l + u - k, :n + k] = c[-k:]
+            ab[2 * k - j, :n + j] = c[-j:]
     return ab
 
 
@@ -212,16 +211,17 @@ PREFIX_MARGIN = 64
 class StepFactors:
     """The LU factors of the last theta-step matrix I - theta h L, and what they factor.
 
-    march keeps one per run for its operator buffer L and hands it to each
-    theta_step with a key: the coefficients that built L from the run's
-    parts.  A step whose key, h and theta equal the stored ones reuses the
-    factors: the pivots piv with ab, dgbtrf's factors, or for a tridiagonal
-    L with tri, dgttrf's (dl, d, du, du2) and tail, what _prefix_exact reads
-    of them.
+    march keeps one per run, made from the run's parts (P0, P1), whose shape
+    gives the half-width k.  theta_step builds each step matrix in ab from
+    the parts and the step's coefficients c, and made_for records (c, h,
+    theta): a step with the same three reuses the factors, the pivots piv
+    with ab, dgbtrf's factors, or for k = 1 with tri, dgttrf's (dl, d, du,
+    du2) and tail, what _prefix_exact reads of them.
     """
 
-    def __init__(self, L):
-        self.ab = np.empty(L.shape, order="F")  # I - theta h L in band storage
+    def __init__(self, parts):
+        self.k = (parts[0].shape[0] - 1) // 3
+        self.ab = np.empty(parts[0].shape, order="F")  # I - theta h L in band storage
         self.tri = self.piv = self.made_for = self.tail = None
 
 
@@ -250,7 +250,7 @@ def _prefix_exact(factors, p):
     return p - 1 >= first and 2.0 * math.floor(abs_d[p - 1] / 2.0) <= min_from[p]
 
 
-def _solve(factors, lu, values):
+def _solve(factors, values):
     """(I - theta h L)^{-1} values on the rows it reaches, and LAPACK's info.
 
     A banded solve covers the whole grid.  While the state is zero at the
@@ -260,8 +260,8 @@ def _solve(factors, lu, values):
     grid.  Past the cut the whole-grid solve gives exact zeros, so the
     margin sets the speed, never a value.
     """
-    if lu != (1, 1):
-        return dgbtrs(factors.ab, *lu, values, factors.piv)
+    if factors.k != 1:
+        return dgbtrs(factors.ab, factors.k, factors.k, values, factors.piv)
     dl, d, du, du2 = factors.tri
     n = values.size
     if values[-2] == 0.0:
@@ -274,43 +274,47 @@ def _solve(factors, lu, values):
     return dgttrs(dl, d, du, du2, factors.piv, values)
 
 
-def theta_step(L, lu, values, t, h, theta, factors, key):
+def theta_step(parts, values, t, h, theta, factors, c):
     """One theta step of v' = L v from t to t + h; returns the new values.
 
-    L holds the operator as from banded() and is left unchanged; values vanish
-    at both ends.  theta = 1/2 is Crank-Nicolson, theta = 1 implicit Euler.
-    When factors (a StepFactors) hold the LU factors for the same key, h and
-    theta, the step solves with them; otherwise it factors and stores the
-    factors, then solves.  A tridiagonal L, lu = (1, 1), factors with dgttrf
-    and solves with dgttrs; any other layout factors with dgbtrf and solves
-    with dgbtrs.  The step is one solve, u = (I - theta h L)^{-1} v, and
-    returns u/theta - ((1 - theta)/theta) v, 2u - v for Crank-Nicolson,
+    L = P0 + c1 P1 + c2 I, with (P0, P1) = parts as from banded() and
+    (c1, c2) = c; values vanish at both ends.  theta = 1/2 is Crank-Nicolson,
+    theta = 1 implicit Euler.  When factors (a StepFactors of these parts)
+    were made for the same c, h and theta, the step solves with them;
+    otherwise it writes I - theta h L into factors.ab (P1 c1, then + P0,
+    then + c2 on the interior diagonal, then times -theta h, then + 1 on the
+    diagonal), factors it, keeps the factors and solves.  At half-width
+    k = 1 it factors with dgttrf and solves with dgttrs; at k = 2 with
+    dgbtrf and dgbtrs.  The step is one solve, u = (I - theta h L)^{-1} v,
+    and returns u/theta - ((1 - theta)/theta) v, 2u - v for Crank-Nicolson,
     which equals (I - theta h L)^{-1} (I + (1 - theta) h L) v: no mat-vec
     with L.  A tridiagonal solve covers the active prefix of _solve.  u is
     scipy.linalg.solve_banded's bit for bit: its LAPACK drivers run the same
     eliminations (dgtsv as dgttrf then dgttrs, dgbsv as dgbtrf then dgbtrs).
     A non-finite or singular matrix, a nonzero LAPACK info or a non-finite
-    value raises NumericalFailure.  The zero end rows of L make the end rows
-    of the system the identity; pivoting in the solve can still leave
-    round-off there, so the ends are set to exactly 0.
+    value raises NumericalFailure.  The zero end rows of the parts make the
+    end rows of the system the identity; pivoting in the solve can still
+    leave round-off there, so the ends are set to exactly 0.
     """
-    l, u = lu
-    made_for = (key, h, theta)
+    made_for = (c, h, theta)
     if made_for != factors.made_for:
         factors.made_for = factors.tail = None
-        ab = factors.ab
-        np.multiply(L, -theta * h, out=ab)
-        ab[l + u] += 1.0
-        if not np.all(np.isfinite(ab[l:])):     # a cut solve need not reach a bad row
+        k, ab = factors.k, factors.ab
+        np.multiply(parts[1], c[0], out=ab)
+        ab += parts[0]
+        ab[2 * k, 1:-1] += c[1]     # c2 I, whose end rows are zero like every part's
+        ab *= -theta * h
+        ab[2 * k] += 1.0
+        if not np.all(np.isfinite(ab[k:])):     # a cut solve need not reach a bad row
             raise NumericalFailure(f"non-finite theta step matrix from {t:.6g} to {t + h:.6g}")
-        if lu == (1, 1):    # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
+        if k == 1:    # rows 3, 2 and 1 of the band storage: lower, main and upper diagonal
             *factors.tri, factors.piv, info = dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
         else:
-            factors.ab, factors.piv, info = dgbtrf(ab, l, u, overwrite_ab=True)
+            factors.ab, factors.piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
         if info != 0:
             raise NumericalFailure(f"singular theta step from {t:.6g} to {t + h:.6g}")
         factors.made_for = made_for
-    out, info = _solve(factors, lu, values)
+    out, info = _solve(factors, values)
     p = out.size
     if theta < 1.0:
         out /= theta
@@ -323,7 +327,7 @@ def theta_step(L, lu, values, t, h, theta, factors, key):
     return out
 
 
-def march(parts, lu, values, t, t_end, dt, startup_steps, sample_every, coefficients):
+def march(parts, values, t, t_end, dt, startup_steps, sample_every, coefficients):
     """Advance values from t to t_end with theta_step; yield (t, values) at each sample.
 
     startup_steps implicit-Euler half steps (Rannacher startup, stopped at
@@ -331,11 +335,10 @@ def march(parts, lu, values, t, t_end, dt, startup_steps, sample_every, coeffici
     at t_end.  The samples are the state handed in, the state after the
     startup, every sample_every-th Crank-Nicolson step and the state at t_end.
     Every step has the operator L = P0 + c1 P1 + c2 I of the banded parts
-    (P0, P1) = parts, with (c1, c2) = coefficients(t_half) at its half time
-    as its theta_step key; the march owns L and the StepFactors, and
-    rewrites L only when the coefficients change.  It raises ValueError
-    unless t, t_end and dt are finite, sample_every >= 1 and
-    startup_steps >= 0.
+    (P0, P1) = parts, with (c1, c2) = coefficients(t_half) at its half time;
+    the march hands both to theta_step with the run's one StepFactors.  It
+    raises ValueError unless t, t_end and dt are finite, sample_every >= 1
+    and startup_steps >= 0.
     """
     if not np.all(np.isfinite([t, t_end, dt])):
         raise ValueError(f"need finite t, t_end and dt, got {t!r}, {t_end!r} and {dt!r}")
@@ -344,28 +347,14 @@ def march(parts, lu, values, t, t_end, dt, startup_steps, sample_every, coeffici
     if sample_every < 1 or startup_steps < 0:
         raise ValueError(f"need sample_every >= 1 and startup_steps >= 0, got "
                          f"{sample_every!r} and {startup_steps!r}")
-    P0, P1 = parts
-    L = np.empty_like(P0)
-    factors = StepFactors(L)    # of the last step matrix, reused while it repeats
-    held = None                 # the coefficients L holds
-
-    def key(t_half):            # the coefficients at t_half, which L then holds
-        nonlocal held
-        c = coefficients(t_half)
-        if c != held:
-            np.multiply(P1, c[0], out=L)
-            np.add(L, P0, out=L)
-            L[sum(lu), 1:-1] += c[1]    # c2 I, whose end rows are zero like every part's
-            held = c
-        return c
-
+    factors = StepFactors(parts)    # of the last step matrix, reused while it repeats
     t0 = t
     yield t, values
     for _ in range(startup_steps):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        values = theta_step(L, lu, values, t, h, 1.0, factors, key(t + 0.5 * h))
+        values = theta_step(parts, values, t, h, 1.0, factors, coefficients(t + 0.5 * h))
         t += h
     if t > t0:
         yield t, values
@@ -373,27 +362,23 @@ def march(parts, lu, values, t, t_end, dt, startup_steps, sample_every, coeffici
     while t < t_end - 1e-12:
         last = t_end - t <= dt * (1.0 + 1e-9)
         h = t_end - t if last else dt
-        values = theta_step(L, lu, values, t, h, 0.5, factors, key(t + 0.5 * h))
+        values = theta_step(parts, values, t, h, 0.5, factors, coefficients(t + 0.5 * h))
         t = t_end if last else t + h
         k += 1
         if k % sample_every == 0 or t >= t_end - 1e-12:
             yield t, values
 
 
-#: Band layout of the physical operator: tridiagonal.
-_BANDS = (1, 1)
-
-
 def _operator_parts(grid: SpatialGrid):
-    """(A0, A1) with L = A0 + speed * A1.
+    """(A0, A1) with L = A0 + speed * A1, tridiagonal (half-width 1).
 
     A0 is diffusion plus growth, A1 the centred advection +d/dx per unit speed.
     """
     n = grid.nx + 1
     d2 = 1.0 / grid.dx**2
     a = 0.5 / grid.dx
-    return (banded(_BANDS, n, {-1: d2, 0: -2.0 * d2 + 1.0, 1: d2}),
-            banded(_BANDS, n, {-1: -a, 1: a}))
+    return (banded(1, n, {-1: d2, 0: -2.0 * d2 + 1.0, 1: d2}),
+            banded(1, n, {-1: -a, 1: a}))
 
 
 def mass(f: Field) -> float:
@@ -427,7 +412,7 @@ def evolve(f0: Field, t_end: float, cfg: SolverConfig, d: DriftExpansion):
         return speed, 0.0
 
     times, masses, slopes = [], [], []
-    for t, vals in march(_operator_parts(grid), _BANDS, f0.values.copy(), f0.time, t_end,
+    for t, vals in march(_operator_parts(grid), f0.values.copy(), f0.time, t_end,
                          cfg.effective_dt(grid), cfg.startup_steps, cfg.sample_every, coefficients):
         f = Field(grid, vals, t)
         times.append(t)

@@ -11,7 +11,7 @@ from bbmlab.drift import (CBAR_CRITICAL, ConstantDrift, DriftExpansion, front_sp
                           selfsimilar_forcing)
 from bbmlab.oscillator import (SelfSimilarField, default_y_grid, evolve_W,
                                observables_from_trajectory, to_selfsimilar)
-from bbmlab.pde import (_BANDS, Field, NumericalFailure, ObservableSeries, SolverConfig,
+from bbmlab.pde import (Field, NumericalFailure, ObservableSeries, SolverConfig,
                         SpatialGrid, StepFactors, _operator_parts, banded,
                         boundary_slope, evolve, flux_identity_residual,
                         initial_condition, march, mass, theta_step, write_csv,
@@ -93,10 +93,12 @@ def test_pure_growth_factor(grid):
     # step with it multiplies by (1 + dt/2)/(1 - dt/2)
     A0, _ = _operator_parts(grid)
     n, d2 = grid.nx + 1, 1.0 / grid.dx**2
-    ab = A0 - banded(_BANDS, n, {-1: d2, 0: -2.0 * d2, 1: d2})
+    ab = A0 - banded(1, n, {-1: d2, 0: -2.0 * d2, 1: d2})
+    parts = ab, np.zeros_like(ab)
     f = initial_condition("smooth_bump", grid, 5.0, 9.0)
     dt = SolverConfig(dt=0.01).effective_dt(grid)
-    f1 = Field(grid, theta_step(ab, _BANDS, f.values, 0.0, dt, 0.5, StepFactors(ab), 0), dt)
+    f1 = Field(grid, theta_step(parts, f.values, 0.0, dt, 0.5, StepFactors(parts), (0.0, 0.0)),
+               dt)
     factor = (1 + dt / 2) / (1 - dt / 2)
     inner = slice(1, -1)
     np.testing.assert_allclose(f1.values[inner], factor * f.values[inner],
@@ -265,105 +267,145 @@ def test_theta_step_scales_sine_mode_exactly(k):
     n = 200
     dx = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
-    lu = (1, 1)
-    L = banded(lu, n + 1, {-1: 1 / dx**2, 0: -2 / dx**2, 1: 1 / dx**2})
+    L = banded(1, n + 1, {-1: 1 / dx**2, 0: -2 / dx**2, 1: 1 / dx**2})
+    parts = L, np.zeros_like(L)
     v = np.sin(k * np.pi * x)
     v[0] = v[-1] = 0.0
     lam = 4.0 / dx**2 * math.sin(k * np.pi * dx / 2) ** 2
     h = 1e-3
     for theta, factor in ((1.0, 1.0 / (1.0 + h * lam)),
                           (0.5, (1.0 - h * lam / 2) / (1.0 + h * lam / 2))):
-        out = theta_step(L.copy(), lu, v, 0.0, h, theta, StepFactors(L), 0)
+        out = theta_step(parts, v, 0.0, h, theta, StepFactors(parts), (0.0, 0.0))
         assert out[0] == 0.0 and out[-1] == 0.0
         np.testing.assert_allclose(out, factor * v, rtol=0, atol=1e-12)
 
 
 def test_theta_step_non_finite_raises():
-    lu = (1, 1)
-    L = banded(lu, 5, {-1: 1.0, 0: np.inf, 1: 1.0})
+    L = banded(1, 5, {-1: 1.0, 0: np.inf, 1: 1.0})
+    parts = L, np.zeros_like(L)
     with pytest.raises(NumericalFailure):
-        theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5, StepFactors(L), 0)
+        theta_step(parts, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 0.5, StepFactors(parts),
+                   (0.0, 0.0))
 
 
-def _solve_banded_step(L, lu, v, h, theta):
-    """A theta step factored afresh by solve_banded, in the one-solve form:
-    u = (I - theta h L)^{-1} v, then u/theta - ((1 - theta)/theta) v."""
-    l, u = lu
-    A = -theta * h * L[l:]
-    A[u] += 1.0
-    out = solve_banded(lu, A, v)
+def _solve_banded_step(L, k, v, h, theta):
+    """A theta step of the half-width k operator L factored afresh by solve_banded,
+    in the one-solve form: u = (I - theta h L)^{-1} v, then u/theta - ((1 - theta)/theta) v."""
+    A = -theta * h * L[k:]
+    A[k] += 1.0
+    out = solve_banded((k, k), A, v)
     if theta < 1.0:
         out = out / theta - (1.0 - theta) / theta * v
     out[0] = out[-1] = 0.0
     return out
 
 
-@pytest.mark.parametrize("lu", [(1, 2), (2, 2), (1, 1)])
-def test_theta_step_matches_solve_banded_bit_for_bit(lu):
-    # random diagonally dominant systems, several steps through one buffer
-    # whose fill-in rows are NaN, so a solve that read them would show
-    l, u = lu
+@pytest.mark.parametrize("k", [1, 2])
+def test_theta_step_matches_solve_banded_bit_for_bit(k):
+    # random diagonally dominant systems, several steps, each with parts whose
+    # fill-in rows are NaN, so a factorization that read them would show
     n = 257
-    rng = np.random.default_rng(sum(lu))
-    ab = banded(lu, n, {})
-    ab[:l] = np.nan
+    rng = np.random.default_rng(2 * k)
+    zeros = banded(k, n, {})
     v = rng.standard_normal(n)
     v[0] = v[-1] = 0.0
     for h, theta in ((0.03, 0.5), (0.011, 0.5), (0.02, 1.0)):
-        diags = {k: rng.uniform(-50.0, 50.0, n) for k in range(-l, u + 1) if k}
+        diags = {j: rng.uniform(-50.0, 50.0, n) for j in range(-k, k + 1) if j}
         diags[0] = -(sum(np.abs(c) for c in diags.values()) + rng.uniform(0.0, 5.0, n))
-        L = banded(lu, n, diags)
-        want = _solve_banded_step(L, lu, v, h, theta)
-        ab[l:] = L[l:]
-        got = theta_step(ab, lu, v, 0.0, h, theta, StepFactors(ab), 0)
+        L = banded(k, n, diags)
+        want = _solve_banded_step(L, k, v, h, theta)
+        L[:k] = np.nan
+        parts = L, zeros
+        got = theta_step(parts, v, 0.0, h, theta, StepFactors(parts), (0.0, 0.0))
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, v)
         v = got
 
 
 def test_step_factors_reused_only_for_the_same_matrix():
-    # one StepFactors through steps that repeat the matrix or change one of L
-    # (named by its key), h and theta at a time, on the tridiagonal and the
-    # banded path; a reused factorization keeps its pivot array
-    for lu in ((1, 1), (1, 2)):
-        l, u = lu
+    # one StepFactors through steps that repeat the matrix or change one of
+    # c1, c2, h and theta at a time, on the tridiagonal and the banded path;
+    # a reused factorization keeps its pivot array
+    for k in (1, 2):
         n = 129
         rng = np.random.default_rng(7)
 
         def operator():
-            diags = {k: rng.uniform(-50.0, 50.0, n) for k in range(-l, u + 1) if k}
+            diags = {j: rng.uniform(-50.0, 50.0, n) for j in range(-k, k + 1) if j}
             diags[0] = -(sum(np.abs(c) for c in diags.values()) + rng.uniform(0.0, 5.0, n))
-            return banded(lu, n, diags)
+            return banded(k, n, diags)
 
-        L1, L2 = operator(), operator()
+        parts = P0, P1 = operator(), operator()
+        eye = banded(k, n, {0: 1.0})
         v = rng.standard_normal(n)
         v[0] = v[-1] = 0.0
-        factors = StepFactors(L1)
-        plan = [(L1, 1, 0.03, 0.5, False), (L1, 1, 0.03, 0.5, True), (L1, 1, 0.03, 1.0, False),
-                (L1, 1, 0.03, 1.0, True), (L1, 1, 0.02, 1.0, False), (L2, 2, 0.02, 1.0, False),
-                (L2, 2, 0.02, 1.0, True)]
-        for L, key, h, theta, reused in plan:
+        factors = StepFactors(parts)
+        plan = [((1.0, 0.0), 0.03, 0.5, False), ((1.0, 0.0), 0.03, 0.5, True),
+                ((1.0, 0.0), 0.03, 1.0, False), ((1.0, 0.0), 0.03, 1.0, True),
+                ((1.0, 0.0), 0.02, 1.0, False), ((0.5, 0.0), 0.02, 1.0, False),
+                ((0.5, 0.0), 0.02, 1.0, True), ((0.5, -3.0), 0.02, 1.0, False),
+                ((0.5, -3.0), 0.02, 1.0, True)]
+        for c, h, theta, reused in plan:
             piv = factors.piv
-            got = theta_step(L, lu, v, 0.0, h, theta, factors, key)
-            np.testing.assert_array_equal(got, _solve_banded_step(L, lu, v, h, theta))
-            assert (factors.piv is piv) == reused, (lu, key, h, theta)
+            got = theta_step(parts, v, 0.0, h, theta, factors, c)
+            want = _solve_banded_step(P0 + c[0] * P1 + c[1] * eye, k, v, h, theta)
+            np.testing.assert_array_equal(got, want)
+            assert (factors.piv is piv) == reused, (k, c, h, theta)
             v = got
         # the finiteness check runs on the reusing path too
         bad = v.copy()
         bad[n // 2] = np.nan
         with pytest.raises(NumericalFailure):
-            theta_step(L2, lu, bad, 0.0, 0.02, 1.0, factors, 2)
+            theta_step(parts, bad, 0.0, 0.02, 1.0, factors, (0.5, -3.0))
         assert factors.piv is piv
 
 
-@pytest.mark.parametrize("lu", [(1, 1), (1, 2)], ids=["tridiagonal", "banded"])
-def test_theta_step_singular_raises(lu):
+def _factorizations(monkeypatch):
+    """The number of pde's dgttrf and dgbtrf calls, by routine."""
+    counts = dict.fromkeys(("dgttrf", "dgbtrf"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _factor=getattr(pde, name), **kwargs):
+            counts[_name] += 1
+            return _factor(*args, **kwargs)
+        monkeypatch.setattr(pde, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d, count", [(ConstantDrift(2.0), 3), (DriftExpansion(5.0), 22)],
+                         ids=["constant", "expansion"])
+def test_physical_run_factors_once_per_distinct_matrix(monkeypatch, d, count):
+    # the run of test_evolve_matches_per_step_factorization_bit_for_bit: a
+    # constant drift factors the startup, the main steps and the short last
+    # step once each, the expansion each of its 2 + 19 + 1 steps
+    counts = _factorizations(monkeypatch)
+    evolve(initial_condition("indicator", SpatialGrid(60.0, 600)), 1.03,
+           SolverConfig(dt=0.05, sample_every=1, startup_steps=2), d)
+    assert counts == {"dgttrf": count, "dgbtrf": 0}
+
+
+def test_selfsimilar_run_factors_every_step(monkeypatch):
+    # the forcing coefficients change at every half time: 2 startup half
+    # steps, 19 steps of 0.05 and a last one of 0.03, one dgbtrf each
+    counts = _factorizations(monkeypatch)
+    y = default_y_grid(0.5)
+    w0 = y * np.exp(-(y - 3.0) ** 2)
+    w0[0] = w0[-1] = 0.0
+    tau0 = math.log(2.0)
+    traj = evolve_W(SelfSimilarField(tau0, y, w0), tau0 + 1.03, DriftExpansion(0.0), dtau=0.05,
+                    sample_every=1, startup_steps=2)
+    assert len(traj) == 22     # the start, the end of the startup and 20 steps
+    assert counts == {"dgttrf": 0, "dgbtrf": 22}
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["tridiagonal", "banded"])
+def test_theta_step_singular_raises(k):
     # I - h L has a zero row where h L = 1: LAPACK reports it, and the
     # factors are not kept for reuse
-    L = banded(lu, 5, {0: 10.0})
-    factors = StepFactors(L)
+    L = banded(k, 5, {0: 10.0})
+    parts = L, np.zeros_like(L)
+    factors = StepFactors(parts)
     with pytest.raises(NumericalFailure, match="singular"):
-        theta_step(L, lu, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 1.0, factors, 1)
+        theta_step(parts, np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.0, 0.1, 1.0, factors, (0.0, 0.0))
     assert factors.made_for is None
 
 
@@ -379,14 +421,14 @@ def _reference_evolve(f0, t_end, cfg, d):
         if t >= t_end - 1e-14:
             break
         h = min(dt / 2.0, t_end - t)
-        v = _solve_banded_step(A0 + front_speed(t + 0.5 * h, d) * A1, _BANDS, v, h, 1.0)
+        v = _solve_banded_step(A0 + front_speed(t + 0.5 * h, d) * A1, 1, v, h, 1.0)
         t += h
     if cfg.startup_steps:
         samples.append((t, v))
     while t < t_end - 1e-12:
         last = t_end - t <= dt * (1.0 + 1e-9)   # the last step ends exactly at t_end
         h = t_end - t if last else dt
-        v = _solve_banded_step(A0 + front_speed(t + 0.5 * h, d) * A1, _BANDS, v, h, 0.5)
+        v = _solve_banded_step(A0 + front_speed(t + 0.5 * h, d) * A1, 1, v, h, 0.5)
         t = t_end if last else t + h
         samples.append((t, v))
     fields = [Field(grid, vs, ts) for ts, vs in samples]
@@ -468,12 +510,11 @@ def test_prefix_exact_needs_a_regular_tail():
     # criterion 8's step matrix interchanges rows only near the origin, so any
     # later cut may stand; a row interchange or a small pivot at or past a cut
     # forbids it
-    A0, A1 = _operator_parts(SpatialGrid(60.0, 12000))
-    L = A0 + 2.0 * A1
-    factors = StepFactors(L)
+    parts = _operator_parts(SpatialGrid(60.0, 12000))
+    factors = StepFactors(parts)
     v = np.zeros(12001)
     v[200:401] = 1.0
-    theta_step(L, _BANDS, v, 0.0, 0.0025, 0.5, factors, 0)
+    theta_step(parts, v, 0.0, 0.0025, 0.5, factors, (2.0, 0.0))
     def exact(p):
         factors.tail = None     # what _prefix_exact keeps of the factors it reads
         return pde._prefix_exact(factors, p)
@@ -492,7 +533,6 @@ def test_evolve_W_matches_per_step_factorization_bit_for_bit(cbar, startup_steps
     # the self-similar twin of the test above: every step's L0 + a L1 + b I is
     # built here from the parts and factored by solve_banded, with a short
     # last step (1.03 = 20 x 0.05 + 0.03, or 2 x 0.025 + 19 x 0.05 + 0.03)
-    lu = oscillator._BANDS
     y = default_y_grid(0.5)
     w0 = y * np.exp(-(y - 3.0) ** 2)
     w0[0] = w0[-1] = 0.0
@@ -502,11 +542,11 @@ def test_evolve_W_matches_per_step_factorization_bit_for_bit(cbar, startup_steps
     traj = evolve_W(SelfSimilarField(tau0, y, w0), tau_end, d, dtau=dtau, sample_every=1,
                     startup_steps=startup_steps)
     L0, L1 = oscillator._operator_parts(y, 0.5)
-    eye = banded(lu, y.size, {0: 1.0})
+    eye = banded(2, y.size, {0: 1.0})
 
     def step(tau, v, h, theta):
         a, b = selfsimilar_forcing(tau + 0.5 * h, d)
-        return _solve_banded_step(L0 + a * L1 + b * eye, lu, v, h, theta)
+        return _solve_banded_step(L0 + a * L1 + b * eye, 2, v, h, theta)
 
     tau, v = tau0, w0
     taus, states = [tau], [v]
@@ -531,15 +571,14 @@ def _march_decay(t_end, dt, startup_steps, sample_every):
 
     The parts are -I and 0, and every step's coefficients are (0, 0).
     """
-    parts = banded((1, 1), 5, {0: -1.0}), banded((1, 1), 5, {})
+    parts = banded(1, 5, {0: -1.0}), banded(1, 5, {})
     calls = []
 
     def coefficients(t_half):
         calls.append(t_half)
         return 0.0, 0.0
     v0 = np.array([0.0, 1.0, 2.0, 3.0, 0.0])
-    return (list(march(parts, (1, 1), v0, 0.0, t_end, dt, startup_steps, sample_every,
-                       coefficients)), calls)
+    return list(march(parts, v0, 0.0, t_end, dt, startup_steps, sample_every, coefficients)), calls
 
 
 def test_march_sample_schedule():

@@ -679,11 +679,17 @@ def test_cli_selfsim_past_the_self_similar_grid_exits_3(tmp_path, capsys):
     (["mc", "--a", "3", "--b", "1"], "v0.a"),
     (["mc", "--replicas", "1e5"], "mc.replicas"),
     (["mc", "--seed", "-1"], "mc.seed"),
+    (["--config", "/nonexistent.cfg", "specfun", "--z", "0.1"], "--config"),
+    (["specfun", "--z", "0.1", "--config", "/nonexistent.cfg"], "--config"),
+    (["--out", "o", "specfun", "--z", "0.1"], "--out"),
+    (["--seed", "1", "specfun", "--z", "0.1"], "--seed"),
     (["--seed", "x", "solve"], "mc.seed"),
     (["solve", "--cbar", "nan"], "cbar"),
     (["fit"], "'fit'"),   # selfsim writes the rate fits: no fit subcommand
 ], ids=["specfun_cbar_nan", "specfun_alpha_inf", "specfun_z_nan", "specfun_y_inf",
-        "specfun_z_negative", "specfun_y_negative", "specfun_y_overflows", "mc_replicas_0",
+        "specfun_z_negative", "specfun_y_negative", "specfun_y_overflows",
+        "specfun_config_before", "specfun_config_after", "specfun_out_before",
+        "specfun_seed_before", "mc_replicas_0",
         "mc_x0_negative", "mc_dt_0", "mc_drift_nan", "mc_empty_payoff_support",
         "mc_replicas_float", "mc_seed_negative", "seed_text", "solve_cbar_nan",
         "no_fit_subcommand"])
@@ -695,6 +701,14 @@ def test_cli_bad_arguments_exit_2(capsys, argv, named):
     assert rc == 2
     captured = capsys.readouterr()
     assert named in captured.err
+    assert captured.out == ""
+
+
+def test_cli_specfun_overflow_exits_3(capsys):
+    # alpha = 1e308 is finite, but G and g at z = 10 overflow float64
+    assert cli_main(["specfun", "--z", "10", "--alpha", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: specfun: non-finite G = inf, g = inf" in captured.err
     assert captured.out == ""
 
 
