@@ -10,14 +10,14 @@ fits).  alpha_0 is also given relative to the finest pair.  That grid holds dx
 at its default, so for each cbar it then prints the errors of alpha_0 and the
 prefactor, against a run that refines every step, at the defaults, with dx
 alone refined and with dy and dtau alone refined.  Last, for each cbar, it
-prints the Richardson estimates of pipeline.resolved_run at the defaults
+prints the Richardson estimates of pipeline.resolved_runs at the defaults
 against the actual distance from that run.
 """
 
 import time
 
 from bbmlab.drift import CBAR_CRITICAL
-from bbmlab.pipeline import make_config, rate_report, resolved_run, selfsimilar_run
+from bbmlab.pipeline import make_config, rate_report, resolved_runs, selfsimilar_run
 
 DYS = (0.01, 0.025, 0.05, 0.1)
 DTAUS = (0.002, 0.005, 0.01, 0.02)
@@ -69,8 +69,8 @@ def main():
                   f"{pre:.6g} | {abs(pre - fine_pre):.1e} |")
 
     print("\n| cbar | quantity | actual | estimate |\n|---|---|---|---|")
-    for cbar, fine in fines.items():
-        _, _, rep, errors = resolved_run({"cbar": cbar})
+    resolved = resolved_runs([{"cbar": cbar} for cbar in fines])
+    for (cbar, fine), (_, rep, errors) in zip(fines.items(), resolved):
         rows = [("alpha_0", rep["alpha0"], fine["alpha0"], errors["alpha0"])]
         for f, g in zip(rep["fits"], fine["fits"]):
             name = f"{f['observable']}.{f['model']}"

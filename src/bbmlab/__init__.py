@@ -12,5 +12,5 @@ from .specfun import (F2, GProfile, H, G_explicit, g1_coefficient, g_profile,
                       g_slope0, solve_g_spectral)
 from .mc import McConfig, PopulationCapExceeded, estimate, survival_probability
 from .rates import estimate_alpha0, fit_rate, prefactor_check
-from .pipeline import (ConfigError, parse_config, rate_report, resolved_run, run_experiment,
+from .pipeline import (ConfigError, parse_config, rate_report, resolved_runs, run_experiment,
                        selfsimilar_run)

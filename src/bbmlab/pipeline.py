@@ -12,11 +12,20 @@ Pipelines: 'solve' (physical frame), 'selfsim' (handoff to the self-similar
 frame, with its rate fits), 'specfun' (series / profile tables), 'mc'
 (many-to-one validation), and the preset 'reproduce-theorem' (selfsim for
 cbar in {0, 3 sqrt(pi), 10} plus a rate table).  Both self-similar pipelines
-write one summary per resolved_run, keyed by cbar (its fits in one list), and
+write one summary per resolved run, keyed by cbar (its fits in one list), and
 the preset merges three of them.  rate_report makes the one regime decision:
 it names a run's decay model, which its slope extrapolation and fits use.
 Every series written records its flux-identity residual, and the manifest
 records the environment.
+
+resolved_runs hands each selfsimilar_run, with its rate_report, to a forked
+worker: one job per run and one per Richardson partner, so
+'reproduce-theorem' has six jobs and 'selfsim' two, on min(jobs, usable
+CPUs) workers.  With one usable CPU, or no fork start method, the jobs run
+in this process.  Only the series and the report come back; the trajectory
+stays in its worker, which writes selfsim's trajectory CSV.  A job's
+ConfigError or NumericalFailure is re-raised here, after every worker has
+exited, so the CLI exits 2 or 3 as for a run in this process.
 """
 
 from __future__ import annotations
@@ -220,32 +229,85 @@ def _partner(cfg: dict) -> dict:
         raise ConfigError(f"Richardson partner (every step doubled): {exc}") from exc
 
 
-def resolved_run(cfg: dict | None = None):
-    """selfsimilar_run and its rate_report, with a Richardson error estimate.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this OS
+        return os.cpu_count() or 1
+
+
+def _map_runs(fn, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs], in min(len(jobs), usable CPUs) forked workers.
+
+    With one worker, or no fork start method, it is that list comprehension
+    in this process.  The first job that raises cancels the jobs not yet
+    started; once every worker has exited, the exception of the earliest
+    failed job is raised here, as a run in this process would raise it.
+    Fork, not spawn: a spawned worker imports numpy and scipy again (about
+    0.6 s, more than the runs take), and the pool forks every worker before
+    it starts its own thread.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(*job) for job in jobs]
+    # imported here, so that the pipelines without a pool do not load it
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
+
+
+def _run_job(cfg: dict, trajectory_path: Path | None):
+    """selfsimilar_run of cfg and its rate_report: (series, report).  The
+    trajectory goes no further than trajectory_path, if given, where it is
+    written with the g profile of its alpha_0."""
+    traj, series = selfsimilar_run(cfg)
+    report = rate_report(traj, series, cfg["fit.window"])
+    if trajectory_path is not None:
+        alpha0 = report["alpha0"]
+        write_trajectory_csv(trajectory_path, traj, alpha0,
+                             g_profile(alpha0, cfg["cbar"], traj.y).values)
+    return series, report
+
+
+def resolved_runs(cfgs: list, trajectory_paths: list | None = None) -> list:
+    """(series, report, errors) of each config's run: _run_job of the config and
+    of its Richardson partner, with a Richardson error estimate.
 
     The partner run (_partner) doubles dx, dy and dtau.  |A(h) - A(2h)| / 3
     estimates the error of each reported number A at the run's own
     resolution h.  The divisor suits the second-order dx and dtau errors; dy
     enters at fourth order, so where it dominates the estimate errs high.
-    Returns (trajectory, series, report, errors).
+    Every partner is checked before the first run.  The runs, then the
+    partners, are the jobs of one _map_runs; trajectory_paths, one path or
+    None per config, says where each run writes its trajectory.
     """
-    cfg = make_config(cfg)
-    partner_cfg = _partner(cfg)
-    traj, series = selfsimilar_run(cfg)
-    report = rate_report(traj, series, cfg["fit.window"])
-    partner = rate_report(*selfsimilar_run(partner_cfg), cfg["fit.window"])
+    cfgs = [make_config(cfg) for cfg in cfgs]
+    partners = [_partner(cfg) for cfg in cfgs]
+    paths = trajectory_paths or [None] * len(cfgs)
+    results = _map_runs(_run_job, [*zip(cfgs, paths), *((p, None) for p in partners)])
 
     def err(a, b):
         return abs(a - b) / 3.0
 
-    errors = {
-        "alpha0": err(report["alpha0"], partner["alpha0"]),
-        "exponents": {f"{f['observable']}.{f['model']}": err(f["exponent"], p["exponent"])
-                      for f, p in zip(report["fits"], partner["fits"])},
-        "prefactor": err(report["prefactor_check"]["estimate"],
-                         partner["prefactor_check"]["estimate"]),
-    }
-    return traj, series, report, errors
+    resolved = []
+    for (series, report), (_, partner) in zip(results, results[len(cfgs):]):
+        errors = {
+            "alpha0": err(report["alpha0"], partner["alpha0"]),
+            "exponents": {f"{f['observable']}.{f['model']}": err(f["exponent"], p["exponent"])
+                          for f, p in zip(report["fits"], partner["fits"])},
+            "prefactor": err(report["prefactor_check"]["estimate"],
+                             partner["prefactor_check"]["estimate"]),
+        }
+        resolved.append((series, report, errors))
+    return resolved
 
 
 def _resolution_block(cfg: dict, errors: dict) -> dict:
@@ -317,20 +379,19 @@ def _pipe_solve(cfg, out: Path):
                     **_flux_block("physical", key, series)}
 
 
-def _selfsim_summary(cfg, out: Path):
-    """resolved_run of cfg, its series written; (trajectory, series path, summary)
+def _selfsim_summary(cfg, out: Path, series, report, errors):
+    """One resolved run of cfg, its series written: (series path, summary)
     with every summary block keyed by f"{cbar:.6g}" but the list of fits.
 
     alpha0_gap is |slope_extrapolation - spectral_projection| / |spectral_projection|,
     the relative gap between the two alpha_0 methods.
     """
-    traj, series, report, errors = resolved_run(cfg)
     key = f"{cfg['cbar']:.6g}"
     path = out / f"selfsim_series_cbar{key}.csv"
     write_series_csv(path, series)
     methods = report["alpha0_methods"]
     spectral = methods["spectral_projection"]["value"]
-    return traj, path, {
+    return path, {
         "alpha0": {key: report["alpha0"]},
         "alpha0_methods": {key: methods},
         "alpha0_gap": {key: abs(methods["slope_extrapolation"]["value"] - spectral)
@@ -343,11 +404,15 @@ def _selfsim_summary(cfg, out: Path):
 
 
 def _pipe_selfsim(cfg, out: Path):
-    cbar = cfg["cbar"]
-    traj, series_path, summary = _selfsim_summary(cfg, out)
-    (alpha0,) = summary["alpha0"].values()
-    path = out / f"trajectory_cbar{cbar:.6g}.csv"
-    write_trajectory_csv(path, traj, alpha0, g_profile(alpha0, cbar, traj.y).values)
+    path = out / f"trajectory_cbar{cfg['cbar']:.6g}.csv"
+    existed = path.exists()
+    try:
+        (result,) = resolved_runs([cfg], [path])
+    except (ConfigError, NumericalFailure):
+        if not existed:   # the run wrote it before its partner failed
+            path.unlink(missing_ok=True)
+        raise
+    series_path, summary = _selfsim_summary(cfg, out, *result)
     return [series_path, path], summary
 
 
@@ -396,12 +461,9 @@ def _pipe_mc(cfg, out: Path):
 
 def _pipe_reproduce_theorem(cfg, out: Path):
     files, summary = [], {}
-    # every config and its partner are checked before the first run writes a file
     run_cfgs = [make_config({"cbar": cbar}, cfg) for cbar in (0.0, CBAR_CRITICAL, 10.0)]
-    for run_cfg in run_cfgs:
-        _partner(run_cfg)
-    for run_cfg in run_cfgs:
-        _, path, extra = _selfsim_summary(run_cfg, out)
+    for run_cfg, result in zip(run_cfgs, resolved_runs(run_cfgs)):
+        path, extra = _selfsim_summary(run_cfg, out, *result)
         files.append(path)
         _merge(summary, extra)
     table = out / "rate_table.csv"

@@ -161,9 +161,12 @@ def _G0(z: np.ndarray) -> np.ndarray:
         edges = np.union1d(zt, _Z0 * _PANEL_RATIO ** np.arange(rungs + 1))
         half = np.diff(edges) / 2.0
         s = (edges[:-1] + half)[:, None] + half[:, None] * _GL_X
-        integral = np.concatenate(([0.0], np.cumsum(half * (_tail_integrand(s) @ _GL_W))))
         w0 = _series_part(_Z0) / (_Z0 - 0.5)
-        out[~small] = 3.0 * zt + (zt - 0.5) * (w0 + integral[np.searchsorted(edges, zt)])
+        # near z = 1e308, (s - 1/2)^2 overflows (v = 0) and so does G0 (inf):
+        # both are the right limits, and the CLI reports a non-finite G
+        with np.errstate(over="ignore"):
+            integral = np.concatenate(([0.0], np.cumsum(half * (_tail_integrand(s) @ _GL_W))))
+            out[~small] = 3.0 * zt + (zt - 0.5) * (w0 + integral[np.searchsorted(edges, zt)])
     return out
 
 

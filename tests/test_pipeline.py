@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -19,7 +20,7 @@ from bbmlab.oscillator import SPECTRAL_TAU_MIN, Y_MAX
 from bbmlab.pde import X_MAX, evolve
 from bbmlab.pipeline import (MAX_NODE_STEPS, SAMPLE_DTAU, T_HANDOFF, ConfigError, _DEFAULTS,
                              _merge, _validate_config, load_config, make_config, parse_config,
-                             rate_report, resolved_run, run_experiment, selfsimilar_run,
+                             rate_report, resolved_runs, run_experiment, selfsimilar_run,
                              specfun_row)
 
 
@@ -179,6 +180,12 @@ def test_cli_numerical_failure_in_a_pipeline_leaves_no_out_dir(tmp_path, capsys)
     cfg.write_text("v0.b = 40\n")
     out = tmp_path / "n3"
     assert cli_main(["--config", str(cfg), "selfsim", "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+    # at v0.b = 27.47 only the partner's field, at 2 dx, reaches past it: the
+    # trajectory the run itself wrote goes too
+    (tmp_path / "edge.cfg").write_text("v0.b = 27.47\n")
+    assert cli_main(["--config", str(tmp_path / "edge.cfg"), "selfsim", "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
     # a directory that was there before the run stays
@@ -386,7 +393,7 @@ def test_fine_grid_regression_at_the_critical_cbar():
     # below a third of its actual distance from the fine run
     fine_cfg = make_config({"dx": 0.0025, "dy": 0.01, "dtau": 0.002})
     fine = rate_report(*selfsimilar_run(fine_cfg), fine_cfg["fit.window"])
-    _, _, report, errors = resolved_run()
+    [(_, report, errors)] = resolved_runs([None])
     gap = abs(report["alpha0"] - fine["alpha0"])
     assert gap <= 1e-4 * fine["alpha0"]
     assert errors["alpha0"] >= gap / 3.0
@@ -400,17 +407,44 @@ def test_fine_grid_regression_at_the_critical_cbar():
     assert errors["prefactor"] >= gap / 3.0
 
 
-def test_richardson_partner_coarsens_the_handoff(monkeypatch):
-    # the run's handoff steps dx in x and t, then the partner's 2 dx
-    calls = []
-
+def _record_evolve_calls(monkeypatch, record: Path):
+    """Patch pipeline.evolve to append "pid nx dt" per call to record, from
+    whichever process calls it; returns a reader of those (pid, nx, dt)."""
     def spy(f0, t_end, cfg, d):
-        calls.append((f0.grid.nx, cfg.dt))
+        with record.open("a") as f:
+            f.write(f"{os.getpid()} {f0.grid.nx} {cfg.dt!r}\n")
         return evolve(f0, t_end, cfg, d)
 
     monkeypatch.setattr("bbmlab.pipeline.evolve", spy)
-    resolved_run({"cbar": 1.0, "dx": 0.02, "fit.window": (3.0, 6.0)})
-    assert calls == [(3000, 0.02), (1500, 0.04)]
+    return lambda: [(int(pid), int(nx), float(dt))
+                    for pid, nx, dt in map(str.split, record.read_text().splitlines())]
+
+
+def test_richardson_partner_coarsens_the_handoff(monkeypatch, tmp_path):
+    # the run's handoff steps dx in x and t, and the partner's 2 dx; the two
+    # may run at once in two workers, so the spy records to a file
+    calls = _record_evolve_calls(monkeypatch, tmp_path / "calls")
+    resolved_runs([{"cbar": 1.0, "dx": 0.02, "fit.window": (3.0, 6.0)}])
+    assert sorted(((nx, dt) for _, nx, dt in calls()), reverse=True) == [(3000, 0.02),
+                                                                         (1500, 0.04)]
+
+
+def test_reproduce_theorem_in_workers_matches_in_process(tmp_path, monkeypatch):
+    # six jobs on two forked workers, then in this process: the same bytes
+    outs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr("bbmlab.pipeline._usable_cpus", lambda cpus=cpus: cpus)
+        calls = _record_evolve_calls(monkeypatch, tmp_path / f"calls{cpus}")
+        outs[cpus] = run_experiment(_SMALL, tmp_path / f"cpus{cpus}", ["reproduce-theorem"])
+        assert multiprocessing.active_children() == []
+        pids = {pid for pid, _, _ in calls()}
+        assert len(calls()) == 6
+        assert (os.getpid() in pids) == (cpus == 1) and len(pids) == 1 + (cpus == 2), pids
+    names = sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+    assert names == ["rate_table.csv", "selfsim_series_cbar0.csv", "selfsim_series_cbar10.csv",
+                     "selfsim_series_cbar5.31736.csv", "summary.json"]
+    for name in names:
+        assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_selfsim_pipeline_writes_the_theorem_schema(tmp_path, theorem_dir):
@@ -664,6 +698,20 @@ def test_cli_selfsim_past_the_self_similar_grid_exits_3(tmp_path, capsys):
     assert "beyond x = 35.36" in capsys.readouterr().err
 
 
+def test_cli_reproduce_theorem_failure_in_a_worker_exits_3(tmp_path, monkeypatch, capfd):
+    # every run fails with LossOfSupport in its forked worker, as selfsim fails above
+    monkeypatch.setattr("bbmlab.pipeline._usable_cpus", lambda: 2)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("v0.b = 40\n")
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(cfg), "reproduce-theorem", "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert "numerical failure: the field is not negligible beyond x = 35.36" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("argv, named", [
     (["specfun", "--z", "1", "--cbar", "nan"], "--cbar"),
     (["specfun", "--z", "1", "--alpha", "inf"], "--alpha"),
@@ -709,6 +757,12 @@ def test_cli_specfun_overflow_exits_3(capsys):
     assert cli_main(["specfun", "--z", "10", "--alpha", "1e308"]) == 3
     captured = capsys.readouterr()
     assert "numerical failure: specfun: non-finite G = inf, g = inf" in captured.err
+    assert captured.out == ""
+    # y = 1e154 gives z = 2.5e307, where G0 overflows without a numpy warning
+    # (the suite turns a RuntimeWarning into an error)
+    assert cli_main(["specfun", "--y", "1e154"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: specfun: non-finite G = inf, g = nan" in captured.err
     assert captured.out == ""
 
 
