@@ -70,7 +70,7 @@ def main():
 
     print("\n| cbar | quantity | actual | estimate |\n|---|---|---|---|")
     resolved = resolved_runs([{"cbar": cbar} for cbar in fines])
-    for (cbar, fine), (_, rep, errors) in zip(fines.items(), resolved):
+    for (cbar, fine), (_, rep, _, errors) in zip(fines.items(), resolved):
         rows = [("alpha_0", rep["alpha0"], fine["alpha0"], errors["alpha0"])]
         for f, g in zip(rep["fits"], fine["fits"]):
             name = f"{f['observable']}.{f['model']}"

@@ -49,12 +49,14 @@ class McConfig:
     absorb: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if self.branch_rate < 0:
-            raise ValueError("branch_rate must be >= 0")
+        if not math.isfinite(self.drift):
+            raise ValueError("drift must be finite")
+        if not (math.isfinite(self.branch_rate) and self.branch_rate >= 0):
+            raise ValueError("branch_rate must be finite and >= 0")
 
 
 class PopulationCapExceeded(NumericalFailure):

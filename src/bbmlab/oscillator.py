@@ -40,7 +40,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma, gammainc
 
 from .drift import SQRT_PI, DriftExpansion, selfsimilar_forcing
-from .pde import Field, NumericalFailure, ObservableSeries, banded, march, write_csv
+from .pde import Field, NumericalFailure, ObservableSeries, banded, march
 
 #: L2 norm of the unnormalized kernel mode y e^{-y^2/8} on (0, inf).
 KERNEL_NORM = math.sqrt(2.0 * SQRT_PI)
@@ -328,11 +328,15 @@ def observables_from_trajectory(traj: WTrajectory):
     return ObservableSeries(times, masses[::-1], slopes)
 
 
-def write_trajectory_csv(path, traj: WTrajectory, alpha: float, g_values: np.ndarray):
-    """CSV per trajectory: tau, coef_e0..coef_e7, W_slope0, R_norm, R_slope0."""
+#: the columns of trajectory_table
+TRAJECTORY_COLUMNS = ["tau", *(f"coef_e{n}" for n in range(8)), "W_slope0", "R_norm", "R_slope0"]
+
+
+def trajectory_table(traj: WTrajectory, alpha: float, g_values: np.ndarray) -> np.ndarray:
+    """One row of TRAJECTORY_COLUMNS per sample of traj: tau, coef_e0..coef_e7,
+    W_slope0, R_norm, R_slope0."""
     basis = SpectralBasis(traj.y, 8)
     fields = [traj.field(i) for i in range(len(traj))]
     decs = (decompose(W, alpha, g_values) for W in fields)
-    write_csv(path, ["tau", *(f"coef_e{n}" for n in range(8)), "W_slope0", "R_norm", "R_slope0"],
-              ([W.tau, *basis.project(W.values), slope_correspondence(W), d.r_norm, d.r_slope0]
-               for W, d in zip(fields, decs)))
+    return np.array([[W.tau, *basis.project(W.values), slope_correspondence(W), d.r_norm,
+                      d.r_slope0] for W, d in zip(fields, decs)])

@@ -12,20 +12,22 @@ Pipelines: 'solve' (physical frame), 'selfsim' (handoff to the self-similar
 frame, with its rate fits), 'specfun' (series / profile tables), 'mc'
 (many-to-one validation), and the preset 'reproduce-theorem' (selfsim for
 cbar in {0, 3 sqrt(pi), 10} plus a rate table).  Both self-similar pipelines
-write one summary per resolved run, keyed by cbar (its fits in one list), and
-the preset merges three of them.  rate_report makes the one regime decision:
-it names a run's decay model, which its slope extrapolation and fits use.
-Every series written records its flux-identity residual, and the manifest
-records the environment.
+build their summary with one function, _selfsim_files, from the resolved
+runs of their cbar values, every block keyed by cbar (the fits in one list).
+rate_report makes the one regime decision: it names a run's decay model,
+which its slope extrapolation and fits use.  Every series written records
+its flux-identity residual, and the manifest records the environment.
 
 resolved_runs hands each selfsimilar_run, with its rate_report, to a forked
 worker: one job per run and one per Richardson partner, so
 'reproduce-theorem' has six jobs and 'selfsim' two, on min(jobs, usable
 CPUs) workers.  With one usable CPU, or no fork start method, the jobs run
-in this process.  Only the series and the report come back; the trajectory
-stays in its worker, which writes selfsim's trajectory CSV.  A job's
-ConfigError or NumericalFailure is re-raised here, after every worker has
-exited, so the CLI exits 2 or 3 as for a run in this process.
+in this process.  A job writes nothing: it returns its series and report,
+and for selfsim's run the trajectory's table, and this process writes every
+file once all jobs have succeeded.  The trajectory itself stays in its
+worker.  A job's ConfigError or NumericalFailure is re-raised here, after
+every worker has exited, so the CLI exits 2 or 3 as for a run in this
+process.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ import scipy
 from . import __version__
 from .drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from .mc import McConfig, estimate
-from .oscillator import (SPECTRAL_TAU_MIN, Y_MAX, WTrajectory, default_y_grid, evolve_W,
-                         initial_mode_overlap, observables_from_trajectory, to_selfsimilar,
-                         write_trajectory_csv)
-from .pde import (X_MAX, NumericalFailure, ObservableSeries, SolverConfig, SpatialGrid, evolve,
+from .oscillator import (SPECTRAL_TAU_MIN, TRAJECTORY_COLUMNS, Y_MAX, WTrajectory,
+                         default_y_grid, evolve_W, initial_mode_overlap,
+                         observables_from_trajectory, to_selfsimilar, trajectory_table)
+from .pde import (X_MAX, ObservableSeries, SolverConfig, SpatialGrid, evolve,
                   flux_identity_residual, initial_condition, write_csv, write_series_csv)
 from .rates import estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
@@ -237,68 +239,63 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_runs(fn, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs], in min(len(jobs), usable CPUs) forked workers.
+def _map_runs(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs], in min(len(jobs), usable CPUs) forked workers.
 
-    With one worker, or no fork start method, it is that list comprehension
-    in this process.  The first job that raises cancels the jobs not yet
-    started; once every worker has exited, the exception of the earliest
-    failed job is raised here, as a run in this process would raise it.
-    Fork, not spawn: a spawned worker imports numpy and scipy again (about
-    0.6 s, more than the runs take), and the pool forks every worker before
-    it starts its own thread.
+    With one worker, or no fork start method, it is that list in this
+    process.  Results come in job order: the earliest job that raised raises
+    here, once every worker has exited, as a run in this process would raise
+    it, and the jobs not yet started are cancelled.  Fork, not spawn: a
+    spawned worker imports numpy and scipy again (about 0.6 s, more than the
+    runs take), and the pool forks every worker before it starts its own
+    thread.
     """
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(*job) for job in jobs]
+        return list(map(fn, jobs))
     # imported here, so that the pipelines without a pool do not load it
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [f.result() for f in futures]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, jobs))
 
 
-def _run_job(cfg: dict, trajectory_path: Path | None):
-    """selfsimilar_run of cfg and its rate_report: (series, report).  The
-    trajectory goes no further than trajectory_path, if given, where it is
-    written with the g profile of its alpha_0."""
+def _run_job(job: tuple[dict, bool]):
+    """selfsimilar_run of a (config, table) job and its rate_report: (series,
+    report, rows).  rows is the run's trajectory_table, with the g profile of
+    its alpha_0, when table is true, else None.  A job writes nothing."""
+    cfg, table = job
     traj, series = selfsimilar_run(cfg)
     report = rate_report(traj, series, cfg["fit.window"])
-    if trajectory_path is not None:
+    rows = None
+    if table:
         alpha0 = report["alpha0"]
-        write_trajectory_csv(trajectory_path, traj, alpha0,
-                             g_profile(alpha0, cfg["cbar"], traj.y).values)
-    return series, report
+        rows = trajectory_table(traj, alpha0, g_profile(alpha0, cfg["cbar"], traj.y).values)
+    return series, report, rows
 
 
-def resolved_runs(cfgs: list, trajectory_paths: list | None = None) -> list:
-    """(series, report, errors) of each config's run: _run_job of the config and
-    of its Richardson partner, with a Richardson error estimate.
+def resolved_runs(cfgs: list, tables: bool = False) -> list:
+    """(series, report, rows, errors) of each config's run: _run_job of the
+    config and of its Richardson partner, with a Richardson error estimate.
 
     The partner run (_partner) doubles dx, dy and dtau.  |A(h) - A(2h)| / 3
     estimates the error of each reported number A at the run's own
     resolution h.  The divisor suits the second-order dx and dtau errors; dy
     enters at fourth order, so where it dominates the estimate errs high.
     Every partner is checked before the first run.  The runs, then the
-    partners, are the jobs of one _map_runs; trajectory_paths, one path or
-    None per config, says where each run writes its trajectory.
+    partners, are the jobs of one _map_runs; with tables, each run (not its
+    partner) brings back its trajectory's rows.
     """
     cfgs = [make_config(cfg) for cfg in cfgs]
     partners = [_partner(cfg) for cfg in cfgs]
-    paths = trajectory_paths or [None] * len(cfgs)
-    results = _map_runs(_run_job, [*zip(cfgs, paths), *((p, None) for p in partners)])
+    results = _map_runs(_run_job, [*((c, tables) for c in cfgs), *((p, False) for p in partners)])
 
     def err(a, b):
         return abs(a - b) / 3.0
 
     resolved = []
-    for (series, report), (_, partner) in zip(results, results[len(cfgs):]):
+    for (series, report, rows), (_, partner, _) in zip(results, results[len(cfgs):]):
         errors = {
             "alpha0": err(report["alpha0"], partner["alpha0"]),
             "exponents": {f"{f['observable']}.{f['model']}": err(f["exponent"], p["exponent"])
@@ -306,22 +303,13 @@ def resolved_runs(cfgs: list, trajectory_paths: list | None = None) -> list:
             "prefactor": err(report["prefactor_check"]["estimate"],
                              partner["prefactor_check"]["estimate"]),
         }
-        resolved.append((series, report, errors))
+        resolved.append((series, report, rows, errors))
     return resolved
 
 
-def _resolution_block(cfg: dict, errors: dict) -> dict:
-    """summary.json's record of the Richardson estimates, errors keyed by cbar."""
-    return {**{k: cfg[k] for k in _STEPS}, "partner": {k: 2 * cfg[k] for k in _STEPS},
-            "estimate": "|A(dx, dy, dtau) - A(2 dx, 2 dy, 2 dtau)| / 3",
-            "error": errors}
-
-
-def _flux_block(kind: str, key: str, series: ObservableSeries) -> dict:
-    """summary.json's max interior flux-identity residual of the series written
-    as {kind}_..._cbar{key}.csv, keyed by cbar (null below three samples)."""
-    residual = flux_identity_residual(series) if len(series) >= 3 else None
-    return {"flux_identity_residual": {kind: {key: residual}}}
+def _flux_residual(series: ObservableSeries):
+    """The max interior flux-identity residual of series, None below three samples."""
+    return flux_identity_residual(series) if len(series) >= 3 else None
 
 
 def rate_report(traj: WTrajectory, series: ObservableSeries, tau_window: tuple):
@@ -376,44 +364,52 @@ def _pipe_solve(cfg, out: Path):
     write_series_csv(path, series)
     ov = initial_mode_overlap(f0)
     return [path], {"initial_overlap": {"weighted": ov[0], "plain": ov[1]},
-                    **_flux_block("physical", key, series)}
+                    "flux_identity_residual": {"physical": {key: _flux_residual(series)}}}
 
 
-def _selfsim_summary(cfg, out: Path, series, report, errors):
-    """One resolved run of cfg, its series written: (series path, summary)
-    with every summary block keyed by f"{cbar:.6g}" but the list of fits.
+def _selfsim_files(cfg, out: Path, cbars: list, tables: bool = False):
+    """The resolved runs of cfg at each of cbars, written once all have
+    succeeded: (files, summary), every summary block keyed by f"{cbar:.6g}"
+    but the list of fits.
 
-    alpha0_gap is |slope_extrapolation - spectral_projection| / |spectral_projection|,
-    the relative gap between the two alpha_0 methods.
+    Each run writes selfsim_series_cbar{key}.csv and, with tables, its
+    trajectory as trajectory_cbar{key}.csv.  alpha0_gap is
+    |slope_extrapolation - spectral_projection| / |spectral_projection|, the
+    relative gap between the two alpha_0 methods.
     """
-    key = f"{cfg['cbar']:.6g}"
-    path = out / f"selfsim_series_cbar{key}.csv"
-    write_series_csv(path, series)
-    methods = report["alpha0_methods"]
-    spectral = methods["spectral_projection"]["value"]
-    return path, {
-        "alpha0": {key: report["alpha0"]},
-        "alpha0_methods": {key: methods},
-        "alpha0_gap": {key: abs(methods["slope_extrapolation"]["value"] - spectral)
-                       / abs(spectral)},
-        "fits": report["fits"],
-        "prefactor_check": {key: report["prefactor_check"]},
-        "resolution": _resolution_block(cfg, {key: errors}),
-        **_flux_block("selfsim", key, series),
+    cfgs = [make_config({"cbar": cbar}, cfg) for cbar in cbars]
+    keys = [f"{c['cbar']:.6g}" for c in cfgs]
+    runs = resolved_runs(cfgs, tables)
+    files = []
+    for key, (series, _, rows, _) in zip(keys, runs):
+        files.append(out / f"selfsim_series_cbar{key}.csv")
+        write_series_csv(files[-1], series)
+        if rows is not None:
+            files.append(out / f"trajectory_cbar{key}.csv")
+            write_csv(files[-1], TRAJECTORY_COLUMNS, rows)
+    series, reports, _, errors = zip(*runs)
+    methods = [r["alpha0_methods"] for r in reports]
+    spectral = [m["spectral_projection"]["value"] for m in methods]
+
+    def by_cbar(values):
+        return dict(zip(keys, values))
+
+    return files, {
+        "alpha0": by_cbar(r["alpha0"] for r in reports),
+        "alpha0_methods": by_cbar(methods),
+        "alpha0_gap": by_cbar(abs(m["slope_extrapolation"]["value"] - s) / abs(s)
+                              for m, s in zip(methods, spectral)),
+        "fits": [f for r in reports for f in r["fits"]],
+        "prefactor_check": by_cbar(r["prefactor_check"] for r in reports),
+        "resolution": {**{k: cfg[k] for k in _STEPS}, "partner": {k: 2 * cfg[k] for k in _STEPS},
+                       "estimate": "|A(dx, dy, dtau) - A(2 dx, 2 dy, 2 dtau)| / 3",
+                       "error": by_cbar(errors)},
+        "flux_identity_residual": {"selfsim": by_cbar(map(_flux_residual, series))},
     }
 
 
 def _pipe_selfsim(cfg, out: Path):
-    path = out / f"trajectory_cbar{cfg['cbar']:.6g}.csv"
-    existed = path.exists()
-    try:
-        (result,) = resolved_runs([cfg], [path])
-    except (ConfigError, NumericalFailure):
-        if not existed:   # the run wrote it before its partner failed
-            path.unlink(missing_ok=True)
-        raise
-    series_path, summary = _selfsim_summary(cfg, out, *result)
-    return [series_path, path], summary
+    return _selfsim_files(cfg, out, [cfg["cbar"]], tables=True)
 
 
 #: largest z at which a specfun row carries F2, H and their scaled forms: the
@@ -460,12 +456,7 @@ def _pipe_mc(cfg, out: Path):
 
 
 def _pipe_reproduce_theorem(cfg, out: Path):
-    files, summary = [], {}
-    run_cfgs = [make_config({"cbar": cbar}, cfg) for cbar in (0.0, CBAR_CRITICAL, 10.0)]
-    for run_cfg, result in zip(run_cfgs, resolved_runs(run_cfgs)):
-        path, extra = _selfsim_summary(run_cfg, out, *result)
-        files.append(path)
-        _merge(summary, extra)
+    files, summary = _selfsim_files(cfg, out, [0.0, CBAR_CRITICAL, 10.0])
     table = out / "rate_table.csv"
     cols = ["cbar", "observable", "model", "exponent", "prefactor", "r2"]
     write_csv(table, cols, map(operator.itemgetter(*cols), summary["fits"]))
@@ -518,9 +509,8 @@ def run_experiment(config, out_dir, pipelines=()):
     """Execute the named pipelines and persist artifacts plus a manifest.
 
     config is a dict of overrides (a whole config included), or None for the
-    defaults.  Returns the output directory path.  A ConfigError or
-    NumericalFailure raised while out_dir is still empty removes it again if
-    this call created it.
+    defaults.  Returns the output directory path.  Any exception raised while
+    out_dir is still empty removes it again if this call created it.
     """
     cfg = make_config(config)
     out = Path(out_dir)
@@ -541,7 +531,7 @@ def run_experiment(config, out_dir, pipelines=()):
             timings[name] = time.perf_counter() - t0
             outputs.extend(files)
             _merge(summary, extra)
-    except (ConfigError, NumericalFailure):
+    except BaseException:
         if created and not any(out.iterdir()):
             out.rmdir()
         raise

@@ -196,3 +196,8 @@ def test_config_validation():
         McConfig(n_replicas=0)
     with pytest.raises(ValueError):
         McConfig(branch_rate=-1.0)
+    # a NaN would otherwise estimate 0 +- 0 (drift) or run pure diffusion (branch_rate)
+    for bad in ({"dt": math.nan}, {"drift": math.nan}, {"drift": math.inf},
+                {"drift": -math.inf}, {"branch_rate": math.nan}, {"branch_rate": math.inf}):
+        with pytest.raises(ValueError):
+            McConfig(**bad)

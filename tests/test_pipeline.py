@@ -4,8 +4,11 @@ import math
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from bbmlab.oscillator import SPECTRAL_TAU_MIN, Y_MAX
 from bbmlab.pde import X_MAX, evolve
 from bbmlab.pipeline import (MAX_NODE_STEPS, SAMPLE_DTAU, T_HANDOFF, ConfigError, _DEFAULTS,
-                             _merge, _validate_config, load_config, make_config, parse_config,
+                             _map_runs, _merge, _usable_cpus, _validate_config, load_config, make_config, parse_config,
                              rate_report, resolved_runs, run_experiment, selfsimilar_run,
                              specfun_row)
 
@@ -393,7 +396,7 @@ def test_fine_grid_regression_at_the_critical_cbar():
     # below a third of its actual distance from the fine run
     fine_cfg = make_config({"dx": 0.0025, "dy": 0.01, "dtau": 0.002})
     fine = rate_report(*selfsimilar_run(fine_cfg), fine_cfg["fit.window"])
-    [(_, report, errors)] = resolved_runs([None])
+    [(_, report, _, errors)] = resolved_runs([None])
     gap = abs(report["alpha0"] - fine["alpha0"])
     assert gap <= 1e-4 * fine["alpha0"]
     assert errors["alpha0"] >= gap / 3.0
@@ -445,6 +448,54 @@ def test_reproduce_theorem_in_workers_matches_in_process(tmp_path, monkeypatch):
                      "selfsim_series_cbar5.31736.csv", "summary.json"]
     for name in names:
         assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _square_or_fail(job):
+    """job squared; job 1 raises ValueError after job 3 has raised KeyError."""
+    if job == 1:
+        time.sleep(0.5)
+        raise ValueError("job 1")
+    if job == 3:
+        raise KeyError("job 3")
+    return job * job
+
+
+def test_map_runs_keeps_job_order_and_raises_the_earliest_failed_job(monkeypatch):
+    monkeypatch.setattr("bbmlab.pipeline._usable_cpus", lambda: 2)
+    assert _map_runs(_square_or_fail, [0, 2, 4, 5, 6]) == [0, 4, 16, 25, 36]
+    assert multiprocessing.active_children() == []
+    # job 3 fails first in time, but job 1 comes first in job order
+    with pytest.raises(ValueError, match="job 1"):
+        _map_runs(_square_or_fail, [0, 1, 2, 3, 4])
+    assert multiprocessing.active_children() == []
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # no affinity mask on this OS: the CPU count, or 1 where that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+
+
+def test_killed_worker_removes_the_empty_out_directory(tmp_path, monkeypatch):
+    # a worker killed by a signal breaks the pool: the call raises at once,
+    # no worker is left, and the --out directory it made goes again
+    parent = os.getpid()
+
+    def killed(cfg):
+        if os.getpid() == parent:
+            raise AssertionError("the run was not handed to a worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr("bbmlab.pipeline._usable_cpus", lambda: 2)
+    monkeypatch.setattr("bbmlab.pipeline.selfsimilar_run", killed)
+    out = tmp_path / "o"
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(_SMALL, out, ["selfsim"])
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_selfsim_pipeline_writes_the_theorem_schema(tmp_path, theorem_dir):
