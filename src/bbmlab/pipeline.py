@@ -1,8 +1,8 @@
 """End-to-end experiment orchestration and artifact persistence.
 
-A run is described by a flat key=value config (defaults below), executes a
-list of named pipelines, and writes every artifact plus a manifest with the
-config echo, code version, wall-clock times, and a content hash per file.
+A run is described by a flat key=value config (defaults below), executes one
+named pipeline, and writes its artifacts, its summary and a manifest with the
+config echo, code version, wall-clock time, and a content hash per file.
 
 Every config comes from make_config: the defaults or a base config, plus
 overrides (values or text) coerced to the type of each key's default, then
@@ -27,7 +27,7 @@ and for selfsim's run the trajectory's table, and this process writes every
 file once all jobs have succeeded.  The trajectory itself stays in its
 worker.  A job's ConfigError or NumericalFailure is re-raised here, after
 every worker has exited, so the CLI exits 2 or 3 as for a run in this
-process.
+process; a worker killed by a signal is a NumericalFailure too.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from .oscillator import (SPECTRAL_TAU_MIN, TRAJECTORY_COLUMNS, Y_MAX, WTrajector
                          default_y_grid, evolve_W, initial_mode_overlap,
                          observables_from_trajectory, to_selfsimilar, trajectory_table)
 from .pde import (X_MAX, ObservableSeries, SolverConfig, SpatialGrid, evolve,
-                  flux_identity_residual, initial_condition, write_csv, write_series_csv)
+                  NumericalFailure, flux_identity_residual, initial_condition, write_csv,
+                  write_series_csv)
 from .rates import estimate_alpha0, fit_rate, prefactor_check
 from .specfun import F2, G_explicit, H, g_profile, g_slope0
 
@@ -245,10 +246,11 @@ def _map_runs(fn, jobs: list) -> list:
     With one worker, or no fork start method, it is that list in this
     process.  Results come in job order: the earliest job that raised raises
     here, once every worker has exited, as a run in this process would raise
-    it, and the jobs not yet started are cancelled.  Fork, not spawn: a
-    spawned worker imports numpy and scipy again (about 0.6 s, more than the
-    runs take), and the pool forks every worker before it starts its own
-    thread.
+    it, and the jobs not yet started are cancelled.  A worker that ends
+    abnormally (killed by a signal, say) breaks the pool, and the call raises
+    NumericalFailure at once.  Fork, not spawn: a spawned worker imports numpy
+    and scipy again (about 0.6 s, more than the runs take), and the pool forks
+    every worker before it starts its own thread.
     """
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
@@ -256,9 +258,14 @@ def _map_runs(fn, jobs: list) -> list:
     # imported here, so that the pipelines without a pool do not load it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, jobs))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, jobs))
+    except BrokenProcessPool as exc:
+        raise NumericalFailure(f"a worker process ended abnormally, running {len(jobs)} jobs "
+                               f"on {workers} workers: {exc}") from exc
 
 
 def _run_job(job: tuple[dict, bool]):
@@ -472,20 +479,6 @@ _PIPELINES = {
 }
 
 
-def _merge(into: dict, extra: dict):
-    """Merge extra into into: where both hold a dict under one key it recurses,
-    where both hold a list it appends the items not already there, and
-    anything else replaces."""
-    for key, value in extra.items():
-        held = into.get(key)
-        if isinstance(value, dict) and isinstance(held, dict):
-            _merge(held, value)
-        elif isinstance(value, list) and isinstance(held, list):
-            held.extend(item for item in value if item not in held)
-        else:
-            into[key] = value
-
-
 def _environment() -> dict:
     """The interpreter, library versions and host a run used.
 
@@ -505,47 +498,44 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def run_experiment(config, out_dir, pipelines=()):
-    """Execute the named pipelines and persist artifacts plus a manifest.
+def run_experiment(config, out_dir, pipelines):
+    """Run one named pipeline and persist its artifacts, its summary.json and a manifest.
 
     config is a dict of overrides (a whole config included), or None for the
-    defaults.  Returns the output directory path.  Any exception raised while
-    out_dir is still empty removes it again if this call created it.
+    defaults.  pipelines is a list holding the pipeline's one name: a list, not
+    a name, because perfbench/workloads.py calls run_experiment(..., ["specfun"]).
+    Any other list is a ConfigError, raised before out_dir is made.  Returns
+    the output directory path.  Any exception raised while out_dir is still
+    empty removes it again if this call created it.
     """
     cfg = make_config(config)
+    if len(pipelines) != 1 or pipelines[0] not in _PIPELINES:
+        raise ConfigError(f"run_experiment runs one pipeline of {', '.join(_PIPELINES)}; "
+                          f"got {list(pipelines)!r}")
+    [name] = pipelines
     out = Path(out_dir)
     created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from exc
-    summary = {}
-    outputs = []
-    timings = {}
+    t0 = time.perf_counter()
     try:
-        for name in pipelines:
-            if name not in _PIPELINES:
-                raise ConfigError(f"unknown pipeline: {name!r}")
-            t0 = time.perf_counter()
-            files, extra = _PIPELINES[name](cfg, out)
-            timings[name] = time.perf_counter() - t0
-            outputs.extend(files)
-            _merge(summary, extra)
+        files, summary = _PIPELINES[name](cfg, out)
     except BaseException:
         if created and not any(out.iterdir()):
             out.rmdir()
         raise
-    if summary:
-        spath = out / "summary.json"
-        spath.write_text(json.dumps(summary, indent=2, default=float))
-        outputs.append(spath)
+    seconds = time.perf_counter() - t0
+    spath = out / "summary.json"
+    spath.write_text(json.dumps(summary, indent=2, default=float))
     manifest = {
         "version": __version__,
         "environment": _environment(),
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
-        "pipelines": list(pipelines),
-        "wall_clock_seconds": timings,
-        "files": {p.name: _sha256(p) for p in outputs},
+        "pipelines": [name],
+        "wall_clock_seconds": {name: seconds},
+        "files": {p.name: _sha256(p) for p in [*files, spath]},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return out

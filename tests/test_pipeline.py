@@ -4,11 +4,11 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from bbmlab.cli import main as cli_main
 from bbmlab.drift import CBAR_CRITICAL, DriftExpansion, max_front_speed
 from bbmlab.oscillator import SPECTRAL_TAU_MIN, Y_MAX
-from bbmlab.pde import X_MAX, evolve
+from bbmlab.pde import X_MAX, NumericalFailure, evolve
 from bbmlab.pipeline import (MAX_NODE_STEPS, SAMPLE_DTAU, T_HANDOFF, ConfigError, _DEFAULTS,
-                             _map_runs, _merge, _usable_cpus, _validate_config, load_config, make_config, parse_config,
+                             _map_runs, _usable_cpus, _validate_config, load_config, make_config, parse_config,
                              rate_report, resolved_runs, run_experiment, selfsimilar_run,
                              specfun_row)
 
@@ -144,12 +144,13 @@ def test_valid_config_text_roundtrips(overrides):
     assert parse_config(text) == cfg
 
 
-def test_run_experiment_empty_pipelines(tmp_path):
-    out = run_experiment(None, tmp_path / "o", [])
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["files"] == {}
-    assert manifest["pipelines"] == []
-    assert not (out / "summary.json").exists()
+@pytest.mark.parametrize("pipelines", [[], ["solve", "selfsim"], ["nope"]],
+                         ids=["none", "two", "unknown"])
+def test_run_experiment_runs_exactly_one_known_pipeline(tmp_path, pipelines):
+    with pytest.raises(ConfigError, match=r"runs one pipeline of solve, selfsim, specfun, mc, "
+                                          r"reproduce-theorem; got " + re.escape(repr(pipelines))):
+        run_experiment(None, tmp_path / "o", pipelines)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_experiment_rejects_unknown_key(tmp_path):
@@ -163,9 +164,9 @@ def test_run_experiment_rejects_bad_values(tmp_path):
 
 
 def test_config_error_in_a_pipeline_removes_the_out_dir_it_made(tmp_path):
-    # run_experiment makes out_dir before the pipelines run
-    with pytest.raises(ConfigError, match="nope"):
-        run_experiment(None, tmp_path / "e3", ["nope"])
+    # run_experiment makes out_dir before the pipeline runs, and mc checks v0.kind
+    with pytest.raises(ConfigError, match="v0.kind"):
+        run_experiment({"v0.kind": "smooth_bump"}, tmp_path / "e3", ["mc"])
     assert not (tmp_path / "e3").exists()
 
 
@@ -243,7 +244,7 @@ def test_manifest_hashes_outputs(tmp_path):
 
 
 def test_manifest_records_environment(tmp_path):
-    out = run_experiment(None, tmp_path / "o", [])
+    out = run_experiment(None, tmp_path / "o", ["specfun"])
     env = json.loads((out / "manifest.json").read_text())["environment"]
     host = platform.uname()
     assert env == {"python": platform.python_version(), "numpy": np.__version__,
@@ -262,14 +263,13 @@ _SMALL = {"cbar": 1.5, "t_end": 1.0, "dx": 0.02, "fit.window": (3.0, 6.0)}
 
 
 def test_summary_records_flux_residual_of_each_series(tmp_path):
-    # solve and selfsim in one run: both series are recorded, merged under one key
-    out = run_experiment(_SMALL, tmp_path / "o", ["solve", "selfsim"])
-    flux = json.loads((out / "summary.json").read_text())["flux_identity_residual"]
-    assert flux == {
-        "physical": {"1.5": _max_interior_flux_residual(out / "physical_cbar1.5.csv")},
-        "selfsim": {"1.5": _max_interior_flux_residual(out / "selfsim_series_cbar1.5.csv")},
-    }
-    assert 0.0 < flux["physical"]["1.5"] < 1.0 and 0.0 < flux["selfsim"]["1.5"] < 1.0
+    # solve records its physical series, selfsim its self-similar one
+    for name, block, csv in (("solve", "physical", "physical_cbar1.5.csv"),
+                             ("selfsim", "selfsim", "selfsim_series_cbar1.5.csv")):
+        out = run_experiment(_SMALL, tmp_path / name, [name])
+        flux = json.loads((out / "summary.json").read_text())["flux_identity_residual"]
+        assert flux == {block: {"1.5": _max_interior_flux_residual(out / csv)}}
+        assert 0.0 < flux[block]["1.5"] < 1.0
     # a solve that ends inside its startup writes two samples: no interior residual
     out = run_experiment({"t_end": 0.01, "dx": 0.02}, tmp_path / "short", ["solve"])
     summary = json.loads((out / "summary.json").read_text())
@@ -479,7 +479,7 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     assert _usable_cpus() == 1
 
 
-def test_killed_worker_removes_the_empty_out_directory(tmp_path, monkeypatch):
+def test_killed_worker_removes_the_empty_out_directory(tmp_path, monkeypatch, capfd):
     # a worker killed by a signal breaks the pool: the call raises at once,
     # no worker is left, and the --out directory it made goes again
     parent = os.getpid()
@@ -492,8 +492,17 @@ def test_killed_worker_removes_the_empty_out_directory(tmp_path, monkeypatch):
     monkeypatch.setattr("bbmlab.pipeline._usable_cpus", lambda: 2)
     monkeypatch.setattr("bbmlab.pipeline.selfsimilar_run", killed)
     out = tmp_path / "o"
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(NumericalFailure, match="a worker process ended abnormally, "
+                                               "running 2 jobs on 2 workers"):
         run_experiment(_SMALL, out, ["selfsim"])
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    # the CLI exits 3 with the message and no traceback
+    capfd.readouterr()
+    assert cli_main(["selfsim", "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert "numerical failure: a worker process ended abnormally" in err
+    assert "Traceback" not in err
     assert not out.exists()
     assert multiprocessing.active_children() == []
 
@@ -520,23 +529,18 @@ def test_selfsim_pipeline_writes_the_theorem_schema(tmp_path, theorem_dir):
 
 
 def test_selfsim_with_reproduce_theorem_lists_each_fit_once(tmp_path):
-    # selfsim at cbar = 0 and reproduce-theorem in one run: the cbar = 0 fits
-    # are the same deterministic fits, merged once
-    out = run_experiment({**_SMALL, "cbar": 0.0}, tmp_path / "o",
-                         ["selfsim", "reproduce-theorem"])
+    # selfsim at cbar = 0 and reproduce-theorem, each in a run of its own: the
+    # cbar = 0 fits are the same deterministic fits, and each is listed once
+    cfg = {**_SMALL, "cbar": 0.0}
+    selfsim = json.loads((run_experiment(cfg, tmp_path / "s", ["selfsim"])
+                          / "summary.json").read_text())["fits"]
+    out = run_experiment(cfg, tmp_path / "o", ["reproduce-theorem"])
     fits = json.loads((out / "summary.json").read_text())["fits"]
     keys = [(f"{f['cbar']:.6g}", f["observable"], f["model"]) for f in fits]
     assert len(keys) == len(set(keys)) == 8    # two power fits per cbar, two log fits at 3 sqrt(pi)
+    assert [f for f in fits if f["cbar"] == 0.0] == selfsim
     table = (out / "rate_table.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1:3] for row in table] == [[o, m] for _, o, m in keys]
-
-
-def test_merge_recurses_appends_new_list_items_and_replaces_scalars():
-    into = {"block": {"a": 1, "inner": {"b": 2}}, "items": [{"k": 0}, 1], "value": 1}
-    _merge(into, {"block": {"inner": {"c": 3}, "d": 4}, "items": [1, {"k": 0}, {"k": 1}, 2],
-                  "value": 2, "new": [5]})
-    assert into == {"block": {"a": 1, "inner": {"b": 2, "c": 3}, "d": 4},
-                    "items": [{"k": 0}, 1, {"k": 1}, 2], "value": 2, "new": [5]}
 
 
 def test_mc_pipeline_writes_result(tmp_path):
